@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from decimal import Decimal
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, anomaly, compare, dynamics, peaks, probkit, scatter, synth
 from . import histograms as hist_mod
@@ -175,8 +176,8 @@ def cmd_peaks(args) -> dict:
             dataset, args.quantity, args.replicates, args.seed,
             targets=tuple(range(hist_mod.N_PERCENT_BINS)), weight_mode=args.weight_mode,
         )
-        lo = [float(v) for v in _quantile(null.weights, 0.005)]
-        hi = [float(v) for v in _quantile(null.weights, 0.995)]
+        lo = [float(v) for v in np.quantile(null.weights, 0.005, axis=0)]
+        hi = [float(v) for v in np.quantile(null.weights, 0.995, axis=0)]
         atomic_write_text(
             Path(args.out) / "peaks.svg",
             svg_histogram(
@@ -187,12 +188,6 @@ def cmd_peaks(args) -> dict:
             ),
         )
     return {"results": report.as_dict(), "inputs": [digest]}
-
-
-def _quantile(matrix, q):
-    import numpy as np
-
-    return np.quantile(matrix, q, axis=0)
 
 
 def cmd_stuffing(args) -> dict:
@@ -232,21 +227,22 @@ def cmd_clusters(args) -> dict:
 
 def cmd_contrast(args) -> dict:
     dataset, digest = _load_dataset(args)
+    columns = dataset.counts()
     by = args.by
     if by == "machine":
-        predicate = lambda r: r.machine_counted
+        mask = columns.machine_counted
         label_a, label_b = "machine_counted", "hand_counted"
     elif by.startswith("territory="):
         value = by.split("=", 1)[1]
-        predicate = lambda r: r.territory == value
+        mask = columns.territory == value
         label_a, label_b = f"territory {value}", "rest"
     elif by.startswith("tag="):
         value = by.split("=", 1)[1]
-        predicate = lambda r: value in r.tags
+        mask = np.fromiter((value in tags for tags in columns.tags), dtype=bool, count=len(dataset))
         label_a, label_b = f"tag {value}", "rest"
     else:
         raise ForensicsError(f"--by must be machine, territory=<v>, or tag=<v>, got {by!r}")
-    part_a, part_b = partition(dataset, predicate)
+    part_a, part_b = partition(dataset, mask)
     if len(part_a) == 0 or len(part_b) == 0:
         raise ForensicsError(f"split {by!r} left an empty subset")
     contrast = compare.subset_contrast(part_a, part_b, label_a=label_a, label_b=label_b)
@@ -256,21 +252,7 @@ def cmd_contrast(args) -> dict:
 def cmd_delta(args) -> dict:
     text = _read(args.infile)
     digest = input_digest(args.infile)
-    import csv as _csv
-    import io as _io
-
-    reader = _csv.reader(_io.StringIO(text))
-    header = next(reader)
-    expected = ["unit", "share_b", "share_a", "turnout_b", "turnout_a"]
-    if [h.strip() for h in header] != expected:
-        raise ForensicsError(f"delta input header must be {','.join(expected)}")
-    table_a, table_b = [], []
-    for row in reader:
-        if not row:
-            continue
-        unit = row[0].strip()
-        table_b.append((unit, Decimal(row[1]), Decimal(row[3])))
-        table_a.append((unit, Decimal(row[2]), Decimal(row[4])))
+    table_a, table_b = compare.parse_delta_table(text)
     rows = compare.cross_election_delta(table_a, table_b)
     return {"results": {"rows": [r.as_dict() for r in rows]}, "inputs": [digest]}
 

@@ -16,11 +16,22 @@ shares.  Delta-table percents are carried as exact decimals.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterable, Sequence
 
-from .dataset import ElectionDataset, PartyRoster, PrecinctRecord, parse_dataset
+import numpy as np
+
+from .dataset import (
+    ElectionDataset,
+    PartyRoster,
+    PrecinctRecord,
+    check_invariants,
+    parse_count,
+    read_csv,
+    record_columns,
+)
 from .errors import (
     MalformedRow,
     PairMismatch,
@@ -86,7 +97,7 @@ def _aggregate(dataset: ElectionDataset) -> tuple[tuple[float, ...], float, list
     votes = arrays.votes.sum(axis=0)
     shares = tuple((int(v) / total_cast if total_cast else 0.0) for v in votes)
     turnout = total_cast / total_reg if total_reg else 0.0
-    per_precinct_turnout = [r.ballots_cast / r.registered for r in dataset.records]
+    per_precinct_turnout = (arrays.ballots_cast / arrays.registered).tolist()
     return shares, turnout, per_precinct_turnout
 
 
@@ -178,6 +189,36 @@ def cross_election_delta(
     return rows
 
 
+DELTA_COLUMNS = ("unit", "share_b", "share_a", "turnout_b", "turnout_a")
+_PERCENT = re.compile(r"[0-9]+(\.[0-9]+)?")
+
+
+def _parse_percent(cell: str, line: int, column: str) -> Decimal:
+    text = cell.strip()
+    if not _PERCENT.fullmatch(text):
+        raise MalformedRow(line, f"column {column!r}: {cell!r} is not a percent like 12 or 12.34")
+    return Decimal(text)
+
+
+def parse_delta_table(csv_text: str) -> tuple[list[UnitEntry], list[UnitEntry]]:
+    """Parse ``unit,share_b,share_a,turnout_b,turnout_a`` rows (percents) into tables A and B."""
+    header, rows = read_csv(csv_text)
+    if tuple(header) != DELTA_COLUMNS:
+        raise MalformedRow(1, f"header must be {','.join(DELTA_COLUMNS)}")
+    table_a: list[UnitEntry] = []
+    table_b: list[UnitEntry] = []
+    for line_no, row in rows:
+        if len(row) != len(DELTA_COLUMNS):
+            raise MalformedRow(line_no, f"expected {len(DELTA_COLUMNS)} fields, got {len(row)}")
+        share_b, share_a, turnout_b, turnout_a = (
+            _parse_percent(cell, line_no, col) for cell, col in zip(row[1:], DELTA_COLUMNS[1:])
+        )
+        unit = row[0].strip()
+        table_b.append((unit, share_b, turnout_b))
+        table_a.append((unit, share_a, turnout_a))
+    return table_a, table_b
+
+
 @dataclass(frozen=True)
 class ProtocolDisplacement:
     precinct_id: str
@@ -253,14 +294,7 @@ def parse_protocols(csv_text: str, leader: str) -> tuple[PartyRoster, list[tuple
     Format: ``precinct_id,source,registered,ballots_cast,invalid,votes_<party>...``
     with source in {observer, official}; each precinct must appear once per source.
     """
-    import csv as _csv
-    import io as _io
-
-    reader = _csv.reader(_io.StringIO(csv_text))
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise MalformedRow(1, "missing header row") from None
+    header, lines = read_csv(csv_text)
     fixed = ("precinct_id", "source", "registered", "ballots_cast", "invalid")
     if tuple(header[: len(fixed)]) != fixed:
         raise MalformedRow(1, f"header must start with {','.join(fixed)}")
@@ -272,31 +306,33 @@ def parse_protocols(csv_text: str, leader: str) -> tuple[PartyRoster, list[tuple
         raise UnknownParty(f"leader {leader!r} not among parties {roster.ids}")
 
     by_source: dict[str, dict[str, PrecinctRecord]] = {s: {} for s in PROTOCOL_SOURCES}
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise MalformedRow(line_no, f"expected {len(header)} fields, got {len(row)}")
-        source = row[1].strip()
-        if source not in PROTOCOL_SOURCES:
-            raise MalformedRow(line_no, f"source must be observer or official, got {source!r}")
-        try:
+    rows: list[PrecinctRecord] = []
+    try:
+        for line_no, row in lines:
+            if len(row) != len(header):
+                raise MalformedRow(line_no, f"expected {len(header)} fields, got {len(row)}")
+            source = row[1].strip()
+            if source not in PROTOCOL_SOURCES:
+                raise MalformedRow(line_no, f"source must be observer or official, got {source!r}")
+            counts = [parse_count(cell, line_no, col) for cell, col in zip(row[2:], header[2:])]
             rec = PrecinctRecord(
                 precinct_id=row[0].strip(),
                 region="",
                 territory="",
-                registered=int(row[2]),
-                ballots_cast=int(row[3]),
-                invalid=int(row[4]),
+                registered=counts[0],
+                ballots_cast=counts[1],
+                invalid=counts[2],
                 machine_counted=False,
-                votes=tuple(int(v) for v in row[5:]),
+                votes=tuple(counts[3:]),
             )
-        except ValueError:
-            raise MalformedRow(line_no, "counts must be base-10 integers") from None
-        rec.validate()
-        if rec.precinct_id in by_source[source]:
-            raise MalformedRow(line_no, f"duplicate {source} row for {rec.precinct_id!r}")
-        by_source[source][rec.precinct_id] = rec
+            rows.append(rec)
+            if rec.precinct_id in by_source[source]:
+                raise MalformedRow(line_no, f"duplicate {source} row for {rec.precinct_id!r}")
+            by_source[source][rec.precinct_id] = rec
+    except MalformedRow:
+        check_invariants(record_columns(rows, len(roster)))  # an earlier broken row is reported first
+        raise
+    check_invariants(record_columns(rows, len(roster)))
 
     obs, off = by_source["observer"], by_source["official"]
     if set(obs) != set(off):
@@ -337,18 +373,16 @@ def paired_contest_scan(
     party = party or records_a.designated_leader
     ia = records_a.roster.index(party)
     ib = records_b.roster.index(party)
-    b_by_id = {r.precinct_id: r for r in records_b.records}
-    a_over: list[tuple[str, int]] = []
-    b_over: list[tuple[str, int]] = []
-    for rec in records_a.records:
-        other = b_by_id.get(rec.precinct_id)
-        if other is None:
-            continue
-        gap = rec.votes[ia] - other.votes[ib]
-        if gap > threshold:
-            a_over.append((rec.precinct_id, gap))
-        elif -gap > threshold:
-            b_over.append((rec.precinct_id, -gap))
-    a_over.sort()
-    b_over.sort()
-    return PairedScanResult(party, threshold, tuple(a_over), tuple(b_over))
+    a, b = records_a.counts(), records_b.counts()
+    common, rows_a, rows_b = np.intersect1d(
+        a.precinct_ids, b.precinct_ids, assume_unique=True, return_indices=True
+    )
+    gap = a.votes[rows_a, ia] - b.votes[rows_b, ib]
+    a_over = gap > threshold
+    b_over = -gap > threshold
+    return PairedScanResult(
+        party,
+        threshold,
+        tuple(zip(common[a_over].tolist(), gap[a_over].tolist())),
+        tuple(zip(common[b_over].tolist(), (-gap[b_over]).tolist())),
+    )

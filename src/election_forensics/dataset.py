@@ -1,11 +1,12 @@
-"""Precinct-level data model, CSV parsing/serialization, and share derivation.
+"""Precinct-level data model and CSV parsing/serialization.
 
 File format (``precincts.csv``, UTF-8, comma separated, header required)::
 
     precinct_id,region,territory,registered,ballots_cast,invalid,machine_counted,votes_<party1>,...,votes_<partyK>
 
-``machine_counted`` is 0 or 1; all counts are non-negative base-10 integers
-with no thousands separators.  An optional trailing ``tags`` column holds
+``machine_counted`` is 0 or 1; every count cell is ASCII digits ``[0-9]+``
+with optional surrounding whitespace (no sign, no thousands separators,
+no other digit scripts).  An optional trailing ``tags`` column holds
 semicolon-joined free-form tags; it is written only when a record carries
 tags, and absent columns parse as "no tags".
 
@@ -16,21 +17,22 @@ Per-record invariants enforced at parse time:
   turnout, so such rows are rejected outright)
 
 Official tallies count ballots found in boxes, not ballots issued; the
-``ballots_cast`` column is interpreted as ballots counted.  All arithmetic
-downstream works on exact integer counts; percentages appear only when a
-histogram is built.
+``ballots_cast`` column is interpreted as ballots counted.  A dataset is
+stored as numpy columns (``DatasetArrays``), one entry per precinct in
+file order; all arithmetic downstream works on exact integer counts, and
+percentages appear only when a histogram is built.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, MalformedRow, UnknownLeader, ZeroRegistered
+from .errors import InvariantViolation, MalformedRow, UnknownLeader
 
 FIXED_COLUMNS = (
     "precinct_id",
@@ -43,6 +45,7 @@ FIXED_COLUMNS = (
 )
 VOTES_PREFIX = "votes_"
 TAGS_COLUMN = "tags"
+MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are stored as int64 columns
 
 
 @dataclass(frozen=True)
@@ -54,15 +57,12 @@ class PartyRoster:
     """
 
     ids: tuple[str, ...]
-    display_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not self.ids:
             raise InvariantViolation("<roster>", "party roster must be non-empty")
         if len(set(self.ids)) != len(self.ids):
             raise InvariantViolation("<roster>", "party identifiers must be unique")
-        if self.display_names is not None and len(self.display_names) != len(self.ids):
-            raise InvariantViolation("<roster>", "display names must align with ids")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -78,7 +78,7 @@ class PartyRoster:
 
 @dataclass(frozen=True)
 class PrecinctRecord:
-    """One polling station's protocol line."""
+    """One polling station's protocol line, as a row (see ``make_dataset``)."""
 
     precinct_id: str
     region: str
@@ -90,87 +90,177 @@ class PrecinctRecord:
     votes: tuple[int, ...]
     tags: tuple[str, ...] = ()
 
-    def validate(self) -> None:
-        counts = (self.registered, self.ballots_cast, self.invalid, *self.votes)
-        if any(c < 0 for c in counts):
-            raise InvariantViolation(self.precinct_id, "all counts must be non-negative")
-        if self.registered == 0:
-            raise InvariantViolation(self.precinct_id, "registered must be positive")
-        if self.ballots_cast > self.registered:
-            raise InvariantViolation(
-                self.precinct_id,
-                f"ballots_cast {self.ballots_cast} exceeds registered {self.registered}",
-            )
-        if sum(self.votes) + self.invalid > self.ballots_cast:
-            raise InvariantViolation(
-                self.precinct_id,
-                f"votes {sum(self.votes)} + invalid {self.invalid} exceed ballots_cast {self.ballots_cast}",
-            )
 
+@dataclass(frozen=True, eq=False)
+class DatasetArrays:
+    """A dataset's columns, one entry per precinct in file order.
 
-@dataclass(frozen=True)
-class ShareView:
-    """Per-precinct turnout and vote shares derived from exact counts."""
+    ``precinct_ids``, ``region`` and ``territory`` are object arrays of
+    ``str`` and ``tags`` one of ``tuple[str, ...]``; the counts are int64,
+    ``votes`` with shape (precincts, parties); ``machine_counted`` is bool.
+    Field order matches ``PrecinctRecord``.  The arrays are made read-only,
+    because datasets derived from one another share them.
+    """
 
-    precinct_id: str
-    turnout: float
-    share_of_registered: tuple[float, ...]
-    share_of_cast: tuple[float, ...]
+    precinct_ids: np.ndarray
+    region: np.ndarray
+    territory: np.ndarray
+    registered: np.ndarray
+    ballots_cast: np.ndarray
+    invalid: np.ndarray
+    machine_counted: np.ndarray
+    votes: np.ndarray
+    tags: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.registered)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DatasetArrays):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
+    def take(self, rows: np.ndarray) -> "DatasetArrays":
+        """The columns restricted to ``rows`` (a boolean mask or index array)."""
+        return DatasetArrays(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass(frozen=True)
 class ElectionDataset:
-    """Validated collection of precinct records plus roster and leader."""
+    """Precinct columns plus roster and designated leader."""
 
     election_id: str
     roster: PartyRoster
-    records: tuple[PrecinctRecord, ...]
+    columns: DatasetArrays
     designated_leader: str
-    _arrays: dict = field(default=None, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.designated_leader not in self.roster.ids:
             raise UnknownLeader(f"leader {self.designated_leader!r} not in roster")
         seen: set[str] = set()
-        for rec in self.records:
-            if rec.precinct_id in seen:
-                raise InvariantViolation(rec.precinct_id, "duplicate precinct_id")
-            seen.add(rec.precinct_id)
-            if len(rec.votes) != len(self.roster):
-                raise InvariantViolation(rec.precinct_id, "votes vector does not match roster")
-        object.__setattr__(self, "_arrays", {})
+        for pid in self.columns.precinct_ids.tolist():
+            if pid in seen:
+                raise InvariantViolation(pid, "duplicate precinct_id")
+            seen.add(pid)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns)
 
     @property
     def leader_index(self) -> int:
         return self.roster.index(self.designated_leader)
 
-    def counts(self) -> "DatasetArrays":
-        """Column-oriented numpy view of the records (computed once, cached)."""
-        if "c" not in self._arrays:
-            self._arrays["c"] = DatasetArrays(
-                precinct_ids=[r.precinct_id for r in self.records],
-                registered=np.array([r.registered for r in self.records], dtype=np.int64),
-                ballots_cast=np.array([r.ballots_cast for r in self.records], dtype=np.int64),
-                invalid=np.array([r.invalid for r in self.records], dtype=np.int64),
-                votes=np.array([r.votes for r in self.records], dtype=np.int64).reshape(
-                    len(self.records), len(self.roster)
-                ),
-                machine_counted=np.array([r.machine_counted for r in self.records], dtype=bool),
+    def counts(self) -> DatasetArrays:
+        """The dataset's columns, as stored."""
+        return self.columns
+
+    @property
+    def records(self) -> tuple[PrecinctRecord, ...]:
+        """The rows, built from the columns on each access."""
+        c = self.columns
+        return tuple(
+            PrecinctRecord(pid, region, territory, reg, cast, inv, machine, tuple(votes), tags)
+            for pid, region, territory, reg, cast, inv, machine, votes, tags in zip(
+                *(getattr(c, f.name).tolist() for f in fields(c))
             )
-        return self._arrays["c"]
+        )
 
 
-@dataclass(frozen=True)
-class DatasetArrays:
-    precinct_ids: list[str]
-    registered: np.ndarray
-    ballots_cast: np.ndarray
-    invalid: np.ndarray
-    votes: np.ndarray
-    machine_counted: np.ndarray
+def check_invariants(columns: DatasetArrays) -> None:
+    """Raise InvariantViolation for the first row, in order, that breaks a count invariant."""
+    vote_sum = columns.votes.sum(axis=1)
+    negative = (
+        (columns.registered < 0)
+        | (columns.ballots_cast < 0)
+        | (columns.invalid < 0)
+        | (columns.votes < 0).any(axis=1)
+    )
+    no_voters = columns.registered == 0
+    over_registered = columns.ballots_cast > columns.registered
+    over_cast = vote_sum + columns.invalid > columns.ballots_cast
+    bad = np.flatnonzero(negative | no_voters | over_registered | over_cast)
+    if bad.size == 0:
+        return
+    i = bad[0]
+    pid = columns.precinct_ids[i]
+    if negative[i]:
+        raise InvariantViolation(pid, "all counts must be non-negative")
+    if no_voters[i]:
+        raise InvariantViolation(pid, "registered must be positive")
+    if over_registered[i]:
+        raise InvariantViolation(
+            pid,
+            f"ballots_cast {columns.ballots_cast[i]} exceeds registered {columns.registered[i]}",
+        )
+    raise InvariantViolation(
+        pid,
+        f"votes {vote_sum[i]} + invalid {columns.invalid[i]} exceed ballots_cast {columns.ballots_cast[i]}",
+    )
+
+
+def read_csv(csv_text: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The stripped header and (line number, row) for each non-empty row after it."""
+    reader = csv.reader(io.StringIO(csv_text))
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise MalformedRow(1, "missing header row") from None
+    return header, ((line_no, row) for line_no, row in enumerate(reader, start=2) if row)
+
+
+def parse_count(cell: str, line: int, column: str) -> int:
+    """A count cell: ASCII digits ``[0-9]+``, surrounding whitespace ignored, that fits int64."""
+    text = cell.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise MalformedRow(line, f"column {column!r}: {cell!r} is not a non-negative integer")
+    value = int(text)
+    if value > MAX_COUNT:
+        raise MalformedRow(line, f"column {column!r}: {cell!r} exceeds {MAX_COUNT}")
+    return value
+
+
+def _columns(
+    ids: Sequence[str],
+    regions: Sequence[str],
+    territories: Sequence[str],
+    counts: Sequence[Sequence[int]],
+    machine: Sequence[bool],
+    tags: Sequence[tuple[str, ...]],
+    parties: int,
+) -> DatasetArrays:
+    """Columns from per-row values; ``counts`` rows are (registered, ballots_cast, invalid, *votes)."""
+    n = len(ids)
+    table = np.array(counts, dtype=np.int64).reshape(n, 3 + parties)
+    return DatasetArrays(
+        precinct_ids=np.array(ids, dtype=object),
+        region=np.array(regions, dtype=object),
+        territory=np.array(territories, dtype=object),
+        registered=table[:, 0],
+        ballots_cast=table[:, 1],
+        invalid=table[:, 2],
+        machine_counted=np.array(machine, dtype=bool),
+        votes=table[:, 3:],
+        tags=np.fromiter(tags, dtype=object, count=n),
+    )
+
+
+def record_columns(records: Sequence[PrecinctRecord], parties: int) -> DatasetArrays:
+    """Columns of rows whose vote vectors each hold ``parties`` counts."""
+    return _columns(
+        [r.precinct_id for r in records],
+        [r.region for r in records],
+        [r.territory for r in records],
+        [(r.registered, r.ballots_cast, r.invalid, *r.votes) for r in records],
+        [r.machine_counted for r in records],
+        [r.tags for r in records],
+        parties,
+    )
 
 
 def make_dataset(
@@ -179,18 +269,10 @@ def make_dataset(
     records: Iterable[PrecinctRecord],
     leader: str,
 ) -> ElectionDataset:
-    """Validate every record and assemble a dataset."""
-    recs = tuple(records)
-    for rec in recs:
-        rec.validate()
-    return ElectionDataset(election_id, roster, recs, leader)
-
-
-def _parse_count(value: str, line_no: int, column: str) -> int:
-    text = value.strip()
-    if not text.lstrip("-").isdigit():
-        raise MalformedRow(line_no, f"column {column!r}: {value!r} is not an integer")
-    return int(text)
+    """Check every row's invariants and assemble a dataset from the rows."""
+    columns = record_columns(tuple(records), len(roster))
+    check_invariants(columns)
+    return ElectionDataset(election_id, roster, columns, leader)
 
 
 def parse_dataset(csv_text: str, leader: str, election_id: str = "dataset") -> ElectionDataset:
@@ -198,15 +280,10 @@ def parse_dataset(csv_text: str, leader: str, election_id: str = "dataset") -> E
 
     Raises MalformedRow for structural problems, InvariantViolation for
     rows that fail count invariants, and UnknownLeader when ``leader`` is
-    not among the vote columns.
+    not among the vote columns.  The error reported is the first one in
+    file order.
     """
-    reader = csv.reader(io.StringIO(csv_text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedRow(1, "missing header row") from None
-    header = [h.strip() for h in header]
-
+    header, rows = read_csv(csv_text)
     has_tags = bool(header) and header[-1] == TAGS_COLUMN
     core = header[:-1] if has_tags else header
     if tuple(core[: len(FIXED_COLUMNS)]) != FIXED_COLUMNS:
@@ -219,91 +296,73 @@ def parse_dataset(csv_text: str, leader: str, election_id: str = "dataset") -> E
         raise UnknownLeader(f"leader {leader!r} not among parties {roster.ids}")
 
     expected = len(header)
-    records: list[PrecinctRecord] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != expected:
-            raise MalformedRow(line_no, f"expected {expected} fields, got {len(row)}")
-        mc_raw = row[6].strip()
-        if mc_raw not in ("0", "1"):
-            raise MalformedRow(line_no, f"machine_counted must be 0 or 1, got {mc_raw!r}")
-        votes = tuple(
-            _parse_count(row[7 + i], line_no, party_cols[i]) for i in range(len(roster))
-        )
-        tags: tuple[str, ...] = ()
-        if has_tags and row[-1].strip():
-            tags = tuple(t for t in row[-1].split(";") if t)
-        rec = PrecinctRecord(
-            precinct_id=row[0].strip(),
-            region=row[1].strip(),
-            territory=row[2].strip(),
-            registered=_parse_count(row[3], line_no, "registered"),
-            ballots_cast=_parse_count(row[4], line_no, "ballots_cast"),
-            invalid=_parse_count(row[5], line_no, "invalid"),
-            machine_counted=mc_raw == "1",
-            votes=votes,
-            tags=tags,
-        )
-        rec.validate()
-        records.append(rec)
-    return ElectionDataset(election_id, roster, tuple(records), leader)
+    count_cells = [(3, "registered"), (4, "ballots_cast"), (5, "invalid")]
+    count_cells += [(7 + j, col) for j, col in enumerate(party_cols)]
+    ids: list[str] = []
+    regions: list[str] = []
+    territories: list[str] = []
+    counts: list[list[int]] = []
+    machine: list[bool] = []
+    tags: list[tuple[str, ...]] = []
+
+    def columns() -> DatasetArrays:
+        return _columns(ids, regions, territories, counts, machine, tags, len(roster))
+
+    try:
+        for line_no, row in rows:
+            if len(row) != expected:
+                raise MalformedRow(line_no, f"expected {expected} fields, got {len(row)}")
+            mc_raw = row[6].strip()
+            if mc_raw not in ("0", "1"):
+                raise MalformedRow(line_no, f"machine_counted must be 0 or 1, got {mc_raw!r}")
+            counts.append([parse_count(row[i], line_no, col) for i, col in count_cells])
+            ids.append(row[0].strip())
+            regions.append(row[1].strip())
+            territories.append(row[2].strip())
+            machine.append(mc_raw == "1")
+            has_row_tags = has_tags and row[-1].strip()
+            tags.append(tuple(t for t in row[-1].split(";") if t) if has_row_tags else ())
+    except MalformedRow:
+        check_invariants(columns())  # an invariant broken on an earlier line is reported first
+        raise
+    data = columns()
+    check_invariants(data)
+    return ElectionDataset(election_id, roster, data, leader)
 
 
 def serialize_dataset(dataset: ElectionDataset) -> str:
     """Render a dataset back to CSV text; parse(serialize(d)) == d field-for-field."""
+    c = dataset.counts()
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    any_tags = any(r.tags for r in dataset.records)
+    any_tags = any(c.tags)
     header = list(FIXED_COLUMNS) + [VOTES_PREFIX + p for p in dataset.roster.ids]
     if any_tags:
         header.append(TAGS_COLUMN)
     writer.writerow(header)
-    for rec in dataset.records:
-        row = [
-            rec.precinct_id,
-            rec.region,
-            rec.territory,
-            rec.registered,
-            rec.ballots_cast,
-            rec.invalid,
-            1 if rec.machine_counted else 0,
-            *rec.votes,
-        ]
+    numbers = np.column_stack(
+        (c.registered, c.ballots_cast, c.invalid, c.machine_counted, c.votes)
+    ).tolist()
+    for pid, region, territory, nums, tags in zip(
+        c.precinct_ids.tolist(), c.region.tolist(), c.territory.tolist(), numbers, c.tags.tolist()
+    ):
+        row = [pid, region, territory, *nums]
         if any_tags:
-            row.append(";".join(rec.tags))
+            row.append(";".join(tags))
         writer.writerow(row)
     return out.getvalue()
 
 
-def derive_shares(record: PrecinctRecord) -> ShareView:
-    """Turnout and per-party shares of registered voters and of ballots cast.
-
-    share_of_cast is defined as 0 for every party when no ballots were cast.
-    """
-    if record.registered <= 0:
-        raise ZeroRegistered(f"precinct {record.precinct_id!r} has no registered voters")
-    reg = record.registered
-    cast = record.ballots_cast
-    turnout = cast / reg
-    of_registered = tuple(v / reg for v in record.votes)
-    if cast > 0:
-        of_cast = tuple(v / cast for v in record.votes)
-    else:
-        of_cast = tuple(0.0 for _ in record.votes)
-    return ShareView(record.precinct_id, turnout, of_registered, of_cast)
-
-
 def partition(
     dataset: ElectionDataset,
-    predicate: Callable[[PrecinctRecord], bool],
+    mask: np.ndarray,
 ) -> tuple[ElectionDataset, ElectionDataset]:
-    """Split into (matching, non-matching) datasets sharing roster and leader."""
-    hit: list[PrecinctRecord] = []
-    miss: list[PrecinctRecord] = []
-    for rec in dataset.records:
-        (hit if predicate(rec) else miss).append(rec)
+    """Split into (rows where ``mask`` is true, the rest), sharing roster and leader."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (len(dataset),):
+        raise ValueError(f"mask must have shape ({len(dataset)},), got {mask.shape}")
+    columns = dataset.counts()
     return (
-        ElectionDataset(dataset.election_id + "/in", dataset.roster, tuple(hit), dataset.designated_leader),
-        ElectionDataset(dataset.election_id + "/out", dataset.roster, tuple(miss), dataset.designated_leader),
+        ElectionDataset(dataset.election_id + "/in", dataset.roster, columns.take(mask), dataset.designated_leader),
+        ElectionDataset(dataset.election_id + "/out", dataset.roster, columns.take(~mask), dataset.designated_leader),
     )

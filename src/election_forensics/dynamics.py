@@ -17,7 +17,9 @@ import io
 from dataclasses import dataclass
 from typing import Mapping
 
-from .dataset import ElectionDataset
+import numpy as np
+
+from .dataset import ElectionDataset, parse_count, read_csv
 from .errors import EmptySeries, InvariantViolation, MalformedRow
 
 DEFAULT_HYPERACTIVE_THRESHOLD = 0.13
@@ -55,10 +57,10 @@ class IntradaySeries:
 
 
 def parse_time(text: str, line_no: int) -> int:
-    parts = text.strip().split(":")
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    parts = text.split(":")
+    if len(parts) != 2:
         raise MalformedRow(line_no, f"time must be HH:MM, got {text!r}")
-    hh, mm = int(parts[0]), int(parts[1])
+    hh, mm = (parse_count(part, line_no, "time") for part in parts)
     if hh > 23 or mm > 59:
         raise MalformedRow(line_no, f"time out of range: {text!r}")
     return hh * 60 + mm
@@ -70,23 +72,16 @@ def format_time(minutes: int) -> str:
 
 def parse_intraday(csv_text: str) -> dict[str, IntradaySeries]:
     """Parse ``intraday.csv`` (precinct_id,time,cumulative_voted) into series."""
-    reader = csv.reader(io.StringIO(csv_text))
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise MalformedRow(1, "missing header row") from None
+    header, lines = read_csv(csv_text)
     if header != ["precinct_id", "time", "cumulative_voted"]:
         raise MalformedRow(1, "header must be precinct_id,time,cumulative_voted")
     rows: dict[str, list[tuple[int, int]]] = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for line_no, row in lines:
         if len(row) != 3:
             raise MalformedRow(line_no, f"expected 3 fields, got {len(row)}")
         minutes = parse_time(row[1], line_no)
-        if not row[2].strip().isdigit():
-            raise MalformedRow(line_no, f"cumulative_voted must be an integer, got {row[2]!r}")
-        rows.setdefault(row[0].strip(), []).append((minutes, int(row[2])))
+        voted = parse_count(row[2], line_no, "cumulative_voted")
+        rows.setdefault(row[0].strip(), []).append((minutes, voted))
     out: dict[str, IntradaySeries] = {}
     for pid, reports in rows.items():
         reports.sort()
@@ -162,34 +157,29 @@ def flag_hyperactive(
     """
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    leader_idx = dataset.leader_index
-    flagged: list[str] = []
-    skipped: list[str] = []
-    rows: list[HyperactiveRow] = []
-    for rec in dataset.records:
-        series = series_map.get(rec.precinct_id)
-        if series is None:
-            skipped.append(rec.precinct_id)
-            continue
-        joined = series.with_official(rec.ballots_cast)
-        inc = final_increment(joined, rec.registered)
-        is_hot = inc > threshold
-        if is_hot:
-            flagged.append(rec.precinct_id)
-        rows.append(
-            HyperactiveRow(
-                precinct_id=rec.precinct_id,
-                increment=inc,
-                turnout=rec.ballots_cast / rec.registered,
-                leader_share_of_cast=(
-                    rec.votes[leader_idx] / rec.ballots_cast if rec.ballots_cast else 0.0
-                ),
-                flagged=is_hot,
-            )
-        )
+    c = dataset.counts()
+    has = np.fromiter((pid in series_map for pid in c.precinct_ids.tolist()), dtype=bool, count=len(c))
+    ids = c.precinct_ids[has].tolist()
+    series = [series_map[pid] for pid in ids]
+    cast = c.ballots_cast[has]
+    registered = c.registered[has]
+    # -1 marks a series too short to have a final increment
+    last = np.fromiter(
+        (s.reports[-1][1] if len(s.reports) > 1 else -1 for s in series), dtype=np.int64, count=len(series)
+    )
+    bad = np.flatnonzero((last < 0) | (last > cast))
+    if bad.size:
+        series[bad[0]].with_official(int(cast[bad[0]]))  # raises that series' validation error
+    increment = (cast - last) / registered
+    turnout = cast / registered
+    share = np.divide(c.votes[has, dataset.leader_index], cast, out=np.zeros(len(ids)), where=cast > 0)
+    hot = increment > threshold
     return HyperactiveReport(
         threshold=threshold,
-        flagged=tuple(flagged),
-        skipped_missing_series=tuple(skipped),
-        rows=tuple(rows),
+        flagged=tuple(pid for pid, is_hot in zip(ids, hot.tolist()) if is_hot),
+        skipped_missing_series=tuple(c.precinct_ids[~has].tolist()),
+        rows=tuple(
+            HyperactiveRow(*row)
+            for row in zip(ids, increment.tolist(), turnout.tolist(), share.tolist(), hot.tolist())
+        ),
     )

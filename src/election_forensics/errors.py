@@ -39,10 +39,6 @@ class UnknownLeader(ForensicsError):
     code = "UNKNOWN_LEADER"
 
 
-class ZeroRegistered(ForensicsError):
-    code = "ZERO_REGISTERED"
-
-
 class UnknownParty(ForensicsError):
     code = "UNKNOWN_PARTY"
 
@@ -75,20 +71,8 @@ class EmptySeries(ForensicsError):
     code = "EMPTY_SERIES"
 
 
-class MissingSeries(ForensicsError):
-    code = "MISSING_SERIES"
-
-    def __init__(self, precinct_id: str):
-        super().__init__(f"no intraday series for precinct {precinct_id!r}")
-        self.precinct_id = precinct_id
-
-
 class InvalidModel(ForensicsError):
     code = "INVALID_MODEL"
-
-
-class InfeasibleScenario(ForensicsError):
-    code = "INFEASIBLE_SCENARIO"
 
 
 class NonPositiveInput(ForensicsError):

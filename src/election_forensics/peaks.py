@@ -31,12 +31,11 @@ target clustering still stands out.
 The test is one-sided (excess only), with add-one smoothing on the
 Monte-Carlo p-value: p = (1 + #{null >= observed}) / (replicates + 1).
 Replicates draw from independent generators seeded by (seed, replicate
-index), so any parallel schedule reproduces the sequential result.
+index), so a replicate's draws do not depend on how many came before it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,6 @@ from .histograms import (
     resolve_quantity,
     weights_for,
 )
-from .parallel import worker_count
 
 DEFAULT_TARGETS = tuple(range(50, 101, 5))
 MIN_REPLICATES = 100
@@ -143,31 +141,6 @@ def shrunken_proportions(numer: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return np.clip(mu + lam * (share - mu), 0.0, 1.0)
 
 
-def _null_chunk(
-    numer: np.ndarray,
-    denom: np.ndarray,
-    p_hat: np.ndarray,
-    base_weights: np.ndarray,
-    quantity: str,
-    weight_mode: str,
-    targets: np.ndarray,
-    seed: int,
-    indices: range,
-) -> np.ndarray:
-    out = np.empty((len(indices), len(targets)), dtype=np.int64)
-    for row, rep in enumerate(indices):
-        rng = _replicate_rng(seed, rep)
-        sim = rng.binomial(denom, p_hat)
-        bins = percent_bins(sim, denom)
-        if quantity == QUANTITY_TURNOUT and weight_mode == "ballots":
-            weights = sim  # the simulated dataset's own ballot counts
-        else:
-            weights = base_weights
-        counts = bincount_percent(bins, weights)
-        out[row] = counts[targets]
-    return out
-
-
 def simulate_null(
     dataset: ElectionDataset,
     quantity: str,
@@ -185,24 +158,15 @@ def simulate_null(
     p_hat = shrunken_proportions(numer, denom)
     target_arr = np.asarray(targets, dtype=np.int64)
 
-    n_workers = worker_count()
-    if n_workers == 1 or replicates < 2 * n_workers:
-        weights = _null_chunk(
-            numer, denom, p_hat, base_weights, quantity, weight_mode, target_arr, seed, range(replicates)
-        )
-    else:
-        bounds = np.linspace(0, replicates, n_workers + 1, dtype=int)
-        chunks = [range(bounds[i], bounds[i + 1]) for i in range(n_workers)]
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda idx: _null_chunk(
-                        numer, denom, p_hat, base_weights, quantity, weight_mode, target_arr, seed, idx
-                    ),
-                    chunks,
-                )
-            )
-        weights = np.vstack(parts)
+    weights = np.empty((replicates, len(targets)), dtype=np.int64)
+    for rep in range(replicates):
+        sim = _replicate_rng(seed, rep).binomial(denom, p_hat)
+        bins = percent_bins(sim, denom)
+        if quantity == QUANTITY_TURNOUT and weight_mode == "ballots":
+            counts = bincount_percent(bins, sim)  # the simulated dataset's own ballot counts
+        else:
+            counts = bincount_percent(bins, base_weights)
+        weights[rep] = counts[target_arr]
     return NullDistribution(quantity, weight_mode, tuple(targets), weights, seed)
 
 
@@ -222,6 +186,8 @@ def detect_round_peaks(
     weight_mode: str = "precincts",
 ) -> PeakReport:
     """Flag targets whose observed bin mass exceeds the Monte-Carlo null at level alpha."""
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     null = simulate_null(dataset, quantity, replicates, seed, targets, weight_mode)
     numer, denom, mask = resolve_quantity(dataset, quantity)
     bins = percent_bins(numer[mask], denom[mask])

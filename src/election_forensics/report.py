@@ -12,8 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 import time
+from importlib import resources
 from pathlib import Path
 
 from . import __version__
@@ -71,70 +73,32 @@ def write_report(out_dir: str | Path, report: dict) -> Path:
     return target
 
 
-REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "election-forensics report",
-    "type": "object",
-    "required": ["tool", "command", "config", "inputs", "results", "caveat"],
-    "properties": {
-        "tool": {
-            "type": "object",
-            "required": ["name", "version"],
-            "properties": {
-                "name": {"type": "string"},
-                "version": {"type": "string"},
-            },
-        },
-        "command": {"type": "string"},
-        "config": {"type": "object"},
-        "inputs": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["path", "sha256"],
-                "properties": {
-                    "path": {"type": "string"},
-                    "sha256": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-                },
-            },
-        },
-        "results": {"type": "object"},
-        "caveat": {"type": "string"},
-    },
-}
+REPORT_SCHEMA = json.loads(
+    resources.files(__package__).joinpath("schemas/report.schema.json").read_text(encoding="utf-8")
+)
+
+
+_JSON_TYPES = {"object": dict, "array": list, "string": str}
+
+
+def _schema_problems(value, schema: dict, where: str) -> list[str]:
+    """Problems of ``value`` against the subset of JSON Schema that REPORT_SCHEMA uses."""
+    if not isinstance(value, _JSON_TYPES[schema["type"]]):
+        return [f"{where} must be of type {schema['type']}"]
+    problems = [f"missing key {key!r} in {where}" for key in schema.get("required", ()) if key not in value]
+    for key, sub in schema.get("properties", {}).items():
+        if key in value:
+            problems += _schema_problems(value[key], sub, f"{where}.{key}")
+    for i, item in enumerate(value if "items" in schema else ()):
+        problems += _schema_problems(item, schema["items"], f"{where}[{i}]")
+    if "pattern" in schema and not re.search(schema["pattern"], value):
+        problems.append(f"{where} does not match {schema['pattern']}")
+    return problems
 
 
 def validate_report(report: dict) -> list[str]:
-    """Structural check against REPORT_SCHEMA; returns a list of problems."""
-    problems: list[str] = []
-    if not isinstance(report, dict):
-        return ["report is not an object"]
-    for key in REPORT_SCHEMA["required"]:
-        if key not in report:
-            problems.append(f"missing key {key!r}")
-    tool = report.get("tool")
-    if not isinstance(tool, dict) or not isinstance(tool.get("name"), str) or not isinstance(
-        tool.get("version"), str
-    ):
-        problems.append("tool must carry string name and version")
-    if not isinstance(report.get("command"), str):
-        problems.append("command must be a string")
-    if not isinstance(report.get("config"), dict):
-        problems.append("config must be an object")
-    inputs = report.get("inputs")
-    if not isinstance(inputs, list):
-        problems.append("inputs must be an array")
-    else:
-        for item in inputs:
-            if (
-                not isinstance(item, dict)
-                or not isinstance(item.get("path"), str)
-                or not isinstance(item.get("sha256"), str)
-                or len(item.get("sha256", "")) != 64
-            ):
-                problems.append(f"bad input entry: {item!r}")
-    if not isinstance(report.get("results"), dict):
-        problems.append("results must be an object")
-    if report.get("caveat") != CAVEAT:
+    """Check against REPORT_SCHEMA plus the exact caveat; returns a list of problems."""
+    problems = _schema_problems(report, REPORT_SCHEMA, "report")
+    if isinstance(report, dict) and report.get("caveat") != CAVEAT:
         problems.append("caveat footer missing or altered")
     return problems

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .dataset import ElectionDataset
 from .errors import DegenerateX, UnknownParty
@@ -54,16 +56,17 @@ def build_points(
     else:
         raise UnknownParty(f"party {party!r} not in roster and not {OTHERS!r}")
 
-    points: list[ScatterPoint] = []
-    for rec in dataset.records:
-        votes = sum(rec.votes[i] for i in idxs)
-        x = rec.ballots_cast / rec.registered
-        if y_mode == "share_of_registered":
-            y = votes / rec.registered
-        else:
-            y = votes / rec.ballots_cast if rec.ballots_cast > 0 else 0.0
-        points.append(ScatterPoint(rec.precinct_id, x, y, rec.registered))
-    return points
+    c = dataset.counts()
+    votes = c.votes[:, idxs].sum(axis=1)
+    x = c.ballots_cast / c.registered
+    if y_mode == "share_of_registered":
+        y = votes / c.registered
+    else:
+        y = np.divide(votes, c.ballots_cast, out=np.zeros(len(c)), where=c.ballots_cast > 0)
+    return [
+        ScatterPoint(pid, xi, yi, weight)
+        for pid, xi, yi, weight in zip(c.precinct_ids.tolist(), x.tolist(), y.tolist(), c.registered.tolist())
+    ]
 
 
 def fit_trend(points: Sequence[ScatterPoint], weighting: str = "uniform") -> TrendFit:

@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import ElectionDataset, PartyRoster, PrecinctRecord
+from .dataset import DatasetArrays, ElectionDataset, PartyRoster, check_invariants
 from .dynamics import IntradaySeries, parse_time
 from .errors import InvalidModel
 from .histograms import QUANTITY_LEADER_SHARE, QUANTITY_TURNOUT
@@ -319,22 +319,21 @@ def generate_honest(model: HonestModel, seed: int) -> SyntheticElection:
     leader_idx = model.parties.index(model.leader)
     pad = max(5, len(str(max(n - 1, 0))))
     pids = tuple(f"p{i:0{pad}d}" for i in range(n))
-    records = tuple(
-        PrecinctRecord(
-            precinct_id=pids[i],
-            region="R1",
-            territory=f"T{(i % model.territories) + 1}",
-            registered=int(registered[i]),
-            ballots_cast=int(cast[i]),
-            invalid=int(cast[i] - votes[i].sum()),
-            machine_counted=bool(machine[i]),
-            votes=tuple(int(x) for x in votes[i]),
-        )
-        for i in range(n)
+    territory_names = np.array([f"T{t + 1}" for t in range(model.territories)], dtype=object)
+    no_tags = np.empty(n, dtype=object)
+    no_tags.fill(())
+    columns = DatasetArrays(
+        precinct_ids=np.array(pids, dtype=object),
+        region=np.full(n, "R1", dtype=object),
+        territory=territory_names[np.arange(n) % model.territories],
+        registered=registered,
+        ballots_cast=cast,
+        invalid=cast - votes.sum(axis=1),
+        machine_counted=machine,
+        votes=votes,
+        tags=no_tags,
     )
-    dataset = ElectionDataset(
-        f"synthetic-{seed}", PartyRoster(model.parties), records, model.leader
-    )
+    dataset = ElectionDataset(f"synthetic-{seed}", PartyRoster(model.parties), columns, model.leader)
 
     intraday: dict[str, IntradaySeries] = {}
     if model.report_times and n:
@@ -415,11 +414,11 @@ def apply_fraud(
     if active and eff_seed is None:
         raise InvalidModel("scenario with active mechanisms needs a seed")
 
+    arrays = dataset.counts()
     if truth is None:
         zeros = np.zeros(n, dtype=np.int64)
-        arrays = dataset.counts()
         truth = GroundTruth(
-            precinct_ids=tuple(r.precinct_id for r in dataset.records),
+            precinct_ids=tuple(arrays.precinct_ids.tolist()),
             component=zeros.copy(),
             turnout_prob=arrays.ballots_cast / np.maximum(arrays.registered, 1),
             honest_ballots_cast=arrays.ballots_cast.copy(),
@@ -432,10 +431,9 @@ def apply_fraud(
     if not active:
         return dataset, truth
 
-    arrays = dataset.counts()
-    registered = arrays.registered.copy()
+    pids = arrays.precinct_ids
+    registered = arrays.registered
     cast = arrays.ballots_cast.copy()
-    invalid = arrays.invalid.copy()
     votes = arrays.votes.copy()
 
     rng = _block_rng(eff_seed, _FRAUD_STREAM)
@@ -475,16 +473,13 @@ def apply_fraud(
     spec = scenario.transfer
     if spec.fraction > 0 and spec.amount > 0:
         affected = affected_set(spec.fraction)
-        for i in affected:
-            moved = 0
-            for j in range(votes.shape[1]):
-                if j == leader_idx:
-                    continue
-                take = int(spec.amount * votes[i, j])
-                votes[i, j] -= take
-                moved += take
-            votes[i, leader_idx] += moved
-            transferred[i] = moved
+        # truncation toward zero, as int() does; every count is non-negative
+        take = (spec.amount * votes[affected]).astype(np.int64)
+        take[:, leader_idx] = 0
+        moved = take.sum(axis=1)
+        votes[affected] -= take
+        votes[affected, leader_idx] += moved
+        transferred[affected] = moved
 
     spec = scenario.target_rounding
     if spec.fraction > 0 and spec.targets:
@@ -495,7 +490,7 @@ def apply_fraud(
             reg = int(registered[i])
             if spec.quantity == QUANTITY_LEADER_SHARE:
                 if c == 0:
-                    skipped.append(dataset.records[i].precinct_id)
+                    skipped.append(pids[i])
                     continue
                 v = int(votes[i, leader_idx])
                 current = 100.0 * v / c
@@ -511,7 +506,7 @@ def apply_fraud(
                     best = (delta, others)
                     break
                 if best is None:
-                    skipped.append(dataset.records[i].precinct_id)
+                    skipped.append(pids[i])
                     continue
                 delta, others = best
                 other_idx = [j for j in range(votes.shape[1]) if j != leader_idx]
@@ -530,7 +525,6 @@ def apply_fraud(
                     votes[i, leader_idx] -= sum(given)
                     rounding_delta[i] = -sum(given)
             else:  # turnout: stuff up to the nearest reachable target at or above
-                current = 100.0 * c / reg
                 best = None
                 for t in targets:
                     want = _half_up(reg * t, 100)
@@ -542,7 +536,7 @@ def apply_fraud(
                     best = delta
                     break
                 if best is None:
-                    skipped.append(dataset.records[i].precinct_id)
+                    skipped.append(pids[i])
                     continue
                 cast[i] += best
                 votes[i, leader_idx] += best
@@ -558,24 +552,10 @@ def apply_fraud(
         cast[affected] += amounts
         votes[affected, leader_idx] += amounts
 
-    records = tuple(
-        PrecinctRecord(
-            precinct_id=rec.precinct_id,
-            region=rec.region,
-            territory=rec.territory,
-            registered=int(registered[i]),
-            ballots_cast=int(cast[i]),
-            invalid=int(invalid[i]),
-            machine_counted=rec.machine_counted,
-            votes=tuple(int(x) for x in votes[i]),
-            tags=rec.tags,
-        )
-        for i, rec in enumerate(dataset.records)
-    )
-    for rec in records:
-        rec.validate()
+    columns = replace(arrays, ballots_cast=cast, votes=votes)
+    check_invariants(columns)
     new_dataset = ElectionDataset(
-        dataset.election_id, dataset.roster, records, dataset.designated_leader
+        dataset.election_id, dataset.roster, columns, dataset.designated_leader
     )
     new_truth = GroundTruth(
         precinct_ids=truth.precinct_ids,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from election_forensics.dataset import ElectionDataset, PartyRoster, PrecinctRecord
+from election_forensics.dataset import ElectionDataset, PartyRoster, PrecinctRecord, make_dataset
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -22,7 +22,7 @@ def record(
     machine: bool = False,
     region: str = "R1",
 ) -> PrecinctRecord:
-    rec = PrecinctRecord(
+    return PrecinctRecord(
         precinct_id=pid,
         region=region,
         territory=territory,
@@ -32,12 +32,10 @@ def record(
         machine_counted=machine,
         votes=votes,
     )
-    rec.validate()
-    return rec
 
 
 def quick_dataset(records, parties=("A", "B"), leader="A", election_id="test") -> ElectionDataset:
-    return ElectionDataset(election_id, PartyRoster(tuple(parties)), tuple(records), leader)
+    return make_dataset(election_id, PartyRoster(tuple(parties)), records, leader)
 
 
 def naive_smooth_neighbor_flags(bins, targets, alpha: float = 0.01) -> list[int]:

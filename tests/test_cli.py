@@ -197,3 +197,31 @@ def test_reports_validate_against_packaged_schema(precincts_csv, tmp_path):
     out = tmp_path / "out"
     main(["validate", "--in", str(precincts_csv), "--leader", "A", "--out", str(out)])
     jsonschema.validate(_report(out), schema)
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("", 1),
+        ("unit,share_b,share_a,turnout_b,turnout_a\nA,50.1,40.2,60.0\n", 2),
+        ("unit,share_b,share_a,turnout_b,turnout_a\nA,50.1,40.2,60.0,55.5\nB,5O.1,40.2,60.0,55.5\n", 3),
+        ("unit,share_b,share_a,turnout_b,turnout_a\nA,NaN,40.2,60.0,55.5\n", 2),
+    ],
+    ids=["missing-header", "short-row", "non-numeric", "nan"],
+)
+def test_delta_rejects_malformed_tables_without_traceback(tmp_path, capsys, text, line):
+    table = tmp_path / "delta.csv"
+    table.write_text(text)
+    rc = main(["delta", "--in", str(table), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [err[0]] and err[0].startswith(f"ERROR MALFORMED_ROW: line {line}:")
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_peaks_alpha_out_of_range_exits_one(precincts_csv, tmp_path, capsys):
+    rc = main(["peaks", "--in", str(precincts_csv), "--leader", "A", "--seed", "1",
+               "--replicates", "100", "--alpha", "5", "--no-plots", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR INVALID: alpha must be in (0, 1)")

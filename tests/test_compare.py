@@ -83,14 +83,14 @@ def test_fraud_on_one_subset_shows_up_in_contrast():
         seed=17,
     )
     fraudulent, _ = synth.apply_fraud(gen.dataset, scenario)
-    machine, hand = partition(fraudulent, lambda r: r.machine_counted)
+    machine, hand = partition(fraudulent, fraudulent.counts().machine_counted)
     contrast = subset_contrast(machine, hand, label_a="machine", label_b="hand")
     leader_idx = fraudulent.roster.index("LEAD")
     assert contrast.share_diff_points[leader_idx] >= 10.0
     assert contrast.turnout_ks >= 0.3
 
     # honest/honest split shows no such gap
-    m0, h0 = partition(gen.dataset, lambda r: r.machine_counted)
+    m0, h0 = partition(gen.dataset, gen.dataset.counts().machine_counted)
     honest = subset_contrast(m0, h0)
     assert abs(honest.share_diff_points[leader_idx]) <= 2.0
 

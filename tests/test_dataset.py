@@ -4,22 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from election_forensics.compare import parse_protocols
 from election_forensics.dataset import (
-    ElectionDataset,
     PartyRoster,
     PrecinctRecord,
-    derive_shares,
     make_dataset,
     parse_dataset,
     partition,
     serialize_dataset,
 )
-from election_forensics.errors import (
-    InvariantViolation,
-    MalformedRow,
-    UnknownLeader,
-    ZeroRegistered,
-)
+from election_forensics.dynamics import parse_intraday
+from election_forensics.errors import InvariantViolation, MalformedRow, UnknownLeader
+from election_forensics.scatter import build_points
 from conftest import quick_dataset, record
 
 HEADER = "precinct_id,region,territory,registered,ballots_cast,invalid,machine_counted,votes_A,votes_B"
@@ -31,7 +27,7 @@ def test_parse_single_row_maps_fields():
     assert len(ds) == 1
     rec = ds.records[0]
     assert (rec.registered, rec.ballots_cast, rec.votes) == (1000, 500, (300, 200))
-    assert derive_shares(rec).turnout == 0.5
+    assert ds.counts().ballots_cast.tolist() == [500]
 
 
 def test_parse_rejects_votes_exceeding_ballots():
@@ -133,44 +129,22 @@ def test_round_trip_property(records):
     assert parse_dataset(serialize_dataset(ds), leader="A", election_id="h") == ds
 
 
-def test_derive_shares_full_turnout_example():
-    shares = derive_shares(record(registered=1000, cast=1000, votes=(600, 400)))
-    assert shares.share_of_registered == (0.6, 0.4)
-    assert shares.turnout == 1.0
-
-
-def test_derive_shares_half_turnout_example():
-    shares = derive_shares(record(registered=1000, cast=500, votes=(300, 200)))
-    assert shares.share_of_registered == (0.3, 0.2)
-    assert shares.share_of_cast == (0.6, 0.4)
-
-
-def test_derive_shares_empty_precinct():
-    shares = derive_shares(record(cast=0, votes=(0, 0)))
-    assert shares.turnout == 0.0
-    assert shares.share_of_cast == (0.0, 0.0)
-
-
-def test_derive_shares_rejects_zero_registered():
-    rec = PrecinctRecord("z", "R", "T", 0, 0, 0, False, (0, 0))
-    with pytest.raises(ZeroRegistered):
-        derive_shares(rec)
-
-
 def test_share_ordering_invariant():
     rng = random.Random(7)
-    for i in range(200):
-        rec = _random_record(rng, i)
-        shares = derive_shares(rec)
-        assert all(s <= shares.turnout + 1e-12 for s in shares.share_of_registered)
-        total = sum(shares.share_of_cast) + (rec.invalid / rec.ballots_cast if rec.ballots_cast else 0)
+    records = [_random_record(rng, i) for i in range(200)]
+    ds = make_dataset("s", PartyRoster(("A", "B")), records, "A")
+    for party in ("A", "B"):
+        assert all(p.y <= p.x + 1e-12 for p in build_points(ds, party))
+    of_cast = [build_points(ds, party, y_mode="share_of_cast") for party in ("A", "B")]
+    for rec, a, b in zip(records, *of_cast):
+        total = a.y + b.y + (rec.invalid / rec.ballots_cast if rec.ballots_cast else 0)
         assert total <= 1 + 1e-9
 
 
 def test_partition_by_flag_sizes_sum():
     records = [record(pid=f"p{i}", machine=i % 3 == 0) for i in range(30)]
     ds = quick_dataset(records)
-    hit, miss = partition(ds, lambda r: r.machine_counted)
+    hit, miss = partition(ds, ds.counts().machine_counted)
     assert len(hit) + len(miss) == len(ds)
     assert all(r.machine_counted for r in hit.records)
     assert {r.precinct_id for r in hit.records} | {r.precinct_id for r in miss.records} == {
@@ -180,7 +154,7 @@ def test_partition_by_flag_sizes_sum():
 
 def test_partition_always_true_returns_original_and_empty():
     ds = quick_dataset([record(pid=f"p{i}") for i in range(5)])
-    hit, miss = partition(ds, lambda r: True)
+    hit, miss = partition(ds, [True] * len(ds))
     assert len(hit) == 5 and len(miss) == 0
     assert hit.roster == ds.roster and hit.designated_leader == ds.designated_leader
 
@@ -196,7 +170,7 @@ def test_partition_by_territory_on_synthetic_three_territories():
         territories=3,
     )
     ds = synth.generate_honest(model, seed=1).dataset
-    hit, miss = partition(ds, lambda r: r.territory == "T2")
+    hit, miss = partition(ds, ds.counts().territory == "T2")
     assert len(hit) == 100
     assert all(r.territory == "T2" for r in hit.records)
     assert not any(r.territory == "T2" for r in miss.records)
@@ -207,3 +181,49 @@ def test_roster_validation():
         PartyRoster(())
     with pytest.raises(InvariantViolation):
         PartyRoster(("A", "A"))
+
+
+PROTOCOLS_HEADER = "precinct_id,source,registered,ballots_cast,invalid,votes_A,votes_B"
+INTRADAY_HEADER = "precinct_id,time,cumulative_voted"
+
+
+def _precincts_with(cell):
+    return f"{HEADER}\np1,R,T,1000,500,0,0,300,200\np2,R,T,1000,{cell},0,0,300,200\n"
+
+
+def _protocols_with(cell):
+    return f"{PROTOCOLS_HEADER}\nu1,observer,1000,500,0,300,200\nu1,official,1000,500,0,{cell},200\n"
+
+
+def _intraday_with(cell):
+    return f"{INTRADAY_HEADER}\np1,10:00,100\np1,15:00,{cell}\n"
+
+
+def _intraday_time_with(cell):
+    return f"{INTRADAY_HEADER}\np1,10:00,100\np1,{cell}:00,200\n"
+
+
+READERS = {
+    "precincts": lambda text: parse_dataset(text, leader="A"),
+    "protocols": lambda text: parse_protocols(text, "A"),
+    "intraday": parse_intraday,
+}
+
+
+@pytest.mark.parametrize(
+    "cell", ["\u0663\u0660\u0660", "\u00b2", "1_000", "+5", "-5", "", "9223372036854775808"]
+)
+@pytest.mark.parametrize(
+    "reader,build",
+    [
+        ("precincts", _precincts_with),
+        ("protocols", _protocols_with),
+        ("intraday", _intraday_with),
+        ("intraday", _intraday_time_with),
+    ],
+    ids=["precincts", "protocols", "intraday", "intraday-time"],
+)
+def test_count_cells_outside_ascii_digits_are_malformed_rows(reader, build, cell):
+    with pytest.raises(MalformedRow) as exc:
+        READERS[reader](build(cell))
+    assert exc.value.line == 3

@@ -32,15 +32,6 @@ def test_null_is_deterministic_for_fixed_seed():
     assert not np.array_equal(a.weights, c.weights)
 
 
-def test_null_parallel_equals_sequential(monkeypatch):
-    ds = quick_dataset([record(pid=f"p{i}", cast=400, votes=(250, 150)) for i in range(80)])
-    monkeypatch.delenv("EF_THREADS", raising=False)
-    seq = simulate_null(ds, "leader_share", replicates=160, seed=3)
-    monkeypatch.setenv("EF_THREADS", "4")
-    par = simulate_null(ds, "leader_share", replicates=160, seed=3)
-    assert np.array_equal(seq.weights, par.weights)
-
-
 def test_replicate_floor_enforced():
     ds = quick_dataset([record()])
     with pytest.raises(ValueError):

@@ -32,17 +32,24 @@ def test_report_carries_caveat_and_validates(tmp_path):
     jsonschema.validate(report, REPORT_SCHEMA)
 
 
-def test_packaged_schema_matches_in_code_schema():
-    packaged = json.loads(
-        (Path(__file__).parent.parent / "src/election_forensics/schemas/report.schema.json").read_text()
-    )
-    assert packaged == REPORT_SCHEMA
-
-
 def test_validate_report_catches_missing_caveat(tmp_path):
     report = _sample(tmp_path)
     report["caveat"] = "trust me"
     assert any("caveat" in p for p in validate_report(report))
+
+
+def test_validate_report_applies_packaged_schema(tmp_path):
+    report = _sample(tmp_path)
+    report["inputs"][0]["sha256"] = "XYZ"
+    report["tool"]["version"] = 1
+    del report["command"]
+    problems = validate_report(report)
+    assert problems == [
+        "missing key 'command' in report",
+        "report.tool.version must be of type string",
+        "report.inputs[0].sha256 does not match ^[0-9a-f]{64}$",
+    ]
+    assert validate_report([]) == ["report must be of type object"]
 
 
 def test_write_report_is_atomic_and_deterministic(tmp_path):

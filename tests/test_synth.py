@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from election_forensics import synth
-from election_forensics.dataset import serialize_dataset
+from election_forensics.dataset import check_invariants, serialize_dataset
 from election_forensics.errors import InvalidModel
 from election_forensics.peaks import detect_round_peaks
 
@@ -33,9 +33,10 @@ def test_generation_is_deterministic_bytes():
 
 def test_every_generated_record_satisfies_invariants():
     gen = synth.generate_honest(small_model(precincts=2000), seed=7)
-    for rec in gen.dataset.records:
-        rec.validate()  # raises on violation
-        assert small_model().registered_min <= rec.registered <= small_model().registered_max
+    arrays = gen.dataset.counts()
+    check_invariants(arrays)  # raises on violation
+    assert np.all(small_model().registered_min <= arrays.registered)
+    assert np.all(arrays.registered <= small_model().registered_max)
 
 
 def test_degenerate_model_reproduces_fixed_share_split():
@@ -103,10 +104,10 @@ def test_zero_intensity_scenario_is_identity():
 
 
 def test_single_precinct_stuffing_arithmetic():
-    from election_forensics.dataset import ElectionDataset, PartyRoster, PrecinctRecord
+    from election_forensics.dataset import PartyRoster, PrecinctRecord, make_dataset
 
     rec = PrecinctRecord("p0", "R", "T", 1000, 500, 0, False, (300, 200))
-    ds = ElectionDataset("one", PartyRoster(("L", "O")), (rec,), "L")
+    ds = make_dataset("one", PartyRoster(("L", "O")), (rec,), "L")
     scenario = synth.FraudScenario(
         stuffing=synth.StuffingSpec(fraction=1.0, intensity=0.2, jitter=0.0), seed=1
     )
