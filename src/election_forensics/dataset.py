@@ -6,15 +6,16 @@ File format (``precincts.csv``, UTF-8, comma separated, header required)::
 
 ``machine_counted`` is 0 or 1; every count cell is ASCII digits ``[0-9]+``
 with optional surrounding whitespace (no sign, no thousands separators,
-no other digit scripts).  An optional trailing ``tags`` column holds
-semicolon-joined free-form tags; it is written only when a record carries
-tags, and absent columns parse as "no tags".
+no other digit scripts), at most ``MAX_COUNT``.  An optional trailing
+``tags`` column holds semicolon-joined free-form tags; it is written only
+when a record carries tags, and absent columns parse as "no tags".
 
 Per-record invariants enforced at parse time:
 
 * ``sum(votes) + invalid <= ballots_cast <= registered``
 * ``registered > 0`` (a precinct with an empty voter list has no defined
   turnout, so such rows are rejected outright)
+* every count is at most ``MAX_COUNT``
 
 Official tallies count ballots found in boxes, not ballots issued; the
 ``ballots_cast`` column is interpreted as ballots counted.  A dataset is
@@ -45,7 +46,9 @@ FIXED_COLUMNS = (
 )
 VOTES_PREFIX = "votes_"
 TAGS_COLUMN = "tags"
-MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are stored as int64 columns
+# Far above any real precinct, and low enough that a row's int64 sums of
+# counts (``check_invariants``, the percent bins) cannot overflow.
+MAX_COUNT = 10**12
 
 
 @dataclass(frozen=True)
@@ -143,8 +146,15 @@ class ElectionDataset:
     def __post_init__(self):
         if self.designated_leader not in self.roster.ids:
             raise UnknownLeader(f"leader {self.designated_leader!r} not in roster")
+        c = self.columns
+        n = len(c.precinct_ids)
+        for f in fields(c):
+            if f.name != "votes" and getattr(c, f.name).shape != (n,):
+                raise InvariantViolation("<columns>", f"column {f.name} does not have {n} rows")
+        if c.votes.shape != (n, len(self.roster)):
+            raise InvariantViolation("<columns>", "votes vector does not match roster")
         seen: set[str] = set()
-        for pid in self.columns.precinct_ids.tolist():
+        for pid in c.precinct_ids.tolist():
             if pid in seen:
                 raise InvariantViolation(pid, "duplicate precinct_id")
             seen.add(pid)
@@ -174,23 +184,23 @@ class ElectionDataset:
 
 def check_invariants(columns: DatasetArrays) -> None:
     """Raise InvariantViolation for the first row, in order, that breaks a count invariant."""
+    scalars = np.column_stack((columns.registered, columns.ballots_cast, columns.invalid))
+    negative = (scalars < 0).any(axis=1) | (columns.votes < 0).any(axis=1)
+    too_large = (scalars > MAX_COUNT).any(axis=1) | (columns.votes > MAX_COUNT).any(axis=1)
+    # exact for rows within MAX_COUNT; rows outside it are reported above
     vote_sum = columns.votes.sum(axis=1)
-    negative = (
-        (columns.registered < 0)
-        | (columns.ballots_cast < 0)
-        | (columns.invalid < 0)
-        | (columns.votes < 0).any(axis=1)
-    )
     no_voters = columns.registered == 0
     over_registered = columns.ballots_cast > columns.registered
     over_cast = vote_sum + columns.invalid > columns.ballots_cast
-    bad = np.flatnonzero(negative | no_voters | over_registered | over_cast)
+    bad = np.flatnonzero(negative | too_large | no_voters | over_registered | over_cast)
     if bad.size == 0:
         return
     i = bad[0]
     pid = columns.precinct_ids[i]
     if negative[i]:
         raise InvariantViolation(pid, "all counts must be non-negative")
+    if too_large[i]:
+        raise InvariantViolation(pid, f"all counts must be at most {MAX_COUNT}")
     if no_voters[i]:
         raise InvariantViolation(pid, "registered must be positive")
     if over_registered[i]:
@@ -215,7 +225,7 @@ def read_csv(csv_text: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]
 
 
 def parse_count(cell: str, line: int, column: str) -> int:
-    """A count cell: ASCII digits ``[0-9]+``, surrounding whitespace ignored, that fits int64."""
+    """A count cell: ASCII digits ``[0-9]+``, surrounding whitespace ignored, at most MAX_COUNT."""
     text = cell.strip()
     if not (text.isascii() and text.isdigit()):
         raise MalformedRow(line, f"column {column!r}: {cell!r} is not a non-negative integer")

@@ -163,13 +163,9 @@ def flag_hyperactive(
     series = [series_map[pid] for pid in ids]
     cast = c.ballots_cast[has]
     registered = c.registered[has]
-    # -1 marks a series too short to have a final increment
-    last = np.fromiter(
-        (s.reports[-1][1] if len(s.reports) > 1 else -1 for s in series), dtype=np.int64, count=len(series)
-    )
-    bad = np.flatnonzero((last < 0) | (last > cast))
-    if bad.size:
-        series[bad[0]].with_official(int(cast[bad[0]]))  # raises that series' validation error
+    for s, official in zip(series, cast.tolist()):
+        s.with_official(official)  # raises the first faulty series' validation error
+    last = np.fromiter((s.reports[-1][1] for s in series), dtype=np.int64, count=len(series))
     increment = (cast - last) / registered
     turnout = cast / registered
     share = np.divide(c.votes[has, dataset.leader_index], cast, out=np.zeros(len(ids)), where=cast > 0)

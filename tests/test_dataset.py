@@ -1,13 +1,19 @@
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from election_forensics.compare import parse_protocols
 from election_forensics.dataset import (
+    MAX_COUNT,
+    DatasetArrays,
+    ElectionDataset,
     PartyRoster,
     PrecinctRecord,
+    check_invariants,
     make_dataset,
     parse_dataset,
     partition,
@@ -211,7 +217,8 @@ READERS = {
 
 
 @pytest.mark.parametrize(
-    "cell", ["\u0663\u0660\u0660", "\u00b2", "1_000", "+5", "-5", "", "9223372036854775808"]
+    "cell",
+    ["\u0663\u0660\u0660", "\u00b2", "1_000", "+5", "-5", "", str(MAX_COUNT + 1), str(2**63)],
 )
 @pytest.mark.parametrize(
     "reader,build",
@@ -227,3 +234,67 @@ def test_count_cells_outside_ascii_digits_are_malformed_rows(reader, build, cell
     with pytest.raises(MalformedRow) as exc:
         READERS[reader](build(cell))
     assert exc.value.line == 3
+
+
+M = MAX_COUNT
+
+
+@pytest.mark.parametrize(
+    "registered,cast,invalid,votes",
+    [
+        (M, M, 1, (M, 0)),
+        (M, M, 0, (M, M)),
+        (M, M, M, (M, M)),
+        (10, 10, 1, (M, 0)),
+    ],
+)
+@pytest.mark.parametrize("reader", ["precincts", "protocols"])
+def test_counts_within_cap_whose_sum_exceeds_ballots_are_invariant_violations(
+    reader, registered, cast, invalid, votes
+):
+    a, b = votes
+    if reader == "precincts":
+        text = f"{HEADER}\np1,R,T,1000,500,0,0,300,200\np2,R,T,{registered},{cast},{invalid},0,{a},{b}\n"
+        bad = "p2"
+    else:
+        text = f"{PROTOCOLS_HEADER}\nu1,observer,1000,500,0,300,200\nu2,official,{registered},{cast},{invalid},{a},{b}\n"
+        bad = "u2"
+    with pytest.raises(InvariantViolation) as exc:
+        READERS[reader](text)
+    assert bad in str(exc.value)
+
+
+def _columns_with(registered=1000, votes=((300, 200),), ids=("p1",)):
+    n = len(ids)
+    return DatasetArrays(
+        precinct_ids=np.array(ids, dtype=object),
+        region=np.array(["R"] * n, dtype=object),
+        territory=np.array(["T"] * n, dtype=object),
+        registered=np.full(n, registered, dtype=np.int64),
+        ballots_cast=np.full(n, 500, dtype=np.int64),
+        invalid=np.zeros(n, dtype=np.int64),
+        machine_counted=np.zeros(n, dtype=bool),
+        votes=np.array(votes, dtype=np.int64),
+        tags=np.fromiter([()] * n, dtype=object, count=n),
+    )
+
+
+def test_check_invariants_rejects_counts_above_cap_without_overflow():
+    check_invariants(_columns_with())
+    huge = np.iinfo(np.int64).max
+    for columns in (_columns_with(votes=((huge, 0),)), _columns_with(registered=huge)):
+        with pytest.raises(InvariantViolation, match="at most"):
+            check_invariants(columns)
+
+
+def test_dataset_rejects_columns_that_do_not_match_roster():
+    roster = PartyRoster(("A", "B"))
+    ElectionDataset("e", roster, _columns_with(), "A")
+    with pytest.raises(InvariantViolation, match="does not match roster"):
+        ElectionDataset("e", roster, _columns_with(votes=((300, 200, 0),)), "A")
+    with pytest.raises(InvariantViolation, match="does not match roster"):
+        ElectionDataset("e", roster, _columns_with(votes=((300, 200),) * 2), "A")
+    two = _columns_with(ids=("p1", "p2"), votes=((300, 200),) * 2)
+    short = dataclasses.replace(two, territory=np.array(["T"], dtype=object))
+    with pytest.raises(InvariantViolation, match="territory does not have 2 rows"):
+        ElectionDataset("e", roster, short, "A")

@@ -140,3 +140,18 @@ def test_injected_jumps_recovered_exactly():
     expected = {pid for pid, j in zip(truth.precinct_ids, truth.jump) if j > 0}
     assert set(report.flagged) == expected
     assert len(expected) == 40
+
+
+@pytest.mark.parametrize(
+    "reports",
+    [
+        ((900, 100), (600, 450)),  # times out of order
+        ((600, 450), (900, 100)),  # counts fall
+        ((600, -5), (900, 100)),  # negative count
+        ((600, 100),),  # too short
+    ],
+)
+def test_flag_hyperactive_validates_unvalidated_series(reports):
+    ds = quick_dataset([record(pid="p1", registered=1000, cast=800, votes=(400, 400))])
+    with pytest.raises((InvariantViolation, EmptySeries)):
+        flag_hyperactive(ds, {"p1": _series("p1", reports=reports)})
