@@ -158,6 +158,8 @@ class ClusterSplit:
     bic_one: float
     bic_two: float
     decision: str  # "one" | "two"
+    em_iterations: tuple[int, ...]  # EM iterations run by each restart, in restart order
+    converged: bool  # the winning restart stopped on |delta ll| < tol within _MAX_EM_ITER
 
     @property
     def separation_score(self) -> float:
@@ -172,6 +174,8 @@ class ClusterSplit:
             "bic_one": self.bic_one,
             "bic_two": self.bic_two,
             "separation_score": self.separation_score,
+            "em_iterations": list(self.em_iterations),
+            "converged": self.converged,
         }
 
 
@@ -187,10 +191,6 @@ def _spherical_loglik_one(xy: np.ndarray) -> tuple[float, np.ndarray, float]:
     ll = -n * math.log(2 * math.pi * var) - float(((xy - mu) ** 2).sum()) / (2 * var)
     return ll, mu, var
 
-def _log_gauss_spherical(xy: np.ndarray, mu: np.ndarray, var: float) -> np.ndarray:
-    d2 = ((xy - mu) ** 2).sum(axis=1)
-    return -math.log(2 * math.pi * var) - d2 / (2 * var)
-
 
 def _kmeanspp_init(xy: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     n = xy.shape[0]
@@ -204,36 +204,59 @@ def _kmeanspp_init(xy: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.stack([xy[first], xy[second]])
 
 
-def _em_two_spherical(
-    xy: np.ndarray, rng: np.random.Generator, tol: float
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+def _sq_dists(x: np.ndarray, y: np.ndarray, mu: np.ndarray) -> list[np.ndarray]:
+    return [(x - mu[k, 0]) ** 2 + (y - mu[k, 1]) ** 2 for k in range(2)]
+
+
+@dataclass(frozen=True)
+class _EMFit:
+    ll: float
+    mu: np.ndarray  # (2, 2): one (x, y) mean per component
+    resp: np.ndarray  # (n, 2) responsibilities
+    iterations: int
+    converged: bool
+
+
+def _em_two_spherical(xy: np.ndarray, rng: np.random.Generator, tol: float) -> _EMFit:
+    """EM for a two-component spherical Gaussian mixture from a k-means++ start.
+
+    The E step works on the contiguous columns ``x`` and ``y`` of ``xy``,
+    one component at a time, so each two-term reduction over a row is one
+    elementwise operation that rounds exactly as the row reduction did.
+    The M-step sums stay on the ``(n, 2)`` arrays, because a 1-D sum would
+    add in a different order.  Each component's squared distances are
+    computed once per iteration and serve both the variance update and the
+    next E step.
+    """
     n = xy.shape[0]
+    x = np.ascontiguousarray(xy[:, 0])
+    y = np.ascontiguousarray(xy[:, 1])
     mu = _kmeanspp_init(xy, rng)
-    var = np.full(2, max(float(xy.var()), _VAR_FLOOR))
-    w = np.array([0.5, 0.5])
+    var = [max(float(xy.var()), _VAR_FLOOR)] * 2
+    w = (0.5, 0.5)
+    d2 = _sq_dists(x, y, mu)
     prev_ll = -np.inf
-    resp = np.full((n, 2), 0.5)
-    for _ in range(_MAX_EM_ITER):
-        log_p = np.stack(
-            [math.log(w[k]) + _log_gauss_spherical(xy, mu[k], float(var[k])) for k in range(2)],
-            axis=1,
+    converged = False
+    for iterations in range(1, _MAX_EM_ITER + 1):
+        a, b = (
+            math.log(w[k]) + (-math.log(2 * math.pi * var[k]) - d2[k] / (2 * var[k]))
+            for k in range(2)
         )
-        m = log_p.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(log_p - m).sum(axis=1))
+        m = np.maximum(a, b)
+        lse = m + np.log(np.exp(a - m) + np.exp(b - m))
         ll = float(lse.sum())
-        resp = np.exp(log_p - lse[:, None])
-        nk = resp.sum(axis=0)
-        nk = np.maximum(nk, 1e-12)
+        r = (np.exp(a - lse), np.exp(b - lse))
+        resp = np.stack(r, axis=1)
+        nk = np.maximum(resp.sum(axis=0), 1e-12)
         w = nk / n
         mu = (resp.T @ xy) / nk[:, None]
-        for k in range(2):
-            d2 = ((xy - mu[k]) ** 2).sum(axis=1)
-            var[k] = max(float((resp[:, k] * d2).sum()) / (2 * nk[k]), _VAR_FLOOR)
-        if abs(ll - prev_ll) < tol:
-            prev_ll = ll
-            break
+        d2 = _sq_dists(x, y, mu)
+        var = [max(float((r[k] * d2[k]).sum()) / (2 * nk[k]), _VAR_FLOOR) for k in range(2)]
+        converged = abs(ll - prev_ll) < tol
         prev_ll = ll
-    return prev_ll, mu, var, resp
+        if converged:
+            break
+    return _EMFit(prev_ll, mu, resp, iterations, converged)
 
 
 def split_two_clusters(
@@ -248,7 +271,9 @@ def split_two_clusters(
     The 2-component fit uses EM from k-means++ starts, one independent
     seeded restart stream per index; the winner is the restart with the
     lowest BIC (ties by restart index).  "two" requires a BIC improvement
-    of at least ``bic_margin`` over the single-Gaussian model.
+    of at least ``bic_margin`` over the single-Gaussian model.  The result
+    records each restart's EM iteration count and whether the winner
+    converged before the iteration cap.
     """
     if len(points) < 20:
         raise ValueError(f"need at least 20 points, got {len(points)}")
@@ -262,13 +287,16 @@ def split_two_clusters(
     bic_one = -2 * ll1 + 3 * math.log(n)
 
     best = None
+    iterations = []
     for r in range(restarts):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r])))
-        ll2, mu, var, resp = _em_two_spherical(xy, rng, tol)
-        bic_two = -2 * ll2 + 7 * math.log(n)
+        fit = _em_two_spherical(xy, rng, tol)
+        iterations.append(fit.iterations)
+        bic_two = -2 * fit.ll + 7 * math.log(n)
         if best is None or bic_two < best[0]:
-            best = (bic_two, mu, var, resp)
-    bic_two, mu, var, resp = best
+            best = (bic_two, fit)
+    bic_two, fit = best
+    mu, resp = fit.mu, fit.resp
     labels = resp.argmax(axis=1)
     assignments_arr = np.empty(n, dtype=np.int64)
     assignments_arr[order] = labels
@@ -282,4 +310,6 @@ def split_two_clusters(
         bic_one=float(bic_one),
         bic_two=float(bic_two),
         decision=decision,
+        em_iterations=tuple(iterations),
+        converged=fit.converged,
     )

@@ -159,13 +159,22 @@ def _as_decimal(v) -> Decimal:
     return Decimal(str(v))
 
 
+def _unit_map(table: Iterable[UnitEntry], name: str) -> dict[str, tuple[Decimal, Decimal]]:
+    out: dict[str, tuple[Decimal, Decimal]] = {}
+    for unit, share, turnout in table:
+        if unit in out:
+            raise UnitMismatch(f"unit {unit!r} appears more than once in table {name}")
+        out[unit] = (_as_decimal(share), _as_decimal(turnout))
+    return out
+
+
 def cross_election_delta(
     table_a: Iterable[UnitEntry],
     table_b: Iterable[UnitEntry],
 ) -> list[DeltaRow]:
     """Join two (unit, share%, turnout%) tables by unit and compute B - A deltas."""
-    a_map = {u: (_as_decimal(s), _as_decimal(t)) for u, s, t in table_a}
-    b_map = {u: (_as_decimal(s), _as_decimal(t)) for u, s, t in table_b}
+    a_map = _unit_map(table_a, "A")
+    b_map = _unit_map(table_b, "B")
     if set(a_map) != set(b_map):
         only_a = sorted(set(a_map) - set(b_map))
         only_b = sorted(set(b_map) - set(a_map))
@@ -207,6 +216,7 @@ def parse_delta_table(csv_text: str) -> tuple[list[UnitEntry], list[UnitEntry]]:
         raise MalformedRow(1, f"header must be {','.join(DELTA_COLUMNS)}")
     table_a: list[UnitEntry] = []
     table_b: list[UnitEntry] = []
+    seen: set[str] = set()
     for line_no, row in rows:
         if len(row) != len(DELTA_COLUMNS):
             raise MalformedRow(line_no, f"expected {len(DELTA_COLUMNS)} fields, got {len(row)}")
@@ -214,6 +224,9 @@ def parse_delta_table(csv_text: str) -> tuple[list[UnitEntry], list[UnitEntry]]:
             _parse_percent(cell, line_no, col) for cell, col in zip(row[1:], DELTA_COLUMNS[1:])
         )
         unit = row[0].strip()
+        if unit in seen:
+            raise MalformedRow(line_no, f"duplicate unit {unit!r}")
+        seen.add(unit)
         table_b.append((unit, share_b, turnout_b))
         table_a.append((unit, share_a, turnout_a))
     return table_a, table_b

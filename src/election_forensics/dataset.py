@@ -215,13 +215,25 @@ def check_invariants(columns: DatasetArrays) -> None:
 
 
 def read_csv(csv_text: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """The stripped header and (line number, row) for each non-empty row after it."""
+    """The stripped header and (line number, row) for each non-empty row after it.
+
+    A row's line number is the physical line it starts on, so a quoted
+    cell that spans lines does not shift the numbers of later rows.
+    """
     reader = csv.reader(io.StringIO(csv_text))
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise MalformedRow(1, "missing header row") from None
-    return header, ((line_no, row) for line_no, row in enumerate(reader, start=2) if row)
+
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                yield start, row
+            start = reader.line_num + 1
+
+    return header, rows()
 
 
 def parse_count(cell: str, line: int, column: str) -> int:

@@ -71,6 +71,10 @@ class EmptySeries(ForensicsError):
     code = "EMPTY_SERIES"
 
 
+class EmptySelection(ForensicsError):
+    code = "EMPTY_SELECTION"
+
+
 class InvalidModel(ForensicsError):
     code = "INVALID_MODEL"
 

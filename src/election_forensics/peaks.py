@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ElectionDataset
+from .errors import EmptySelection
 from .histograms import (
     QUANTITY_TURNOUT,
     bincount_percent,
@@ -141,6 +142,18 @@ def shrunken_proportions(numer: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return np.clip(mu + lam * (share - mu), 0.0, 1.0)
 
 
+def _selected(dataset: ElectionDataset, quantity: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quantity's numerators and denominators over its included precincts, and the mask.
+
+    Raises EmptySelection when the quantity includes no precinct, where
+    the null would be all zeros and every p-value 1.
+    """
+    numer, denom, mask = resolve_quantity(dataset, quantity)
+    if not mask.any():
+        raise EmptySelection(f"quantity {quantity!r} includes none of the {len(dataset)} precincts")
+    return numer[mask], denom[mask], mask
+
+
 def simulate_null(
     dataset: ElectionDataset,
     quantity: str,
@@ -149,11 +162,13 @@ def simulate_null(
     targets: tuple[int, ...] = DEFAULT_TARGETS,
     weight_mode: str = "precincts",
 ) -> NullDistribution:
-    """Per-target bin weights under the size-and-proportion-preserving null."""
+    """Per-target bin weights under the size-and-proportion-preserving null.
+
+    Raises EmptySelection when the quantity includes no precinct.
+    """
     if replicates < MIN_REPLICATES:
         raise ValueError(f"replicates must be >= {MIN_REPLICATES}, got {replicates}")
-    numer, denom, mask = resolve_quantity(dataset, quantity)
-    numer, denom = numer[mask], denom[mask]
+    numer, denom, mask = _selected(dataset, quantity)
     base_weights = weights_for(dataset, weight_mode)[mask]
     p_hat = shrunken_proportions(numer, denom)
     target_arr = np.asarray(targets, dtype=np.int64)
@@ -185,12 +200,15 @@ def detect_round_peaks(
     alpha: float = 0.01,
     weight_mode: str = "precincts",
 ) -> PeakReport:
-    """Flag targets whose observed bin mass exceeds the Monte-Carlo null at level alpha."""
+    """Flag targets whose observed bin mass exceeds the Monte-Carlo null at level alpha.
+
+    Raises EmptySelection when the quantity includes no precinct.
+    """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     null = simulate_null(dataset, quantity, replicates, seed, targets, weight_mode)
-    numer, denom, mask = resolve_quantity(dataset, quantity)
-    bins = percent_bins(numer[mask], denom[mask])
+    numer, denom, mask = _selected(dataset, quantity)
+    bins = percent_bins(numer, denom)
     counts = bincount_percent(bins, weights_for(dataset, weight_mode)[mask])
     observed = counts[np.asarray(targets, dtype=np.int64)]
 

@@ -1,10 +1,11 @@
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
 
-from election_forensics import synth
+from election_forensics import anomaly, scatter, synth
 from election_forensics.anomaly import (
     estimate_stuffing,
     split_two_clusters,
@@ -164,6 +165,116 @@ def test_cluster_split_requires_20_points():
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError):
         split_two_clusters(_blob_points(rng, (0.5, 0.5), 0.02, 19), seed=0)
+
+
+def test_split_reports_em_iterations_and_convergence():
+    rng = np.random.default_rng(14)
+    pts = _blob_points(rng, (0.45, 0.30), 0.03, 200) + _blob_points(rng, (0.75, 0.65), 0.03, 200, 200)
+    split = split_two_clusters(pts, seed=3, restarts=5)
+    assert len(split.em_iterations) == 5
+    assert all(1 < it < anomaly._MAX_EM_ITER for it in split.em_iterations)
+    assert split.converged is True
+    d = split.as_dict()
+    assert d["em_iterations"] == list(split.em_iterations)
+    assert d["converged"] is True
+
+
+def test_split_capped_below_convergence_reports_not_converged(monkeypatch):
+    monkeypatch.setattr(anomaly, "_MAX_EM_ITER", 2)
+    rng = np.random.default_rng(14)
+    pts = _blob_points(rng, (0.45, 0.30), 0.03, 200) + _blob_points(rng, (0.75, 0.65), 0.03, 200, 200)
+    split = split_two_clusters(pts, seed=3, restarts=4)
+    assert split.em_iterations == (2, 2, 2, 2)
+    assert split.converged is False
+    assert split.as_dict()["converged"] is False
+
+
+def _c10_inputs(seed):
+    """The two-blob and single-blob point sets of acceptance criterion 10 for one seed."""
+    rng = np.random.default_rng(seed)
+    xy = np.vstack(
+        [rng.normal((0.45, 0.30), 0.03, (500, 2)), rng.normal((0.75, 0.65), 0.03, (500, 2))]
+    )
+    two = [ScatterPoint(str(i), float(x), float(y), 1) for i, (x, y) in enumerate(xy)]
+    blob = rng.normal((0.55, 0.42), 0.03, (1000, 2))
+    one = [ScatterPoint(str(i), float(x), float(y), 1) for i, (x, y) in enumerate(blob)]
+    return two, one
+
+
+def _national_points():
+    """3000 (turnout, leader share of cast) points of a seeded four-party election with fraud."""
+    component = synth.TurnoutComponent
+    model = synth.HonestModel(
+        precincts=3000,
+        parties=("LEAD", "OPA", "OPB", "OPC"),
+        baseline_shares=(0.52, 0.22, 0.13, 0.08),
+        leader="LEAD",
+        registered_median=1200,
+        registered_sigma=0.45,
+        registered_min=150,
+        registered_max=5000,
+        turnout_components=(component(0.25, 0.05, 0.25), component(0.50, 0.08, 0.55), component(0.68, 0.06, 0.20)),
+        share_noise_sd=0.04,
+        machine_fraction=0.30,
+        territories=8,
+    )
+    scenario = synth.FraudScenario(
+        stuffing=synth.StuffingSpec(fraction=0.08, intensity=0.10),
+        transfer=synth.TransferSpec(fraction=0.08, amount=0.50),
+        target_rounding=synth.RoundingSpec(
+            fraction=0.05, targets=(75, 80, 85), quantity="leader_share", max_adjustment=0.05
+        ),
+    )
+    ds = synth.synthesize(model, scenario, seed=1).dataset
+    return scatter.build_points(ds, ds.designated_leader, y_mode="share_of_cast")
+
+
+# Recorded from the (n, 2)-array EM that preceded the column-form one.  Any
+# change to the EM's arithmetic that moves one bit of these fails here; a
+# different numpy build or CPU code path for exp/log may also move them.
+GOLDEN_SPLITS = {
+    "c10-two-blobs": (
+        "two",
+        "-0x1.725112f6e29f5p+10",
+        "-0x1.b08d982246d29p+12",
+        (("0x1.806dd4f0de734p-1", "0x1.4c1fdfa35c339p-1"), ("0x1.ca1a36e94040cp-2", "0x1.32f25db408a3fp-2")),
+        ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+        "5819e39211bce17d29429c28a8abdee763619d221268aee840c6bcb6f360b8d7",
+    ),
+    "c10-single-blob": (
+        "one",
+        "-0x1.04cab478f2b56p+13",
+        "-0x1.0417676e6a335p+13",
+        (("0x1.15c5f6dc0e176p-1", "0x1.bd9ed62071407p-2"), ("0x1.1af52fd0dd30fp-1", "0x1.a7849bdbfcdeep-2")),
+        ("0x1.44015b81fe7c6p-2", "0x1.5dff523f00c1cp-1"),
+        "5f7d3441497443b06400836f822cdd3506b22e0404ba11e60f2499bf7b1a3a25",
+    ),
+    "national-3000": (
+        "two",
+        "-0x1.ce7152f18b501p+12",
+        "-0x1.1af72440dd3cfp+13",
+        (("0x1.0342d23e13bd7p-2", "0x1.0a287d27363c4p-1"), ("0x1.1a6db0c845c21p-1", "0x1.19b1a530a9e3bp-1")),
+        ("0x1.cc4e4c2863846p-3", "0x1.8cec6cf5e71ecp-1"),
+        "45339a22f19b128c0023ac83ac5f19a1ace59bc4ee689457f0064cc3b42f35bc",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SPLITS))
+def test_split_two_clusters_is_bit_identical_to_recorded_values(case):
+    if case == "national-3000":
+        points, seed = _national_points(), 1
+    else:
+        two, one = _c10_inputs(0)
+        points, seed = (two if case == "c10-two-blobs" else one), 0
+    split = split_two_clusters(points, seed=seed)
+    decision, bic_one, bic_two, centroids, weights, digest = GOLDEN_SPLITS[case]
+    assert split.decision == decision
+    assert split.bic_one.hex() == bic_one
+    assert split.bic_two.hex() == bic_two
+    assert tuple(tuple(c.hex() for c in centroid) for centroid in split.centroids) == centroids
+    assert tuple(w.hex() for w in split.weights) == weights
+    assert hashlib.sha256(bytes(split.assignments)).hexdigest() == digest
 
 
 def test_stuffing_then_transfer_scenarios_behave_as_expected_end_to_end():

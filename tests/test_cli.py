@@ -206,8 +206,10 @@ def test_reports_validate_against_packaged_schema(precincts_csv, tmp_path):
         ("unit,share_b,share_a,turnout_b,turnout_a\nA,50.1,40.2,60.0\n", 2),
         ("unit,share_b,share_a,turnout_b,turnout_a\nA,50.1,40.2,60.0,55.5\nB,5O.1,40.2,60.0,55.5\n", 3),
         ("unit,share_b,share_a,turnout_b,turnout_a\nA,NaN,40.2,60.0,55.5\n", 2),
+        ("unit,share_b,share_a,turnout_b,turnout_a\nA,50,40,60,55\nA,10,10,10,10\n", 3),
+        ('unit,share_b,share_a,turnout_b,turnout_a\n"A\nB",50,40,60,55\nC,5x,40,60,55\n', 4),
     ],
-    ids=["missing-header", "short-row", "non-numeric", "nan"],
+    ids=["missing-header", "short-row", "non-numeric", "nan", "duplicate-unit", "after-multiline-cell"],
 )
 def test_delta_rejects_malformed_tables_without_traceback(tmp_path, capsys, text, line):
     table = tmp_path / "delta.csv"
@@ -225,3 +227,29 @@ def test_peaks_alpha_out_of_range_exits_one(precincts_csv, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ERROR INVALID: alpha must be in (0, 1)")
+
+
+def test_peaks_with_no_included_precinct_exits_one(tmp_path, capsys):
+    table = tmp_path / "precincts.csv"
+    rows = "".join(f"p{i},R,T,1000,0,0,0,0,0\n" for i in range(30))
+    table.write_text(PRECINCTS.splitlines(keepends=True)[0] + rows)
+    rc = main(["peaks", "--in", str(table), "--leader", "A", "--quantity", "leader_share", "--seed", "1",
+               "--replicates", "100", "--no-plots", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR EMPTY_SELECTION:")
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_clusters_report_carries_em_iterations_and_convergence(tmp_path):
+    table = tmp_path / "precincts.csv"
+    rows = "".join(f"p{i},R,T,1000,{300 + 13 * i},0,0,{100 + 7 * i},{200 + 6 * i}\n" for i in range(40))
+    table.write_text(PRECINCTS.splitlines(keepends=True)[0] + rows)
+    out = tmp_path / "o"
+    rc = main(["clusters", "--in", str(table), "--leader", "A", "--seed", "1", "--restarts", "3",
+               "--no-plots", "--out", str(out)])
+    assert rc == 0
+    results = _report(out)["results"]
+    assert len(results["em_iterations"]) == 3
+    assert all(isinstance(it, int) and it >= 1 for it in results["em_iterations"])
+    assert isinstance(results["converged"], bool)

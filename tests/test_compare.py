@@ -156,6 +156,11 @@ def test_delta_unit_mismatch():
         cross_election_delta(TABLE_OLD[:-1], TABLE_NEW)
 
 
+def test_delta_rejects_a_unit_repeated_within_a_table():
+    with pytest.raises(UnitMismatch, match="appears more than once in table B"):
+        cross_election_delta(TABLE_OLD, TABLE_NEW + TABLE_NEW[:1])
+
+
 def test_protocol_displacement_zero_when_identical():
     roster = PartyRoster(("A", "B"))
     rec = record()

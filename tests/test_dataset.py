@@ -236,6 +236,21 @@ def test_count_cells_outside_ascii_digits_are_malformed_rows(reader, build, cell
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "reader,text",
+    [
+        ("precincts", f'{HEADER}\np1,"R\nX",T,1000,500,0,0,300,200\np2,R,T,1000,5x0,0,0,300,200\n'),
+        ("protocols", f'{PROTOCOLS_HEADER}\n"u\n1",observer,1000,500,0,300,200\nu2,official,1000,5x0,0,300,200\n'),
+        ("intraday", f'{INTRADAY_HEADER}\n"p\n1",10:00,100\np2,15:00,2x0\n'),
+    ],
+    ids=["precincts", "protocols", "intraday"],
+)
+def test_rows_after_a_multiline_cell_report_their_physical_line(reader, text):
+    with pytest.raises(MalformedRow) as exc:
+        READERS[reader](text)
+    assert exc.value.line == 4
+
+
 M = MAX_COUNT
 
 

@@ -1,0 +1,26 @@
+"""Micro-layer timings recorded with pytest-benchmark.
+
+Each test times one library layer on a fixed, seeded input and checks the
+result, so a run records the layer's time without changing what the suite
+verifies.  Save a record with ``pytest tests/test_microbench.py
+--benchmark-autosave``; skip the timing with ``--benchmark-skip``.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("pytest_benchmark")
+
+from election_forensics.anomaly import split_two_clusters  # noqa: E402
+from election_forensics.scatter import ScatterPoint  # noqa: E402
+
+
+def test_split_two_clusters_2k_points(benchmark):
+    rng = np.random.default_rng(0)
+    xy = np.vstack(
+        [rng.normal((0.45, 0.30), 0.03, (1000, 2)), rng.normal((0.75, 0.65), 0.03, (1000, 2))]
+    )
+    points = [ScatterPoint(str(i), float(x), float(y), 1) for i, (x, y) in enumerate(xy)]
+    split = benchmark.pedantic(split_two_clusters, args=(points,), kwargs={"seed": 0}, rounds=3)
+    assert split.decision == "two"
+    assert split.converged

@@ -8,6 +8,7 @@ from election_forensics.peaks import (
     mc_p_value,
     simulate_null,
 )
+from election_forensics.errors import EmptySelection
 from conftest import quick_dataset, record
 
 
@@ -102,3 +103,12 @@ def test_turnout_quantity_supported_with_weights():
     rep = detect_round_peaks(ds, "turnout", replicates=120, seed=6, weight_mode="registered")
     assert rep.quantity == "turnout"
     assert sum(rep.observed) >= 0
+
+
+def test_empty_selection_is_a_typed_error():
+    ds = quick_dataset([record(pid=f"p{i}", cast=0, votes=(0, 0)) for i in range(30)])
+    with pytest.raises(EmptySelection):
+        simulate_null(ds, "leader_share", replicates=100, seed=1)
+    with pytest.raises(EmptySelection):
+        detect_round_peaks(ds, "leader_share", replicates=100, seed=1)
+    assert detect_round_peaks(ds, "turnout", replicates=100, seed=1).observed[0] == 0
