@@ -223,10 +223,12 @@ def _em_two_spherical(xy: np.ndarray, rng: np.random.Generator, tol: float) -> _
     The E step works on the contiguous columns ``x`` and ``y`` of ``xy``,
     one component at a time, so each two-term reduction over a row is one
     elementwise operation that rounds exactly as the row reduction did.
-    The M-step sums stay on the ``(n, 2)`` arrays, because a 1-D sum would
-    add in a different order.  Each component's squared distances are
-    computed once per iteration and serve both the variance update and the
-    next E step.
+    Each component's M-step total is the last element of a running sum
+    of its column: numpy adds axis 0 of the ``(n, 2)`` responsibilities
+    row by row, and ``cumsum`` adds in that order too, where a 1-D
+    ``sum`` would add pairwise and round differently.  Each component's
+    squared distances are computed once per iteration and serve both the
+    variance update and the next E step.
     """
     n = xy.shape[0]
     x = np.ascontiguousarray(xy[:, 0])
@@ -247,7 +249,7 @@ def _em_two_spherical(xy: np.ndarray, rng: np.random.Generator, tol: float) -> _
         ll = float(lse.sum())
         r = (np.exp(a - lse), np.exp(b - lse))
         resp = np.stack(r, axis=1)
-        nk = np.maximum(resp.sum(axis=0), 1e-12)
+        nk = np.maximum([np.cumsum(rk)[-1] for rk in r], 1e-12)
         w = nk / n
         mu = (resp.T @ xy) / nk[:, None]
         d2 = _sq_dists(x, y, mu)

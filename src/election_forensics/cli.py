@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__, anomaly, compare, dynamics, peaks, probkit, scatter, synth
 from . import histograms as hist_mod
 from .dataset import parse_dataset, partition, serialize_dataset
-from .errors import ForensicsError
+from .errors import BadCounts, ForensicsError
 from .report import build_report, atomic_write_text, input_digest, write_report
 from .svgplot import svg_histogram, svg_scatter
 
@@ -344,24 +345,43 @@ def cmd_synth(args) -> dict:
     return {"results": results, "inputs": inputs}
 
 
+_PROB_ARGUMENTS = {
+    "odds": ("likelihood_a", "prior_a", "likelihood_b", "prior_b"),
+    "run": ("p", "n"),
+    "coincidence": ("total", "marked", "size"),
+    "sigma": ("p", "n"),
+}
+
+
+def _whole(value: float, name: str) -> int:
+    """A count argument as an int; BadCounts unless it is a whole number."""
+    if not value.is_integer():
+        raise BadCounts(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def cmd_prob(args) -> dict:
+    names = _PROB_ARGUMENTS[args.op]
+    if len(args.values) != len(names):
+        raise ValueError(
+            f"prob {args.op} takes {len(names)} values ({' '.join(names)}), got {len(args.values)}"
+        )
     exact = None
     if args.op == "odds":
-        res = probkit.posterior_odds(args.values[0], args.values[1], args.values[2], args.values[3])
+        res = probkit.posterior_odds(*args.values)
         decimal, exact = res.decimal, res.odds
         results = {"op": "odds", "decimal": decimal, "favored": res.favored}
     elif args.op == "run":
-        frac = probkit.run_probability(args.values[0], int(args.values[1]))
-        decimal, exact = float(frac), frac
+        value = probkit.run_probability(args.values[0], _whole(args.values[1], "n"))
+        decimal = float(value)
+        exact = value if isinstance(value, Fraction) else None
         results = {"op": "run", "decimal": decimal}
     elif args.op == "coincidence":
-        res = probkit.subset_coincidence(
-            int(args.values[0]), int(args.values[1]), int(args.values[2])
-        )
+        res = probkit.subset_coincidence(*(_whole(v, k) for v, k in zip(args.values, names)))
         decimal, exact = res.decimal, res.probability
         results = {"op": "coincidence", "decimal": decimal}
     elif args.op == "sigma":
-        decimal = probkit.proportion_sigma(float(args.values[0]), int(args.values[1]))
+        decimal = probkit.proportion_sigma(args.values[0], _whole(args.values[1], "n"))
         results = {"op": "sigma", "decimal": decimal}
     else:
         raise ForensicsError(f"unknown prob operation {args.op!r}")
@@ -483,7 +503,7 @@ def build_parser() -> _Parser:
     s.set_defaults(func=cmd_synth)
 
     s = subs.add_parser("prob", help="probability utilities (odds, run, coincidence, sigma)")
-    s.add_argument("op", choices=("odds", "run", "coincidence", "sigma"))
+    s.add_argument("op", choices=tuple(_PROB_ARGUMENTS))
     s.add_argument("values", nargs="+", type=float)
     s.add_argument("--exact", action="store_true", help="also print the exact fraction")
     s.add_argument("--out", default=None, help="optional report directory")

@@ -32,10 +32,14 @@ The test is one-sided (excess only), with add-one smoothing on the
 Monte-Carlo p-value: p = (1 + #{null >= observed}) / (replicates + 1).
 Replicates draw from independent generators seeded by (seed, replicate
 index), so a replicate's draws do not depend on how many came before it.
+That also lets the replicates run on every core the process may use: the
+binomial draws release the GIL, and each replicate writes only its own
+row, so the null is bit-identical on any number of cores.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +128,13 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
 
 
+def _cores() -> int:
+    """Number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def shrunken_proportions(numer: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """Empirical-Bayes estimate of each precinct's latent proportion.
 
@@ -164,6 +175,11 @@ def simulate_null(
 ) -> NullDistribution:
     """Per-target bin weights under the size-and-proportion-preserving null.
 
+    The replicates are strided over one thread per available core (at
+    most one per replicate): worker k runs replicates k, k + workers, ...,
+    and the calling thread is worker 0.  A worker's error is raised here
+    once every worker has stopped.
+
     Raises EmptySelection when the quantity includes no precinct.
     """
     if replicates < MIN_REPLICATES:
@@ -174,14 +190,28 @@ def simulate_null(
     target_arr = np.asarray(targets, dtype=np.int64)
 
     weights = np.empty((replicates, len(targets)), dtype=np.int64)
-    for rep in range(replicates):
-        sim = _replicate_rng(seed, rep).binomial(denom, p_hat)
-        bins = percent_bins(sim, denom)
-        if quantity == QUANTITY_TURNOUT and weight_mode == "ballots":
-            counts = bincount_percent(bins, sim)  # the simulated dataset's own ballot counts
-        else:
-            counts = bincount_percent(bins, base_weights)
-        weights[rep] = counts[target_arr]
+    workers = min(_cores(), replicates)
+
+    def run(first: int) -> None:
+        for rep in range(first, replicates, workers):
+            sim = _replicate_rng(seed, rep).binomial(denom, p_hat)
+            bins = percent_bins(sim, denom)
+            if quantity == QUANTITY_TURNOUT and weight_mode == "ballots":
+                counts = bincount_percent(bins, sim)  # the simulated dataset's own ballot counts
+            else:
+                counts = bincount_percent(bins, base_weights)
+            weights[rep] = counts[target_arr]
+
+    # Imported here, not at the top: it loads logging, which no command that
+    # skips the null needs.  An executor starts no thread until a task is
+    # submitted, so one core means no thread at all.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        others = [pool.submit(run, k) for k in range(1, workers)]
+        run(0)
+        for future in others:
+            future.result()
     return NullDistribution(quantity, weight_mode, tuple(targets), weights, seed)
 
 

@@ -3,7 +3,8 @@
 All operations work in exact rational arithmetic whenever the inputs are
 rationals (ints, Fractions, decimal strings, or floats interpreted through
 their shortest decimal representation).  Binomial coefficients are computed
-exactly up to ``total <= 10_000``; above that the result falls back to a
+exactly up to ``total <= 10_000``, and powers while their numerator and
+denominator need at most 10_000 bits; above that the result falls back to a
 log-space float with ~1e-12 relative accuracy.
 """
 
@@ -20,6 +21,7 @@ from .errors import BadCounts, NonPositiveInput
 Rational = Union[int, float, str, Fraction]
 
 EXACT_COMB_LIMIT = 10_000
+EXACT_POWER_BITS = 10_000
 
 
 def to_fraction(x: Rational) -> Fraction:
@@ -68,14 +70,21 @@ def posterior_odds(
     return OddsResult(odds, favored)
 
 
-def run_probability(p: Rational, n: int) -> Fraction:
-    """Probability of n independent events of probability p in a row: p**n."""
+def run_probability(p: Rational, n: int) -> Fraction | float:
+    """Probability of n independent events of probability p in a row: p**n.
+
+    Exact while p**n needs at most ``EXACT_POWER_BITS`` bits in its
+    numerator and denominator; above that a log-space float, so a huge n
+    costs no more than a small one.
+    """
     pf = to_fraction(p)
     if not 0 <= pf <= 1:
         raise NonPositiveInput(f"p must be in [0, 1], got {pf}")
     if n < 0:
         raise BadCounts(f"n must be >= 0, got {n}")
-    return pf**n
+    if n * max(pf.numerator.bit_length(), pf.denominator.bit_length()) <= EXACT_POWER_BITS:
+        return pf**n
+    return math.exp(n * math.log(pf)) if pf else 0.0
 
 
 @dataclass(frozen=True)
@@ -101,7 +110,11 @@ def subset_coincidence(total: int, marked: int, observed_set_size: int) -> Coinc
     if total <= EXACT_COMB_LIMIT:
         prob = Fraction(1, math.comb(total, marked))
         return CoincidenceResult(prob, float(prob), total, marked)
-    log_c = math.lgamma(total + 1) - math.lgamma(marked + 1) - math.lgamma(total - marked + 1)
+    # log C(total, k) as a sum of k small terms: lgamma differences cancel
+    # catastrophically for a large total.  Past EXACT_COMB_LIMIT terms the
+    # partial sum already exceeds log C(20000, 10000), so 1/C underflows to 0.
+    k = min(marked, total - marked, EXACT_COMB_LIMIT)
+    log_c = math.fsum(math.log(total - i) - math.log(i + 1) for i in range(k))
     return CoincidenceResult(None, math.exp(-log_c), total, marked)
 
 

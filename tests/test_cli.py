@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,45 @@ def test_prob_subcommands(tmp_path, capsys):
     assert "9.5367431640625e-07" in capsys.readouterr().out
     assert main(["prob", "coincidence", "42", "6", "6"]) == 0
     assert main(["prob", "sigma", "0.5", "1000"]) == 0
+
+
+@pytest.mark.parametrize(
+    "values,name",
+    [
+        (["run", "0.5", "2.7"], "n"),
+        (["run", "0.5", "inf"], "n"),
+        (["coincidence", "42.5", "6", "6"], "total"),
+        (["coincidence", "42", "6.5", "6"], "marked"),
+        (["coincidence", "42", "6", "6.5"], "size"),
+        (["sigma", "0.5", "2.7"], "n"),
+    ],
+    ids=["run-n", "run-n-inf", "coincidence-total", "coincidence-marked", "coincidence-size", "sigma-n"],
+)
+def test_prob_count_arguments_must_be_whole_numbers(capsys, values, name):
+    assert main(["prob", *values]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ERROR BAD_COUNTS: {name} must be a whole number")
+    assert captured.out == ""
+
+
+def test_prob_run_with_huge_n_gives_a_decimal_only(tmp_path, capsys):
+    assert main(["prob", "run", "0.5", "1e30", "--exact", "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out == "0.0\n"
+    assert "exact" not in _report(tmp_path / "o")["results"]
+    assert main(["prob", "run", "0.99999", "1e6"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(math.exp(1e6 * math.log(0.99999)), rel=1e-12)
+
+
+def test_prob_coincidence_with_huge_total_keeps_its_precision(capsys):
+    assert main(["prob", "coincidence", "1e30", "6", "6"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(720 / 1e180, rel=1e-12)
+
+
+def test_prob_with_the_wrong_number_of_values_exits_one(capsys):
+    assert main(["prob", "run", "0.5"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["ERROR INVALID: prob run takes 2 values (p n), got 1"]
 
 
 def test_synth_cli_writes_dataset_and_truth(fixtures_dir, tmp_path):

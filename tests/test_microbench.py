@@ -11,7 +11,9 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
+from election_forensics import synth  # noqa: E402
 from election_forensics.anomaly import split_two_clusters  # noqa: E402
+from election_forensics.peaks import simulate_null  # noqa: E402
 from election_forensics.scatter import ScatterPoint  # noqa: E402
 
 
@@ -24,3 +26,13 @@ def test_split_two_clusters_2k_points(benchmark):
     split = benchmark.pedantic(split_two_clusters, args=(points,), kwargs={"seed": 0}, rounds=3)
     assert split.decision == "two"
     assert split.converged
+
+
+def test_simulate_null_3k_precincts(benchmark):
+    model = synth.HonestModel(
+        precincts=3000, parties=("A", "B", "C"), baseline_shares=(0.55, 0.3, 0.1), leader="A"
+    )
+    ds = synth.generate_honest(model, 0).dataset
+    null = benchmark.pedantic(simulate_null, args=(ds, "leader_share", 200, 1), rounds=3)
+    assert null.weights.shape == (200, 11)
+    assert null.weights.sum() > 0

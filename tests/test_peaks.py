@@ -1,7 +1,11 @@
+import hashlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from election_forensics import synth
+from election_forensics import peaks, synth
 from election_forensics.peaks import (
     DEFAULT_TARGETS,
     detect_round_peaks,
@@ -112,3 +116,69 @@ def test_empty_selection_is_a_typed_error():
     with pytest.raises(EmptySelection):
         detect_round_peaks(ds, "leader_share", replicates=100, seed=1)
     assert detect_round_peaks(ds, "turnout", replicates=100, seed=1).observed[0] == 0
+
+
+def _null_dataset():
+    model = synth.HonestModel(
+        precincts=1500,
+        parties=("LEAD", "OPA", "OPB"),
+        baseline_shares=(0.6, 0.25, 0.1),
+        leader="LEAD",
+        registered_median=800,
+        registered_min=50,
+    )
+    return synth.generate_honest(model, 3).dataset
+
+
+@pytest.mark.parametrize("workers", [2, 3, 7])
+def test_null_weights_do_not_depend_on_worker_count(monkeypatch, workers):
+    # 101 replicates stride unevenly over every worker count; a short switch
+    # interval interleaves the workers as often as the interpreter allows
+    ds = _null_dataset()
+    monkeypatch.setattr(peaks, "_cores", lambda: 1)
+    serial = simulate_null(ds, "leader_share", replicates=101, seed=8, targets=tuple(range(101)))
+    monkeypatch.setattr(peaks, "_cores", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = simulate_null(ds, "leader_share", replicates=101, seed=8, targets=tuple(range(101)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(threaded.weights, serial.weights)
+
+
+# sha256 of the null weights' bytes, recorded with the single-threaded replicate loop.
+NULL_DIGESTS = {
+    ("turnout", "precincts"): "139ded553014c961939e28b945754f57da00ff8a9ec6144bbc4d633f4432f921",
+    ("turnout", "registered"): "300ac0eda743f480161d435df717622dc1de934609a25fa2ca2fc22169dc69bf",
+    ("turnout", "ballots"): "9a2f719734d43dde9a3c37341347d71cea6f93821a862755c9f310e879e353fa",
+    ("leader_share", "precincts"): "1eedea22eec58c286e0e6f8e964b6aebaa9221dbe1c3ea753ed607a670298690",
+    ("leader_share", "registered"): "2e0ea8b09fb7992a16326d26dabc9e5b37aacff0c90988e0e715aa85d5e25fb8",
+    ("leader_share", "ballots"): "42cf85fbeacdf6778f38db57d770962f44165229e523b62cc7efd5ee09a0c235",
+}
+
+
+@pytest.mark.parametrize("quantity,weight_mode", sorted(NULL_DIGESTS))
+def test_null_weights_match_recorded_digest(quantity, weight_mode):
+    null = simulate_null(
+        _null_dataset(), quantity, replicates=101, seed=42, targets=tuple(range(101)), weight_mode=weight_mode
+    )
+    assert null.weights.dtype == np.int64 and null.weights.shape == (101, 101)
+    assert hashlib.sha256(null.weights.tobytes()).hexdigest() == NULL_DIGESTS[quantity, weight_mode]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_null_worker_error_reaches_caller(monkeypatch, workers):
+    real_rng = peaks._replicate_rng
+
+    def failing_rng(seed, index):
+        if index == 5:
+            raise RuntimeError("replicate 5 failed")
+        return real_rng(seed, index)
+
+    monkeypatch.setattr(peaks, "_replicate_rng", failing_rng)
+    monkeypatch.setattr(peaks, "_cores", lambda: workers)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="replicate 5 failed"):
+        simulate_null(_null_dataset(), "leader_share", replicates=101, seed=1)
+    assert threading.active_count() == before

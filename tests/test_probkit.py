@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from election_forensics.errors import BadCounts, NonPositiveInput
 from election_forensics.probkit import (
+    EXACT_POWER_BITS,
     posterior_odds,
     proportion_sigma,
     run_probability,
@@ -90,6 +91,18 @@ def test_run_probability_simulation_oracle():
     assert abs(hits - expected) <= 3 * sigma
 
 
+def test_run_probability_is_exact_up_to_the_bit_cap_then_decimal():
+    # 1/2 needs 2 bits, so (1/2)**n is exact while 2n <= EXACT_POWER_BITS
+    n = EXACT_POWER_BITS // 2
+    assert run_probability(0.5, n) == Fraction(1, 2**n)
+    above = run_probability(0.5, n + 1)
+    assert isinstance(above, float) and above == 0.0
+    assert run_probability(Fraction(999_999, 1_000_000), 10**30) == 0.0
+    assert run_probability(1, 10**30) == 1.0
+    assert run_probability(0, 10**30) == 0.0
+    assert run_probability("0.99999", 10**6) == pytest.approx(math.exp(10**6 * math.log(0.99999)), rel=1e-12)
+
+
 def test_subset_coincidence_exact_value():
     res = subset_coincidence(42, 6, 6)
     assert res.probability == Fraction(1, 5_245_786)
@@ -133,6 +146,13 @@ def test_subset_coincidence_large_total_uses_log_space():
     assert res.probability is None
     exact = 1 / math.comb(20_000, 2)
     assert abs(res.decimal - exact) / exact < 1e-9
+
+
+def test_subset_coincidence_log_space_keeps_precision_for_huge_totals():
+    assert subset_coincidence(10**30, 6, 6).decimal == pytest.approx(720 / 1e180, rel=1e-12)
+    exact = float(Fraction(1, math.comb(30_000, 29_990)))
+    assert subset_coincidence(30_000, 29_990, 29_990).decimal == pytest.approx(exact, rel=1e-12)
+    assert subset_coincidence(50_000, 25_000, 25_000).decimal == 0.0
 
 
 def test_proportion_sigma_closed_form():
