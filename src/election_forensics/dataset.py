@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
@@ -234,6 +235,24 @@ def read_csv(csv_text: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]
             start = reader.line_num + 1
 
     return header, rows()
+
+
+# A cell holding none of these is written as it is; csv.writer quotes only cells with one.
+_QUOTE_TRIGGERS = re.compile('[,"\r\n]')
+
+
+def csv_cells(cells: list[str]) -> list[str]:
+    """Each cell as ``csv.writer`` writes it in a row of two or more cells."""
+    if not _QUOTE_TRIGGERS.search("".join(cells)):
+        return cells
+    written = []
+    for cell in cells:
+        if _QUOTE_TRIGGERS.search(cell):
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerow([cell, ""])
+            cell = out.getvalue()[: -len(",\n")]
+        written.append(cell)
+    return written
 
 
 def parse_count(cell: str, line: int, column: str) -> int:

@@ -12,17 +12,17 @@ threshold is not flagged.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .dataset import ElectionDataset, parse_count, read_csv
+from .dataset import ElectionDataset, csv_cells, parse_count, read_csv
 from .errors import EmptySeries, InvariantViolation, MalformedRow
 
 DEFAULT_HYPERACTIVE_THRESHOLD = 0.13
+INTRADAY_HEADER = ["precinct_id", "time", "cumulative_voted"]
 
 
 @dataclass(frozen=True)
@@ -34,26 +34,124 @@ class IntradaySeries:
     official_cast: int | None = None
 
     def validate(self) -> None:
-        if len(self.reports) < 2:
-            raise EmptySeries(f"precinct {self.precinct_id!r}: need at least 2 reports")
-        times = [t for t, _ in self.reports]
-        counts = [c for _, c in self.reports]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise InvariantViolation(self.precinct_id, "report times must strictly increase")
-        if any(b < a for a, b in zip(counts, counts[1:])):
-            raise InvariantViolation(self.precinct_id, "cumulative counts must be non-decreasing")
-        if any(c < 0 for c in counts):
-            raise InvariantViolation(self.precinct_id, "cumulative counts must be non-negative")
-        if self.official_cast is not None and counts[-1] > self.official_cast:
-            raise InvariantViolation(
-                self.precinct_id,
-                f"last intraday count {counts[-1]} exceeds official ballots_cast {self.official_cast}",
-            )
+        official = None if self.official_cast is None else np.array([self.official_cast])
+        IntradayTable.from_series({self.precinct_id: self}).check(official)
 
     def with_official(self, official_cast: int) -> "IntradaySeries":
         series = IntradaySeries(self.precinct_id, self.reports, official_cast)
         series.validate()
         return series
+
+
+@dataclass(frozen=True, eq=False)
+class IntradayTable(Mapping[str, IntradaySeries]):
+    """Intraday reports of many precincts as columns.
+
+    Precinct ``k`` (id ``precinct_ids[k]``) owns the report rows
+    ``starts[k]:starts[k + 1]`` of ``minutes`` (since midnight) and
+    ``cumulative`` (voters so far), in the order its reports were given.
+    ``table[pid]`` builds that precinct's ``IntradaySeries``.  The arrays
+    are made read-only; ``check`` validates the series.
+    """
+
+    precinct_ids: np.ndarray  # object array of str
+    starts: np.ndarray  # int64, one more than there are precincts
+    minutes: np.ndarray  # int64, one per report
+    cumulative: np.ndarray  # int64, one per report
+
+    def __post_init__(self):
+        n = len(self.precinct_ids)
+        if self.starts.shape != (n + 1,) or self.starts[0] != 0 or np.any(np.diff(self.starts) < 0):
+            raise ValueError("starts must rise from 0, one offset per precinct plus one")
+        if self.minutes.shape != self.cumulative.shape or self.minutes.shape != (self.starts[-1],):
+            raise ValueError("minutes and cumulative need one entry per report")
+        for column in (self.precinct_ids, self.starts, self.minutes, self.cumulative):
+            column.flags.writeable = False
+
+    @classmethod
+    def from_series(cls, series_map: Mapping[str, IntradaySeries]) -> "IntradayTable":
+        """A table of the series as given, keyed as in the mapping; a table is returned as is."""
+        if isinstance(series_map, IntradayTable):
+            return series_map
+        ids = list(series_map)
+        reports = [series_map[pid].reports for pid in ids]
+        pairs = np.array([pair for r in reports for pair in r], dtype=np.int64).reshape(-1, 2)
+        starts = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum([len(r) for r in reports], out=starts[1:])
+        return cls(np.array(ids, dtype=object), starts, pairs[:, 0], pairs[:, 1])
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {pid: k for k, pid in enumerate(self.precinct_ids.tolist())}
+
+    def __len__(self) -> int:
+        return len(self.precinct_ids)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.precinct_ids.tolist())
+
+    def __getitem__(self, pid: str) -> IntradaySeries:
+        k = self._index[pid]
+        rows = slice(self.starts[k], self.starts[k + 1])
+        return IntradaySeries(pid, tuple(zip(self.minutes[rows].tolist(), self.cumulative[rows].tolist())))
+
+    def positions(self, precinct_ids: np.ndarray) -> np.ndarray:
+        """Each id's precinct index in the table, -1 for an id it does not hold."""
+        index = self._index
+        return np.fromiter(
+            (index.get(pid, -1) for pid in precinct_ids.tolist()), dtype=np.int64, count=len(precinct_ids)
+        )
+
+    def take(self, precincts: np.ndarray) -> "IntradayTable":
+        """The table of the precincts at these indices, in this order."""
+        lengths = np.diff(self.starts)[precincts]
+        starts = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=starts[1:])
+        rows = np.repeat(self.starts[:-1][precincts] - starts[:-1], lengths) + np.arange(starts[-1])
+        return IntradayTable(self.precinct_ids[precincts], starts, self.minutes[rows], self.cumulative[rows])
+
+    def check(self, official: np.ndarray | None = None) -> None:
+        """Raise the error of the first faulty precinct, in table order.
+
+        A series needs at least 2 reports, strictly increasing times and
+        non-decreasing, non-negative counts; with ``official`` (final
+        ballots, one per precinct) its last count may not exceed it.
+        """
+        n = len(self)
+        lengths = np.diff(self.starts)
+        owner = np.repeat(np.arange(n), lengths)
+        same = owner[1:] == owner[:-1]  # consecutive reports of one precinct
+
+        def any_by_precinct(report_fault: np.ndarray, owners: np.ndarray) -> np.ndarray:
+            found = np.zeros(n, dtype=bool)
+            found[owners[report_fault]] = True
+            return found
+
+        short = lengths < 2
+        unordered = any_by_precinct(same & (np.diff(self.minutes) <= 0), owner[1:])
+        falling = any_by_precinct(same & (np.diff(self.cumulative) < 0), owner[1:])
+        negative = any_by_precinct(self.cumulative < 0, owner)
+        over = np.zeros(n, dtype=bool)
+        if official is not None:
+            over[~short] = self.cumulative[self.starts[1:][~short] - 1] > official[~short]
+        bad = np.flatnonzero(short | unordered | falling | negative | over)
+        if bad.size == 0:
+            return
+        k = bad[0]
+        pid = self.precinct_ids[k]
+        if short[k]:
+            raise EmptySeries(f"precinct {pid!r}: need at least 2 reports")
+        if unordered[k]:
+            raise InvariantViolation(pid, "report times must strictly increase")
+        if falling[k]:
+            raise InvariantViolation(pid, "cumulative counts must be non-decreasing")
+        if negative[k]:
+            raise InvariantViolation(pid, "cumulative counts must be non-negative")
+        raise InvariantViolation(
+            pid,
+            f"last intraday count {int(self.cumulative[self.starts[k + 1] - 1])} "
+            f"exceeds official ballots_cast {int(official[k])}",
+        )
 
 
 def parse_time(text: str, line_no: int) -> int:
@@ -70,35 +168,55 @@ def format_time(minutes: int) -> str:
     return f"{minutes // 60:02d}:{minutes % 60:02d}"
 
 
-def parse_intraday(csv_text: str) -> dict[str, IntradaySeries]:
-    """Parse ``intraday.csv`` (precinct_id,time,cumulative_voted) into series."""
+def parse_intraday(csv_text: str) -> IntradayTable:
+    """Parse ``intraday.csv`` (precinct_id,time,cumulative_voted) into a checked table.
+
+    Precincts keep the order of their first row, and each one's reports
+    are sorted by time.  A malformed row is reported first, in file
+    order; then the first faulty series, in precinct order.
+    """
     header, lines = read_csv(csv_text)
-    if header != ["precinct_id", "time", "cumulative_voted"]:
+    if header != INTRADAY_HEADER:
         raise MalformedRow(1, "header must be precinct_id,time,cumulative_voted")
-    rows: dict[str, list[tuple[int, int]]] = {}
+    index: dict[str, int] = {}
+    owner: list[int] = []
+    minutes: list[int] = []
+    cumulative: list[int] = []
+    minutes_of: dict[str, int] = {}  # each distinct time cell is parsed once
     for line_no, row in lines:
         if len(row) != 3:
             raise MalformedRow(line_no, f"expected 3 fields, got {len(row)}")
-        minutes = parse_time(row[1], line_no)
-        voted = parse_count(row[2], line_no, "cumulative_voted")
-        rows.setdefault(row[0].strip(), []).append((minutes, voted))
-    out: dict[str, IntradaySeries] = {}
-    for pid, reports in rows.items():
-        reports.sort()
-        series = IntradaySeries(pid, tuple(reports))
-        series.validate()
-        out[pid] = series
-    return out
+        time_cell = row[1]
+        minute = minutes_of.get(time_cell)
+        if minute is None:
+            minute = minutes_of[time_cell] = parse_time(time_cell, line_no)
+        minutes.append(minute)
+        cumulative.append(parse_count(row[2], line_no, "cumulative_voted"))
+        owner.append(index.setdefault(row[0].strip(), len(index)))
+    owners = np.array(owner, dtype=np.int64)
+    times = np.array(minutes, dtype=np.int64)
+    counts = np.array(cumulative, dtype=np.int64)
+    order = np.lexsort((counts, times, owners))
+    starts = np.zeros(len(index) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owners, minlength=len(index)), out=starts[1:])
+    table = IntradayTable(np.array(list(index), dtype=object), starts, times[order], counts[order])
+    table.check()
+    return table
 
 
 def serialize_intraday(series_map: Mapping[str, IntradaySeries]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["precinct_id", "time", "cumulative_voted"])
-    for pid in sorted(series_map):
-        for minutes, count in series_map[pid].reports:
-            writer.writerow([pid, format_time(minutes), count])
-    return out.getvalue()
+    """``intraday.csv`` text: precincts sorted by id, each one's reports in its order."""
+    table = IntradayTable.from_series(series_map)
+    ids = table.precinct_ids.tolist()
+    table = table.take(np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64))
+    quoted = np.array(csv_cells(table.precinct_ids.tolist()), dtype=object)
+    distinct, which = np.unique(table.minutes, return_inverse=True)
+    labels = np.array([format_time(m) for m in distinct.tolist()], dtype=object)
+    rows = zip(
+        np.repeat(quoted, np.diff(table.starts)).tolist(), labels[which].tolist(), table.cumulative.tolist()
+    )
+    body = "".join([f"{pid},{time},{count}\n" for pid, time, count in rows])
+    return ",".join(INTRADAY_HEADER) + "\n" + body
 
 
 def final_increment(series: IntradaySeries, registered: int) -> float:
@@ -158,14 +276,15 @@ def flag_hyperactive(
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     c = dataset.counts()
-    has = np.fromiter((pid in series_map for pid in c.precinct_ids.tolist()), dtype=bool, count=len(c))
+    table = IntradayTable.from_series(series_map)
+    at = table.positions(c.precinct_ids)
+    has = at >= 0
     ids = c.precinct_ids[has].tolist()
-    series = [series_map[pid] for pid in ids]
+    joined = table.take(at[has])
     cast = c.ballots_cast[has]
     registered = c.registered[has]
-    for s, official in zip(series, cast.tolist()):
-        s.with_official(official)  # raises the first faulty series' validation error
-    last = np.fromiter((s.reports[-1][1] for s in series), dtype=np.int64, count=len(series))
+    joined.check(official=cast)  # raises the first faulty series' error, in dataset order
+    last = joined.cumulative[joined.starts[1:] - 1]  # every checked series has 2+ reports
     increment = (cast - last) / registered
     turnout = cast / registered
     share = np.divide(c.votes[has, dataset.leader_index], cast, out=np.zeros(len(ids)), where=cast > 0)

@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import DatasetArrays, ElectionDataset, PartyRoster, check_invariants
-from .dynamics import IntradaySeries, parse_time
-from .errors import InvalidModel
+from .dataset import DatasetArrays, ElectionDataset, PartyRoster, check_invariants, csv_cells
+from .dynamics import IntradayTable, parse_time
+from .errors import InvalidModel, MalformedRow
 from .histograms import QUANTITY_LEADER_SHARE, QUANTITY_TURNOUT
 
 BLOCK = 4096
@@ -69,7 +69,7 @@ class HonestModel:
     share_noise_sd: float = 0.04
     machine_fraction: float = 0.0
     territories: int = 1
-    report_times: tuple[int, ...] = ()  # minutes since midnight; empty = no intraday
+    report_times: tuple[int, ...] = ()  # distinct minutes since midnight; empty = no intraday
 
     def validate(self) -> None:
         if self.precincts < 0:
@@ -99,6 +99,21 @@ class HonestModel:
             raise InvalidModel("territories must be >= 1")
         if self.share_noise_sd < 0:
             raise InvalidModel("share_noise_sd must be >= 0")
+        if len(self.report_times) == 1:
+            raise InvalidModel("report_times needs at least 2 times, or none")
+        if len(set(self.report_times)) != len(self.report_times):
+            raise InvalidModel("report_times must not repeat a time")
+        if any(not 0 <= t < 24 * 60 for t in self.report_times):
+            raise InvalidModel("report_times must be minutes in 0..1439")
+
+
+def _report_time(text) -> int:
+    if not isinstance(text, str):
+        raise InvalidModel(f"report_times: time must be an HH:MM string, got {text!r}")
+    try:
+        return parse_time(text, 0)
+    except MalformedRow as exc:
+        raise InvalidModel(f"report_times: {exc.reason}") from None
 
 
 def model_from_json(text: str) -> HonestModel:
@@ -108,7 +123,7 @@ def model_from_json(text: str) -> HonestModel:
         for c in raw.get("turnout_components", [{"mean": 0.5, "sd": 0.08, "weight": 1.0}])
     )
     registered = raw.get("registered", {})
-    times = tuple(parse_time(t, 0) for t in raw.get("report_times", []))
+    times = tuple(_report_time(t) for t in raw.get("report_times", []))
     model = HonestModel(
         precincts=int(raw["precincts"]),
         parties=tuple(raw["parties"]),
@@ -236,18 +251,23 @@ class GroundTruth:
     rounding_skipped: tuple[str, ...] = ()
 
     def to_csv(self) -> str:
-        lines = [
+        header = (
             "precinct_id,component,turnout_prob,honest_ballots_cast,honest_leader_votes,"
-            "stuffed_votes,transferred_votes,rounding_delta,jump_votes"
-        ]
-        for i, pid in enumerate(self.precinct_ids):
-            lines.append(
-                f"{pid},{int(self.component[i])},{self.turnout_prob[i]:.6f},"
-                f"{int(self.honest_ballots_cast[i])},{int(self.honest_leader_votes[i])},"
-                f"{int(self.stuffed[i])},{int(self.transferred[i])},"
-                f"{int(self.rounding_delta[i])},{int(self.jump[i])}"
-            )
-        return "\n".join(lines) + "\n"
+            "stuffed_votes,transferred_votes,rounding_delta,jump_votes\n"
+        )
+        rows = map(
+            "{},{},{:.6f},{},{},{},{},{},{}\n".format,
+            csv_cells(list(self.precinct_ids)),
+            self.component.tolist(),
+            self.turnout_prob.tolist(),
+            self.honest_ballots_cast.tolist(),
+            self.honest_leader_votes.tolist(),
+            self.stuffed.tolist(),
+            self.transferred.tolist(),
+            self.rounding_delta.tolist(),
+            self.jump.tolist(),
+        )
+        return header + "".join(rows)
 
 
 @dataclass(frozen=True)
@@ -255,7 +275,7 @@ class SyntheticElection:
     dataset: ElectionDataset  # after fraud (equals honest when scenario is empty)
     honest: ElectionDataset
     truth: GroundTruth
-    intraday: dict[str, IntradaySeries] = field(default_factory=dict)
+    intraday: IntradayTable  # honest series; empty when the model has no report times
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -335,17 +355,16 @@ def generate_honest(model: HonestModel, seed: int) -> SyntheticElection:
     )
     dataset = ElectionDataset(f"synthetic-{seed}", PartyRoster(model.parties), columns, model.leader)
 
-    intraday: dict[str, IntradaySeries] = {}
+    intraday = IntradayTable.from_series({})
     if model.report_times and n:
-        times = np.asarray(sorted(model.report_times), dtype=np.float64)
+        times = np.asarray(sorted(model.report_times), dtype=np.int64)
         f = 1.0 / (1.0 + np.exp(-(times[None, :] - mid[:, None]) / width[:, None]))
         scale = (1.0 - tail)[:, None] / f[:, -1][:, None]
         cum = np.floor(cast[:, None] * f * scale).astype(np.int64)
         cum = np.maximum.accumulate(cum, axis=1)  # guard against float non-monotonicity
-        for i, pid in enumerate(pids):
-            intraday[pid] = IntradaySeries(
-                pid, tuple((int(times[j]), int(cum[i, j])) for j in range(len(times)))
-            )
+        intraday = IntradayTable(
+            columns.precinct_ids, np.arange(0, cum.size + 1, len(times)), np.tile(times, n), cum.ravel()
+        )
 
     zeros = np.zeros(n, dtype=np.int64)
     truth = GroundTruth(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -293,3 +294,60 @@ def test_clusters_report_carries_em_iterations_and_convergence(tmp_path):
     assert len(results["em_iterations"]) == 3
     assert all(isinstance(it, int) and it >= 1 for it in results["em_iterations"])
     assert isinstance(results["converged"], bool)
+
+
+# A 600-precinct election with four intraday reports and all four fraud
+# mechanisms, written by ``ef synth --seed 11``.
+SYNTH_MODEL = {
+    "precincts": 600,
+    "parties": ["LEAD", "OPA", "OPB", "OPC"],
+    "baseline_shares": [0.52, 0.22, 0.13, 0.08],
+    "leader": "LEAD",
+    "registered": {"median": 1200, "sigma": 0.45, "min": 150, "max": 5000},
+    "turnout_components": [
+        {"mean": 0.25, "sd": 0.05, "weight": 0.25},
+        {"mean": 0.50, "sd": 0.08, "weight": 0.55},
+        {"mean": 0.68, "sd": 0.06, "weight": 0.20},
+    ],
+    "machine_fraction": 0.30,
+    "territories": 8,
+    "report_times": ["10:00", "12:00", "15:00", "18:00"],
+}
+SYNTH_SCENARIO = {
+    "stuffing": {"fraction": 0.08, "intensity": 0.10},
+    "transfer": {"fraction": 0.08, "amount": 0.50},
+    "target_rounding": {
+        "fraction": 0.05, "targets": [75, 80, 85], "quantity": "leader_share", "max_adjustment": 0.05,
+    },
+    "intraday_jump": {"fraction": 0.01, "size": 0.20},
+}
+# sha256 of each written file, recorded with the per-row csv.writer loops.
+SYNTH_DIGESTS = {
+    "precincts.csv": "b7f5310fae3ebc9439497d303e149d5e297615dda0c2f31ac565213ffe48cee3",
+    "ground_truth.csv": "24cf234f4ea6d77495e78e5eb73acd52657c98fd1130a4782861605ea8fd8c8c",
+    "intraday.csv": "917e5cc426c0ae55697d14e60cdb2c8d62b066d2646177a0233e3ec7c9690aa3",
+}
+
+
+def test_synth_files_match_recorded_digests(tmp_path):
+    model = tmp_path / "model.json"
+    scenario = tmp_path / "scenario.json"
+    model.write_text(json.dumps(SYNTH_MODEL))
+    scenario.write_text(json.dumps(SYNTH_SCENARIO))
+    out = tmp_path / "o"
+    rc = main(["synth", "--model", str(model), "--scenario", str(scenario), "--seed", "11", "--out", str(out)])
+    assert rc == 0
+    assert sorted(_report(out)["results"]["files"]) == sorted(SYNTH_DIGESTS)
+    for name, digest in SYNTH_DIGESTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("times", [["10:00", "10:00", "15:00"], ["10:00"], ["10:00", "24:00"]])
+def test_synth_with_bad_report_times_exits_one(tmp_path, capsys, times):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(dict(SYNTH_MODEL, precincts=20, report_times=times)))
+    rc = main(["synth", "--model", str(model), "--seed", "1", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR INVALID_MODEL: report_times")
+    assert not (tmp_path / "o").exists()

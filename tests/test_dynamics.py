@@ -1,10 +1,18 @@
+import csv
+import dataclasses
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from election_forensics import synth
 from election_forensics.dynamics import (
     IntradaySeries,
+    IntradayTable,
     final_increment,
     flag_hyperactive,
+    format_time,
     parse_intraday,
     serialize_intraday,
 )
@@ -155,3 +163,94 @@ def test_flag_hyperactive_validates_unvalidated_series(reports):
     ds = quick_dataset([record(pid="p1", registered=1000, cast=800, votes=(400, 400))])
     with pytest.raises((InvariantViolation, EmptySeries)):
         flag_hyperactive(ds, {"p1": _series("p1", reports=reports)})
+
+
+def test_generated_series_are_columns_with_series_views():
+    model = synth.HonestModel(
+        precincts=5, parties=("A", "B"), baseline_shares=(0.5, 0.4), leader="A", report_times=(900, 600, 1080)
+    )
+    gen = synth.generate_honest(model, seed=1)
+    table = gen.intraday
+    assert isinstance(table, IntradayTable)
+    assert list(table) == gen.dataset.counts().precinct_ids.tolist()
+    assert table.starts.tolist() == [0, 3, 6, 9, 12, 15]
+    assert table.minutes.tolist() == [600, 900, 1080] * 5
+    pid = list(table)[2]
+    assert pid in table and "nope" not in table
+    series = table[pid]
+    assert series.precinct_id == pid
+    assert series.reports == tuple(zip(table.minutes[6:9].tolist(), table.cumulative[6:9].tolist()))
+    assert IntradayTable.from_series(dict(table.items())) == table
+    assert len(synth.generate_honest(dataclasses.replace(model, report_times=()), seed=1).intraday) == 0
+
+
+def _reference_intraday_csv(series_map) -> str:
+    """The per-row csv.writer loop that wrote intraday.csv before the columnar writer."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["precinct_id", "time", "cumulative_voted"])
+    for pid in sorted(series_map):
+        for minutes, count in series_map[pid].reports:
+            writer.writerow([pid, format_time(minutes), count])
+    return out.getvalue()
+
+
+_ID_ALPHABET = 'ab1 ,"'
+
+
+@st.composite
+def intraday_tables(draw):
+    pids = draw(
+        st.lists(
+            st.text(_ID_ALPHABET, max_size=5).filter(lambda pid: pid == pid.strip()), max_size=20, unique=True
+        )
+    )
+    series = {}
+    for pid in pids:
+        times = sorted(draw(st.sets(st.integers(0, 23 * 60 + 59), min_size=2, max_size=6)))
+        counts = sorted(draw(st.lists(st.integers(0, 10**6), min_size=len(times), max_size=len(times))))
+        series[pid] = IntradaySeries(pid, tuple(zip(times, counts)))
+    return IntradayTable.from_series(series)
+
+
+@given(intraday_tables(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_intraday_reader_and_writer_property(table, data):
+    text = serialize_intraday(table)
+    assert text == _reference_intraday_csv(table)
+    assert parse_intraday(text) == table
+    position = data.draw(st.integers(0, len(text)))
+    inserted = data.draw(st.text("0123456789:,\n\" a-", max_size=2))
+    removed = data.draw(st.integers(0, 3))
+    mutated = text[:position] + inserted + text[position + removed :]
+    try:
+        parse_intraday(mutated)
+    except (MalformedRow, EmptySeries, InvariantViolation):
+        pass
+
+
+def test_first_faulty_precinct_in_file_order_is_reported():
+    text = (
+        "precinct_id,time,cumulative_voted\n"
+        "ok,10:00,5\nb,15:00,100\nok,15:00,9\na,10:00,50\nb,10:00,200\n"
+    )
+    with pytest.raises(InvariantViolation) as exc:
+        parse_intraday(text)
+    assert exc.value.message == "precinct 'b': cumulative counts must be non-decreasing"
+
+
+def test_first_faulty_precinct_in_dataset_order_is_reported():
+    ds = quick_dataset(
+        [
+            record(pid="p1", registered=1000, cast=800, votes=(400, 400)),
+            record(pid="p2", registered=1000, cast=800, votes=(400, 400)),
+        ]
+    )
+    series = {
+        "x": _series("x", reports=((600, 5),)),  # not in the dataset: never checked
+        "p2": _series("p2", reports=((900, 1), (600, 2))),
+        "p1": _series("p1", reports=((600, 100), (900, 850))),
+    }
+    with pytest.raises(InvariantViolation) as exc:
+        flag_hyperactive(ds, series)
+    assert exc.value.message == "precinct 'p1': last intraday count 850 exceeds official ballots_cast 800"

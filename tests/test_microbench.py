@@ -13,6 +13,7 @@ pytest.importorskip("pytest_benchmark")
 
 from election_forensics import synth  # noqa: E402
 from election_forensics.anomaly import split_two_clusters  # noqa: E402
+from election_forensics.dynamics import serialize_intraday  # noqa: E402
 from election_forensics.peaks import simulate_null  # noqa: E402
 from election_forensics.scatter import ScatterPoint  # noqa: E402
 
@@ -36,3 +37,17 @@ def test_simulate_null_3k_precincts(benchmark):
     null = benchmark.pedantic(simulate_null, args=(ds, "leader_share", 200, 1), rounds=3)
     assert null.weights.shape == (200, 11)
     assert null.weights.sum() > 0
+
+
+def test_serialize_intraday_20k_precincts(benchmark):
+    model = synth.HonestModel(
+        precincts=20_000,
+        parties=("A", "B"),
+        baseline_shares=(0.55, 0.4),
+        leader="A",
+        report_times=(600, 720, 900, 1080),
+    )
+    table = synth.generate_honest(model, 0).intraday
+    text = benchmark.pedantic(serialize_intraday, args=(table,), rounds=3)
+    assert text.count("\n") == 1 + 4 * 20_000
+    assert text.startswith("precinct_id,time,cumulative_voted\np00000,10:00,")

@@ -1,3 +1,7 @@
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from election_forensics import synth
 from election_forensics.dataset import check_invariants, serialize_dataset
 from election_forensics.errors import InvalidModel
 from election_forensics.peaks import detect_round_peaks
+from conftest import quick_dataset, record
 
 
 def small_model(**overrides):
@@ -71,6 +76,18 @@ def test_invalid_models_rejected():
             leader="A",
             turnout_components=(synth.TurnoutComponent(0.5, 0.05, 0.7),),
         ).validate()
+    for times in ((600, 600, 900), (600,), (600, 1440), (-1, 600)):
+        with pytest.raises(InvalidModel):
+            small_model(report_times=times).validate()
+    small_model(report_times=()).validate()
+    small_model(report_times=(0, 1439)).validate()
+
+
+@pytest.mark.parametrize("time", ["25:00", "10-00", "10:0x", "", 600])
+def test_model_json_with_a_bad_report_time_is_an_invalid_model(time):
+    text = '{"precincts": 5, "parties": ["X"], "baseline_shares": [0.5], "leader": "X", "report_times": ["10:00", %s]}'
+    with pytest.raises(InvalidModel):
+        synth.model_from_json(text % json.dumps(time))
 
 
 def test_model_and_scenario_json_round_trip():
@@ -221,6 +238,16 @@ def test_ground_truth_csv_shape():
     lines = text.strip().splitlines()
     assert lines[0].startswith("precinct_id,component,turnout_prob")
     assert len(lines) == 21
+
+
+def test_ground_truth_csv_quotes_ids_as_csv_writer_does():
+    ids = ["a,b", 'say "hi"', "plain", 'x,"y"']
+    ds = quick_dataset([record(pid=pid) for pid in ids])
+    _, truth = synth.apply_fraud(ds, synth.FraudScenario())
+    rows = list(csv.reader(io.StringIO(truth.to_csv())))
+    assert len(rows) == len(ids) + 1
+    assert all(len(row) == 9 for row in rows)
+    assert [row[0] for row in rows[1:]] == ids
 
 
 def test_honest_generator_rarely_triggers_peak_detector():
