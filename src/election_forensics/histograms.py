@@ -25,11 +25,19 @@ QUANTITY_LEADER_SHARE = "leader_share"
 SHARE_PREFIX = "share:"
 
 
-def percent_bins(numer: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """Integer percent bin of numer/denom, rounded half-up, exact."""
+def percent_bins(numer: np.ndarray, denom: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Integer percent bin of numer/denom, rounded half-up, exact.
+
+    ``out``, an int64 array of numer's shape, receives the bins; it may be
+    ``numer`` itself, which then bins in place.  ``denom`` broadcasts
+    against ``numer``.
+    """
     numer = np.asarray(numer, dtype=np.int64)
     denom = np.asarray(denom, dtype=np.int64)
-    return (200 * numer + denom) // (2 * denom)
+    bins = np.multiply(numer, 200, out=out)
+    bins += denom
+    bins //= 2 * denom
+    return bins
 
 
 def resolve_quantity(dataset: ElectionDataset, quantity: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -74,8 +82,19 @@ def weights_for(dataset: ElectionDataset, weight_mode: str) -> np.ndarray:
     raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}, got {weight_mode!r}")
 
 
-def bincount_percent(bins: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return np.bincount(bins, weights=weights, minlength=N_PERCENT_BINS).astype(np.int64)
+def bincount_percent(
+    bins: np.ndarray, weights: np.ndarray | None = None, length: int = N_PERCENT_BINS
+) -> np.ndarray:
+    """Total weight in each of the bins 0..length-1, summed exactly in int64.
+
+    ``bins`` is 1-D; ``weights``, when given, is an int64 array of the same
+    length, and without it every entry counts one.
+    """
+    if weights is None:
+        return np.bincount(bins, minlength=length)
+    counts = np.zeros(length, dtype=np.int64)
+    np.add.at(counts, bins, weights)
+    return counts
 
 
 def integer_percent_histogram(
@@ -136,7 +155,8 @@ def turnout_bin_table(dataset: ElectionDataset, bin_width: float = 0.01) -> Turn
     votes = np.zeros((n_bins, n_parties), dtype=np.int64)
     np.add.at(votes, idx, arrays.votes)
     precincts = np.bincount(idx, minlength=n_bins).astype(np.int64)
-    ballots = np.bincount(idx, weights=arrays.ballots_cast, minlength=n_bins).astype(np.int64)
+    ballots = np.zeros(n_bins, dtype=np.int64)
+    np.add.at(ballots, idx, arrays.ballots_cast)
     return TurnoutBinTable(
         bin_width=bin_width,
         parties=dataset.roster.ids,

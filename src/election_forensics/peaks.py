@@ -30,11 +30,18 @@ target clustering still stands out.
 
 The test is one-sided (excess only), with add-one smoothing on the
 Monte-Carlo p-value: p = (1 + #{null >= observed}) / (replicates + 1).
-Replicates draw from independent generators seeded by (seed, replicate
-index), so a replicate's draws do not depend on how many came before it.
-That also lets the replicates run on every core the process may use: the
-binomial draws release the GIL, and each replicate writes only its own
-row, so the null is bit-identical on any number of cores.
+Replicates are drawn in blocks of ``BLOCK`` = 10: block k holds replicates
+10k .. 10k + 9 and draws them from one generator seeded by (seed, k).
+The block is drawn precinct by precinct, each precinct's ten draws in a
+row, so the binomial sampler sets up once per precinct instead of once
+per draw.  The last block is always drawn in full and trimmed, so a
+replicate's draws depend only on the seed and its own index: the null for
+R replicates is the first R rows of the null for any larger R.  The
+blocks run on every core the process may use: the binomial draws release
+the GIL, and each block writes only its own rows, so the null is
+bit-identical on any number of cores.  This stream layout replaced one
+generator per replicate, so nulls, p-values and null moments differ from
+earlier versions by Monte-Carlo noise; observed counts do not.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ import numpy as np
 from .dataset import ElectionDataset
 from .errors import EmptySelection
 from .histograms import (
+    N_PERCENT_BINS,
     QUANTITY_TURNOUT,
     bincount_percent,
     percent_bins,
@@ -56,6 +64,7 @@ from .histograms import (
 
 DEFAULT_TARGETS = tuple(range(50, 101, 5))
 MIN_REPLICATES = 100
+BLOCK = 10  # replicates drawn from one random stream
 
 DIAGNOSTIC_NOTE = (
     "Round-percent excess is a statistical diagnostic, not proof: it measures "
@@ -124,8 +133,8 @@ class PeakReport:
         }
 
 
-def _replicate_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, block])))
 
 
 def _cores() -> int:
@@ -175,10 +184,14 @@ def simulate_null(
 ) -> NullDistribution:
     """Per-target bin weights under the size-and-proportion-preserving null.
 
-    The replicates are strided over one thread per available core (at
-    most one per replicate): worker k runs replicates k, k + workers, ...,
-    and the calling thread is worker 0.  A worker's error is raised here
-    once every worker has stopped.
+    Block k draws an (m, BLOCK) matrix of binomial counts for the m
+    included precincts from the stream (seed, k); column j is replicate
+    k * BLOCK + j.  The block is binned in place and counted in one call,
+    with column j's bins shifted by 101 * j.  Weighted modes sum exactly in
+    int64.  The blocks are strided over one thread per available core (at
+    most one per block): worker w runs blocks w, w + workers, ..., and the
+    calling thread is worker 0.  A worker's error is raised here once every
+    worker has stopped.
 
     Raises EmptySelection when the quantity includes no precinct.
     """
@@ -189,18 +202,31 @@ def simulate_null(
     p_hat = shrunken_proportions(numer, denom)
     target_arr = np.asarray(targets, dtype=np.int64)
 
-    weights = np.empty((replicates, len(targets)), dtype=np.int64)
-    workers = min(_cores(), replicates)
+    # Precinct-major: row i repeats precinct i's (n, p) across the block.
+    shape = (denom.size, BLOCK)
+    n_col, p_col = denom[:, None], p_hat[:, None]
+    shift = N_PERCENT_BINS * np.arange(BLOCK)
+    # Turnout weighted by ballots weighs each replicate by its own simulated ballots.
+    own_ballots = quantity == QUANTITY_TURNOUT and weight_mode == "ballots"
+    fixed_weights = None if weight_mode == "precincts" or own_ballots else np.repeat(base_weights, BLOCK)
+
+    blocks = -(-replicates // BLOCK)
+    weights = np.empty((blocks * BLOCK, len(targets)), dtype=np.int64)
+    workers = min(_cores(), blocks)
+
+    def draw(k: int) -> None:
+        sim = _block_rng(seed, k).binomial(n_col, p_col, size=shape)
+        if own_ballots:
+            bins, block_weights = percent_bins(sim, n_col), sim.ravel()
+        else:
+            bins, block_weights = percent_bins(sim, n_col, out=sim), fixed_weights
+        bins += shift
+        counts = bincount_percent(bins.ravel(), block_weights, N_PERCENT_BINS * BLOCK)
+        weights[k * BLOCK : (k + 1) * BLOCK] = counts.reshape(BLOCK, N_PERCENT_BINS)[:, target_arr]
 
     def run(first: int) -> None:
-        for rep in range(first, replicates, workers):
-            sim = _replicate_rng(seed, rep).binomial(denom, p_hat)
-            bins = percent_bins(sim, denom)
-            if quantity == QUANTITY_TURNOUT and weight_mode == "ballots":
-                counts = bincount_percent(bins, sim)  # the simulated dataset's own ballot counts
-            else:
-                counts = bincount_percent(bins, base_weights)
-            weights[rep] = counts[target_arr]
+        for k in range(first, blocks, workers):
+            draw(k)
 
     # Imported here, not at the top: it loads logging, which no command that
     # skips the null needs.  An executor starts no thread until a task is
@@ -208,11 +234,11 @@ def simulate_null(
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-        others = [pool.submit(run, k) for k in range(1, workers)]
+        others = [pool.submit(run, w) for w in range(1, workers)]
         run(0)
         for future in others:
             future.result()
-    return NullDistribution(quantity, weight_mode, tuple(targets), weights, seed)
+    return NullDistribution(quantity, weight_mode, tuple(targets), weights[:replicates], seed)
 
 
 def mc_p_value(null_weights: np.ndarray, observed: int) -> float:

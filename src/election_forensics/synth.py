@@ -107,6 +107,73 @@ class HonestModel:
             raise InvalidModel("report_times must be minutes in 0..1439")
 
 
+_REQUIRED = object()
+
+
+def _document(text: str, what: str) -> dict:
+    raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise InvalidModel(f"{what} JSON must be an object, got {type(raw).__name__}")
+    return raw
+
+
+def _field(raw: dict, key: str, convert, where: str = "", default=_REQUIRED):
+    """``convert(raw[key])``, or ``default`` when the key is absent or null.
+
+    A missing required key, or a value that ``convert`` rejects with
+    TypeError or ValueError, raises InvalidModel naming ``where + key``.
+    """
+    value = raw.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise InvalidModel(f"{where}{key} is required")
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidModel(f"{where}{key}: invalid value {value!r}") from None
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("not a JSON object")
+    return value
+
+
+def _list_of(convert):
+    def read(value) -> tuple:
+        if not isinstance(value, list):
+            raise TypeError("not a JSON list")
+        return tuple(convert(v) for v in value)
+
+    return read
+
+
+def _number(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError("not a finite number")
+    return number
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("not a JSON boolean")
+    return value
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("not a JSON string")
+    return value
+
+
+def _seed(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise TypeError("not a non-negative JSON integer")
+    return value
+
+
 def _report_time(text) -> int:
     if not isinstance(text, str):
         raise InvalidModel(f"report_times: time must be an HH:MM string, got {text!r}")
@@ -116,28 +183,31 @@ def _report_time(text) -> int:
         raise InvalidModel(f"report_times: {exc.reason}") from None
 
 
+def _component(raw: dict, index: int) -> TurnoutComponent:
+    where = f"turnout_components[{index}]."
+    return TurnoutComponent(*(_field(raw, key, _number, where) for key in ("mean", "sd", "weight")))
+
+
 def model_from_json(text: str) -> HonestModel:
-    raw = json.loads(text)
-    components = tuple(
-        TurnoutComponent(float(c["mean"]), float(c["sd"]), float(c["weight"]))
-        for c in raw.get("turnout_components", [{"mean": 0.5, "sd": 0.08, "weight": 1.0}])
-    )
-    registered = raw.get("registered", {})
-    times = tuple(_report_time(t) for t in raw.get("report_times", []))
+    """Parse and validate a model JSON document; any fault raises InvalidModel."""
+    raw = _document(text, "model")
+    default_components = ({"mean": 0.5, "sd": 0.08, "weight": 1.0},)
+    components = _field(raw, "turnout_components", _list_of(_object), default=default_components)
+    registered = _field(raw, "registered", _object, default={})
     model = HonestModel(
-        precincts=int(raw["precincts"]),
-        parties=tuple(raw["parties"]),
-        baseline_shares=tuple(float(s) for s in raw["baseline_shares"]),
-        leader=str(raw["leader"]),
-        registered_median=float(registered.get("median", 1500)),
-        registered_sigma=float(registered.get("sigma", 0.4)),
-        registered_min=int(registered.get("min", 100)),
-        registered_max=int(registered.get("max", 6000)),
-        turnout_components=components,
-        share_noise_sd=float(raw.get("share_noise_sd", 0.04)),
-        machine_fraction=float(raw.get("machine_fraction", 0.0)),
-        territories=int(raw.get("territories", 1)),
-        report_times=times,
+        precincts=_field(raw, "precincts", int),
+        parties=_field(raw, "parties", _list_of(_string)),
+        baseline_shares=_field(raw, "baseline_shares", _list_of(_number)),
+        leader=_field(raw, "leader", _string),
+        registered_median=_field(registered, "median", _number, "registered.", 1500.0),
+        registered_sigma=_field(registered, "sigma", _number, "registered.", 0.4),
+        registered_min=_field(registered, "min", int, "registered.", 100),
+        registered_max=_field(registered, "max", int, "registered.", 6000),
+        turnout_components=tuple(_component(c, i) for i, c in enumerate(components)),
+        share_noise_sd=_field(raw, "share_noise_sd", _number, default=0.04),
+        machine_fraction=_field(raw, "machine_fraction", _number, default=0.0),
+        territories=_field(raw, "territories", int, default=1),
+        report_times=_field(raw, "report_times", _list_of(_report_time), default=()),
     )
     model.validate()
     return model
@@ -203,33 +273,34 @@ class FraudScenario:
 
 
 def scenario_from_json(text: str) -> FraudScenario:
-    raw = json.loads(text)
-    stuffing = raw.get("stuffing", {})
-    transfer = raw.get("transfer", {})
-    rounding = raw.get("target_rounding", {})
-    jump = raw.get("intraday_jump", {})
+    """Parse and validate a scenario JSON document; any fault raises InvalidModel."""
+    raw = _document(text, "scenario")
+    stuffing = _field(raw, "stuffing", _object, default={})
+    transfer = _field(raw, "transfer", _object, default={})
+    rounding = _field(raw, "target_rounding", _object, default={})
+    jump = _field(raw, "intraday_jump", _object, default={})
     scenario = FraudScenario(
         stuffing=StuffingSpec(
-            fraction=float(stuffing.get("fraction", 0.0)),
-            intensity=float(stuffing.get("intensity", 0.0)),
-            jitter=float(stuffing.get("jitter", 1 / 3)),
+            fraction=_field(stuffing, "fraction", _number, "stuffing.", 0.0),
+            intensity=_field(stuffing, "intensity", _number, "stuffing.", 0.0),
+            jitter=_field(stuffing, "jitter", _number, "stuffing.", 1 / 3),
         ),
         transfer=TransferSpec(
-            fraction=float(transfer.get("fraction", 0.0)),
-            amount=float(transfer.get("amount", 0.0)),
+            fraction=_field(transfer, "fraction", _number, "transfer.", 0.0),
+            amount=_field(transfer, "amount", _number, "transfer.", 0.0),
         ),
         target_rounding=RoundingSpec(
-            fraction=float(rounding.get("fraction", 0.0)),
-            targets=tuple(int(t) for t in rounding.get("targets", (70, 75, 80, 85))),
-            quantity=str(rounding.get("quantity", QUANTITY_LEADER_SHARE)),
-            max_adjustment=float(rounding.get("max_adjustment", 0.05)),
+            fraction=_field(rounding, "fraction", _number, "target_rounding.", 0.0),
+            targets=_field(rounding, "targets", _list_of(int), "target_rounding.", (70, 75, 80, 85)),
+            quantity=_field(rounding, "quantity", _string, "target_rounding.", QUANTITY_LEADER_SHARE),
+            max_adjustment=_field(rounding, "max_adjustment", _number, "target_rounding.", 0.05),
         ),
         intraday_jump=JumpSpec(
-            fraction=float(jump.get("fraction", 0.0)),
-            size=float(jump.get("size", 0.0)),
+            fraction=_field(jump, "fraction", _number, "intraday_jump.", 0.0),
+            size=_field(jump, "size", _number, "intraday_jump.", 0.0),
         ),
-        exempt_machine_counted=bool(raw.get("exempt_machine_counted", False)),
-        seed=raw.get("seed"),
+        exempt_machine_counted=_field(raw, "exempt_machine_counted", _flag, default=False),
+        seed=_field(raw, "seed", _seed, default=None),
     )
     scenario.validate()
     return scenario

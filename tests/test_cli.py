@@ -351,3 +351,39 @@ def test_synth_with_bad_report_times_exits_one(tmp_path, capsys, times):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ERROR INVALID_MODEL: report_times")
     assert not (tmp_path / "o").exists()
+
+
+_NO_SD = [{"mean": 0.5, "weight": 1.0}]
+
+
+@pytest.mark.parametrize(
+    "model,scenario",
+    [
+        (dict(SYNTH_MODEL, parties=5), None),
+        (dict(SYNTH_MODEL, registered=[]), None),
+        (dict(SYNTH_MODEL, turnout_components=_NO_SD), None),
+        ([SYNTH_MODEL], None),
+        (SYNTH_MODEL, dict(SYNTH_SCENARIO, stuffing=5)),
+        (SYNTH_MODEL, [SYNTH_SCENARIO]),
+        (SYNTH_MODEL, dict(SYNTH_SCENARIO, seed=1.5)),
+        (SYNTH_MODEL, dict(SYNTH_SCENARIO, seed="7")),
+        (dict(SYNTH_MODEL, share_noise_sd=math.nan), None),
+        (SYNTH_MODEL, dict(SYNTH_SCENARIO, exempt_machine_counted="false")),
+    ],
+    ids=["parties-int", "registered-list", "component-no-sd", "model-list",
+         "stuffing-int", "scenario-list", "seed-float", "seed-string", "noise-nan", "exempt-string"],
+)
+def test_synth_with_mistyped_json_exits_one(tmp_path, capsys, model, scenario):
+    paths = {"--model": model, "--scenario": scenario}
+    argv = ["synth", "--seed", "1", "--out", str(tmp_path / "o")]
+    for flag, doc in paths.items():
+        if doc is not None:
+            path = tmp_path / f"{flag[2:]}.json"
+            path.write_text(json.dumps(doc))
+            argv += [flag, str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR INVALID_MODEL: "), lines
+    assert not (tmp_path / "o").exists()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from election_forensics import synth
+from election_forensics.peaks import simulate_null
 from election_forensics.errors import BadBinWidth
 from election_forensics.histograms import (
     integer_percent_histogram,
@@ -62,6 +63,19 @@ def test_weight_modes_conserve_mass():
         r.registered for r in ds.records
     )
     assert sum(integer_percent_histogram(ds, "turnout", "ballots").bins) == 7 * 600
+
+
+def test_weighted_counts_are_exact_near_max_count():
+    # 10,000 x (10**12 - 1) is past 2**53, where a float64 running sum drops units
+    big = 10**12 - 1
+    ds = quick_dataset([record(pid=f"p{i}", registered=big, cast=big, votes=(big, 0)) for i in range(10_000)])
+    total = 10_000 * big
+    assert integer_percent_histogram(ds, "turnout", "ballots").total() == total
+    assert integer_percent_histogram(ds, "turnout", "registered").total() == total
+    assert turnout_bin_table(ds, 0.01).ballots_total() == total
+    for weight_mode in ("registered", "ballots"):
+        null = simulate_null(ds, "turnout", replicates=100, seed=0, targets=(100,), weight_mode=weight_mode)
+        assert (null.weights == total).all()
 
 
 def test_single_precinct_turnout_bin_placement():

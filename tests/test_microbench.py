@@ -39,6 +39,16 @@ def test_simulate_null_3k_precincts(benchmark):
     assert null.weights.sum() > 0
 
 
+def test_simulate_null_16k_precincts(benchmark):
+    model = synth.HonestModel(
+        precincts=16_000, parties=("A", "B", "C"), baseline_shares=(0.55, 0.3, 0.1), leader="A"
+    )
+    ds = synth.generate_honest(model, 0).dataset
+    null = benchmark.pedantic(simulate_null, args=(ds, "leader_share", 200, 1), rounds=3)
+    assert null.weights.shape == (200, 11)
+    assert null.weights.sum() > 0
+
+
 def test_serialize_intraday_20k_precincts(benchmark):
     model = synth.HonestModel(
         precincts=20_000,

@@ -13,6 +13,7 @@ from election_forensics.peaks import (
     simulate_null,
 )
 from election_forensics.errors import EmptySelection
+from election_forensics.histograms import percent_bins, weights_for
 from conftest import quick_dataset, record
 
 
@@ -132,8 +133,9 @@ def _null_dataset():
 
 @pytest.mark.parametrize("workers", [2, 3, 7])
 def test_null_weights_do_not_depend_on_worker_count(monkeypatch, workers):
-    # 101 replicates stride unevenly over every worker count; a short switch
-    # interval interleaves the workers as often as the interpreter allows
+    # 101 replicates make 11 blocks, which stride unevenly over every worker
+    # count; a short switch interval interleaves the workers as often as the
+    # interpreter allows
     ds = _null_dataset()
     monkeypatch.setattr(peaks, "_cores", lambda: 1)
     serial = simulate_null(ds, "leader_share", replicates=101, seed=8, targets=tuple(range(101)))
@@ -147,14 +149,51 @@ def test_null_weights_do_not_depend_on_worker_count(monkeypatch, workers):
     assert np.array_equal(threaded.weights, serial.weights)
 
 
-# sha256 of the null weights' bytes, recorded with the single-threaded replicate loop.
+def test_null_is_a_prefix_of_any_longer_null():
+    # the last block is drawn in full and trimmed, so replicate r depends on (seed, r) alone
+    ds = _null_dataset()
+    short = simulate_null(ds, "turnout", replicates=101, seed=8, targets=tuple(range(101)))
+    long = simulate_null(ds, "turnout", replicates=250, seed=8, targets=tuple(range(101)))
+    assert short.replicates == 101 and long.replicates == 250
+    assert np.array_equal(short.weights, long.weights[:101])
+
+
+def _per_replicate_null(ds, quantity, replicates, seed, weight_mode):
+    """The null as one generator and one binomial draw per replicate, over all 101 bins."""
+    numer, denom, mask = peaks._selected(ds, quantity)
+    base_weights = weights_for(ds, weight_mode)[mask].astype(float)
+    p_hat = peaks.shrunken_proportions(numer, denom)
+    own = quantity == "turnout" and weight_mode == "ballots"
+    weights = np.empty((replicates, 101))
+    for rep in range(replicates):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, rep])))
+        sim = rng.binomial(denom, p_hat)
+        weights[rep] = np.bincount(percent_bins(sim, denom), weights=sim if own else base_weights, minlength=101)
+    return weights
+
+
+@pytest.mark.parametrize("quantity", ["turnout", "leader_share"])
+@pytest.mark.parametrize("weight_mode", ["precincts", "registered", "ballots"])
+def test_block_null_matches_per_replicate_null_in_distribution(quantity, weight_mode):
+    # independent seeds on the two sides; every bin's mean agrees within 5 standard errors
+    ds = _null_dataset()
+    replicates = 2000
+    new = simulate_null(ds, quantity, replicates, seed=21, targets=tuple(range(101)), weight_mode=weight_mode)
+    old = _per_replicate_null(ds, quantity, replicates, seed=1021, weight_mode=weight_mode)
+    new_w = new.weights.astype(float)
+    se = np.sqrt((new_w.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)) / replicates)
+    gap = np.abs(new_w.mean(axis=0) - old.mean(axis=0))
+    assert np.all(gap <= 5 * se), np.flatnonzero(gap > 5 * se)
+
+
+# sha256 of the null weights' bytes, recorded with one worker from the (seed, block) streams.
 NULL_DIGESTS = {
-    ("turnout", "precincts"): "139ded553014c961939e28b945754f57da00ff8a9ec6144bbc4d633f4432f921",
-    ("turnout", "registered"): "300ac0eda743f480161d435df717622dc1de934609a25fa2ca2fc22169dc69bf",
-    ("turnout", "ballots"): "9a2f719734d43dde9a3c37341347d71cea6f93821a862755c9f310e879e353fa",
-    ("leader_share", "precincts"): "1eedea22eec58c286e0e6f8e964b6aebaa9221dbe1c3ea753ed607a670298690",
-    ("leader_share", "registered"): "2e0ea8b09fb7992a16326d26dabc9e5b37aacff0c90988e0e715aa85d5e25fb8",
-    ("leader_share", "ballots"): "42cf85fbeacdf6778f38db57d770962f44165229e523b62cc7efd5ee09a0c235",
+    ("turnout", "precincts"): "638d6f66b65134d81d28126f1f3e7f56e81bdd51358daaa27f46e6f08c19da16",
+    ("turnout", "registered"): "af4d3af59e3a4b1954c6d5a9246d71b56b6ed0e867c71976c7176a41d14473d8",
+    ("turnout", "ballots"): "b3ab56a2fc0624050a0a8cc781bcd981f879536ac1cdc18cdca3cd852109825c",
+    ("leader_share", "precincts"): "1b15323d34cff4dd224a9528dd1e443b3db621281a4bc768c5f5fa0f379c651b",
+    ("leader_share", "registered"): "d25c715744120540c060e5e1908c7fa23411e98617aafdd9ee24d0bdeb634438",
+    ("leader_share", "ballots"): "1af972d7c6a46884c0f0e9c21c46b1dd4d63b5416ed08c98253d99f891680859",
 }
 
 
@@ -169,16 +208,16 @@ def test_null_weights_match_recorded_digest(quantity, weight_mode):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_null_worker_error_reaches_caller(monkeypatch, workers):
-    real_rng = peaks._replicate_rng
+    real_rng = peaks._block_rng
 
-    def failing_rng(seed, index):
-        if index == 5:
-            raise RuntimeError("replicate 5 failed")
-        return real_rng(seed, index)
+    def failing_rng(seed, block):
+        if block == 5:
+            raise RuntimeError("block 5 failed")
+        return real_rng(seed, block)
 
-    monkeypatch.setattr(peaks, "_replicate_rng", failing_rng)
+    monkeypatch.setattr(peaks, "_block_rng", failing_rng)
     monkeypatch.setattr(peaks, "_cores", lambda: workers)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="replicate 5 failed"):
+    with pytest.raises(RuntimeError, match="block 5 failed"):
         simulate_null(_null_dataset(), "leader_share", replicates=101, seed=1)
     assert threading.active_count() == before
