@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateX, EmptyReferenceWindow
 from .histograms import TurnoutBinTable
-from .scatter import ScatterPoint, TrendFit, fit_trend, slope_standard_error
+from .scatter import PointCloud, ScatterPoint, TrendFit, fit_trend, slope_standard_error
 
 DEFAULT_REFERENCE_WINDOW = (0.15, 0.35)
 MIN_WINDOW_OTHER_SHARE = 0.05
@@ -128,19 +128,21 @@ class SuperlinearityResult:
         }
 
 
-def superlinearity_check(points: Sequence[ScatterPoint]) -> SuperlinearityResult:
+def superlinearity_check(points: PointCloud | Sequence[ScatterPoint]) -> SuperlinearityResult:
     """Compare trend slopes on the lower and upper turnout halves.
 
     Declares "superlinear" when the upper-half slope exceeds the lower-half
     slope by more than two combined standard errors; growth explainable by a
-    single straight line stays "linear".
+    single straight line stays "linear".  The halves split the points
+    ordered by (x, precinct_id).
     """
     if len(points) < 50:
         raise ValueError(f"need at least 50 points, got {len(points)}")
-    ordered = sorted(points, key=lambda p: (p.x, p.precinct_id))
-    half = len(ordered) // 2
-    lower, upper = ordered[:half], ordered[half:]
-    split_x = ordered[half].x
+    cloud = PointCloud.of(points)
+    order = np.lexsort((cloud.precinct_ids, cloud.x))
+    half = len(order) // 2
+    lower, upper = cloud.take(order[:half]), cloud.take(order[half:])
+    split_x = float(upper.x[0])
     lower_fit = fit_trend(lower)
     upper_fit = fit_trend(upper)
     lower_se = slope_standard_error(lower, lower_fit)
@@ -262,7 +264,7 @@ def _em_two_spherical(xy: np.ndarray, rng: np.random.Generator, tol: float) -> _
 
 
 def split_two_clusters(
-    points: Sequence[ScatterPoint],
+    points: PointCloud | Sequence[ScatterPoint],
     seed: int = 0,
     restarts: int = 20,
     tol: float = 1e-8,
@@ -279,7 +281,7 @@ def split_two_clusters(
     """
     if len(points) < 20:
         raise ValueError(f"need at least 20 points, got {len(points)}")
-    raw = np.array([(p.x, p.y) for p in points], dtype=np.float64)
+    raw = PointCloud.of(points).xy()
     n = raw.shape[0]
     # canonical point order makes the result exactly permutation-invariant
     order = np.lexsort((raw[:, 1], raw[:, 0]))
@@ -302,7 +304,7 @@ def split_two_clusters(
     labels = resp.argmax(axis=1)
     assignments_arr = np.empty(n, dtype=np.int64)
     assignments_arr[order] = labels
-    assignments = tuple(int(a) for a in assignments_arr)
+    assignments = tuple(assignments_arr.tolist())
     weights = resp.sum(axis=0) / n
     decision = "two" if (bic_one - bic_two) >= bic_margin else "one"
     return ClusterSplit(

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, anomaly, compare, dynamics, peaks, probkit, scatter, synth
 from . import histograms as hist_mod
-from .dataset import parse_dataset, partition, serialize_dataset
+from .dataset import format_rows, parse_dataset, partition, serialize_dataset
 from .errors import BadCounts, ForensicsError
 from .report import build_report, atomic_write_text, input_digest, write_report
 from .svgplot import svg_histogram, svg_scatter
@@ -98,10 +98,10 @@ def cmd_scatter(args) -> dict:
             }
         except ForensicsError as exc:
             fits[party] = {"error": exc.message}
-        lines = ["precinct_id,x,y,weight"]
-        lines += [f"{p.precinct_id},{p.x:.9f},{p.y:.9f},{p.weight}" for p in points]
-        atomic_write_text(out / f"scatter_{party}.csv", "\n".join(lines) + "\n")
-        svg_series.append((party, [(p.x, p.y) for p in points], trend))
+        columns = [c.tolist() for c in (points.precinct_ids, points.x, points.y, points.weight)]
+        rows = format_rows("%s,%.9f,%.9f,%d\n", columns)
+        atomic_write_text(out / f"scatter_{party}.csv", "precinct_id,x,y,weight\n" + rows)
+        svg_series.append((party, points.xy(), trend))
     if not args.no_plots:
         atomic_write_text(
             out / "scatter.svg",
@@ -209,15 +209,14 @@ def cmd_clusters(args) -> dict:
     points = scatter.build_points(dataset, dataset.designated_leader, y_mode="share_of_cast")
     split = anomaly.split_two_clusters(points, seed=args.seed, restarts=args.restarts)
     if not args.no_plots:
-        groups = {0: [], 1: []}
-        for point, assignment in zip(points, split.assignments):
-            groups[assignment].append((point.x, point.y))
+        xy = points.xy()
+        second = np.array(split.assignments) == 1
         atomic_write_text(
             Path(args.out) / "clusters.svg",
             svg_scatter(
                 [
-                    ("cluster 0", groups[0], None),
-                    ("cluster 1", groups[1], None),
+                    ("cluster 0", xy[~second], None),
+                    ("cluster 1", xy[second], None),
                 ],
                 title="turnout vs leader share of cast",
                 y_label="leader share of cast",
@@ -305,12 +304,12 @@ def cmd_hyperactive(args) -> dict:
     series_map = dynamics.parse_intraday(_read(args.series))
     report = dynamics.flag_hyperactive(dataset, series_map, threshold=args.threshold)
     if not args.no_plots and report.rows:
-        hot = [(r.turnout, r.leader_share_of_cast) for r in report.rows if r.flagged]
-        cold = [(r.turnout, r.leader_share_of_cast) for r in report.rows if not r.flagged]
+        xy = np.array([(r.turnout, r.leader_share_of_cast) for r in report.rows])
+        hot = np.array([r.flagged for r in report.rows])
         atomic_write_text(
             Path(args.out) / "hyperactive.svg",
             svg_scatter(
-                [("steady", cold, None), ("hyperactive", hot, None)],
+                [("steady", xy[~hot], None), ("hyperactive", xy[hot], None)],
                 title=f"final-increment flags (threshold {args.threshold})",
                 y_label="leader share of cast",
             ),

@@ -154,11 +154,13 @@ class ElectionDataset:
                 raise InvariantViolation("<columns>", f"column {f.name} does not have {n} rows")
         if c.votes.shape != (n, len(self.roster)):
             raise InvariantViolation("<columns>", "votes vector does not match roster")
-        seen: set[str] = set()
-        for pid in c.precinct_ids.tolist():
-            if pid in seen:
-                raise InvariantViolation(pid, "duplicate precinct_id")
-            seen.add(pid)
+        ids = c.precinct_ids.tolist()
+        if len(set(ids)) != n:
+            seen: set[str] = set()
+            for pid in ids:
+                if pid in seen:
+                    raise InvariantViolation(pid, "duplicate precinct_id")
+                seen.add(pid)
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -215,17 +217,23 @@ def check_invariants(columns: DatasetArrays) -> None:
     )
 
 
+def open_csv(csv_text: str) -> tuple[list[str], Iterator[list[str]]]:
+    """The stripped header and a ``csv.reader`` positioned after it."""
+    reader = csv.reader(io.StringIO(csv_text))
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise MalformedRow(1, "missing header row") from None
+    return header, reader
+
+
 def read_csv(csv_text: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
     """The stripped header and (line number, row) for each non-empty row after it.
 
     A row's line number is the physical line it starts on, so a quoted
     cell that spans lines does not shift the numbers of later rows.
     """
-    reader = csv.reader(io.StringIO(csv_text))
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise MalformedRow(1, "missing header row") from None
+    header, reader = open_csv(csv_text)
 
     def rows() -> Iterator[tuple[int, list[str]]]:
         start = reader.line_num + 1
@@ -255,6 +263,19 @@ def csv_cells(cells: list[str]) -> list[str]:
     return written
 
 
+def format_rows(row: str, columns: Sequence[list]) -> str:
+    """``row % cells`` for each row of the equal-length ``columns``, joined.
+
+    The rows are written by one ``%`` call over the cells interleaved row
+    by row, not by one call per row.
+    """
+    n = len(columns[0]) if columns else 0
+    cells: list = [None] * (n * len(columns))
+    for j, column in enumerate(columns):
+        cells[j :: len(columns)] = column
+    return (row * n) % tuple(cells)
+
+
 def parse_count(cell: str, line: int, column: str) -> int:
     """A count cell: ASCII digits ``[0-9]+``, surrounding whitespace ignored, at most MAX_COUNT."""
     text = cell.strip()
@@ -264,6 +285,48 @@ def parse_count(cell: str, line: int, column: str) -> int:
     if value > MAX_COUNT:
         raise MalformedRow(line, f"column {column!r}: {cell!r} exceeds {MAX_COUNT}")
     return value
+
+
+# Every count up to MAX_COUNT fits in this many digits, and any such string fits int64.
+_COUNT_DIGITS = len(str(MAX_COUNT))
+_PLACE_VALUES = 10 ** np.arange(_COUNT_DIGITS, dtype=np.int64)
+
+
+def count_column(cells: Sequence[str]) -> np.ndarray | None:
+    """The cells as int64 counts, or None unless each one is an easy ``parse_count`` cell.
+
+    An easy cell is 1 to 13 ASCII digits once stripped, at most MAX_COUNT.
+    None leaves the cells to ``parse_count``: a reader then goes row by row
+    to reject the first bad cell, or to accept what this check is too
+    narrow for, such as a count zero-padded past 13 digits.
+    """
+    joined = "".join(cells)
+    if not (joined.isascii() and joined.isdigit()):  # some cell is padded, or not a count
+        cells = list(map(str.strip, cells))
+        joined = "".join(cells)
+        if not (joined.isascii() and joined.isdigit()):
+            return None
+    lengths = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+    if lengths.min() == 0 or lengths.max() > _COUNT_DIGITS:
+        return None
+    # each digit times its place value, summed cell by cell
+    ends = np.cumsum(lengths)
+    places = np.repeat(ends, lengths) - np.arange(1, len(joined) + 1)
+    digits = np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - ord("0")
+    counts = np.add.reduceat(digits * _PLACE_VALUES[places], ends - lengths)
+    return None if (counts > MAX_COUNT).any() else counts
+
+
+def data_rows(reader: Iterator[list[str]]) -> list[list[str]] | None:
+    """The reader's non-empty rows, or None when ``csv`` rejects the text.
+
+    None leaves the text to the row-by-row reader, which reports any bad
+    row before the one ``csv`` rejects.
+    """
+    try:
+        return list(filter(None, reader))
+    except csv.Error:
+        return None
 
 
 def _columns(
@@ -316,26 +379,59 @@ def make_dataset(
     return ElectionDataset(election_id, roster, columns, leader)
 
 
-def parse_dataset(csv_text: str, leader: str, election_id: str = "dataset") -> ElectionDataset:
-    """Parse ``precincts.csv`` content into a validated dataset.
+def _tags(cell: str) -> tuple[str, ...]:
+    return tuple(t for t in cell.split(";") if t) if cell.strip() else ()
 
-    Raises MalformedRow for structural problems, InvariantViolation for
-    rows that fail count invariants, and UnknownLeader when ``leader`` is
-    not among the vote columns.  The error reported is the first one in
-    file order.
+
+def no_tags(n: int) -> np.ndarray:
+    """A ``tags`` column of ``n`` empty tuples."""
+    tags = np.empty(n, dtype=object)
+    tags.fill(())
+    return tags
+
+
+def _columns_by_column(
+    rows: list[list[str]], width: int, parties: int, has_tags: bool
+) -> DatasetArrays | None:
+    """The columns of ``rows``, checked a column at a time; None if any cell needs the row reader."""
+    if set(map(len, rows)) != {width}:
+        return None
+    cells = list(zip(*rows))
+    machine = list(map(str.strip, cells[6]))
+    if not set(machine) <= {"0", "1"}:
+        return None
+    n = len(rows)
+    # one table, laid out as the row reader lays it out, holds every count column
+    table = np.empty((n, 3 + parties), dtype=np.int64)
+    for j, i in enumerate((3, 4, 5, *range(7, 7 + parties))):
+        counts = count_column(cells[i])
+        if counts is None:
+            return None
+        table[:, j] = counts
+    if has_tags:
+        tags = np.fromiter(map(_tags, cells[-1]), dtype=object, count=n)
+    else:
+        tags = no_tags(n)
+    return DatasetArrays(
+        precinct_ids=np.array(list(map(str.strip, cells[0])), dtype=object),
+        region=np.array(list(map(str.strip, cells[1])), dtype=object),
+        territory=np.array(list(map(str.strip, cells[2])), dtype=object),
+        registered=table[:, 0],
+        ballots_cast=table[:, 1],
+        invalid=table[:, 2],
+        machine_counted=np.array(machine) == "1",
+        votes=table[:, 3:],
+        tags=tags,
+    )
+
+
+def _columns_by_row(csv_text: str, party_cols: list[str], has_tags: bool) -> DatasetArrays:
+    """The columns read a row at a time: the grammar's one definition.
+
+    Raises the first MalformedRow in file order, after InvariantViolation
+    for any row before it that breaks a count invariant.
     """
     header, rows = read_csv(csv_text)
-    has_tags = bool(header) and header[-1] == TAGS_COLUMN
-    core = header[:-1] if has_tags else header
-    if tuple(core[: len(FIXED_COLUMNS)]) != FIXED_COLUMNS:
-        raise MalformedRow(1, f"header must start with {','.join(FIXED_COLUMNS)}")
-    party_cols = core[len(FIXED_COLUMNS) :]
-    if not party_cols or not all(c.startswith(VOTES_PREFIX) for c in party_cols):
-        raise MalformedRow(1, "expected one or more votes_<party> columns")
-    roster = PartyRoster(tuple(c[len(VOTES_PREFIX) :] for c in party_cols))
-    if leader not in roster.ids:
-        raise UnknownLeader(f"leader {leader!r} not among parties {roster.ids}")
-
     expected = len(header)
     count_cells = [(3, "registered"), (4, "ballots_cast"), (5, "invalid")]
     count_cells += [(7 + j, col) for j, col in enumerate(party_cols)]
@@ -347,7 +443,7 @@ def parse_dataset(csv_text: str, leader: str, election_id: str = "dataset") -> E
     tags: list[tuple[str, ...]] = []
 
     def columns() -> DatasetArrays:
-        return _columns(ids, regions, territories, counts, machine, tags, len(roster))
+        return _columns(ids, regions, territories, counts, machine, tags, len(party_cols))
 
     try:
         for line_no, row in rows:
@@ -361,37 +457,66 @@ def parse_dataset(csv_text: str, leader: str, election_id: str = "dataset") -> E
             regions.append(row[1].strip())
             territories.append(row[2].strip())
             machine.append(mc_raw == "1")
-            has_row_tags = has_tags and row[-1].strip()
-            tags.append(tuple(t for t in row[-1].split(";") if t) if has_row_tags else ())
+            tags.append(_tags(row[-1]) if has_tags else ())
     except MalformedRow:
         check_invariants(columns())  # an invariant broken on an earlier line is reported first
         raise
-    data = columns()
+    return columns()
+
+
+def parse_dataset(csv_text: str, leader: str, election_id: str = "dataset") -> ElectionDataset:
+    """Parse ``precincts.csv`` content into a validated dataset.
+
+    Raises MalformedRow for structural problems, InvariantViolation for
+    rows that fail count invariants, and UnknownLeader when ``leader`` is
+    not among the vote columns.  The error reported is the first one in
+    file order.  Well-formed files are read a column at a time; any file
+    with a cell the column check declines is read again row by row, so
+    the row reader alone decides what is an error and where.
+    """
+    header, reader = open_csv(csv_text)
+    has_tags = bool(header) and header[-1] == TAGS_COLUMN
+    core = header[:-1] if has_tags else header
+    if tuple(core[: len(FIXED_COLUMNS)]) != FIXED_COLUMNS:
+        raise MalformedRow(1, f"header must start with {','.join(FIXED_COLUMNS)}")
+    party_cols = core[len(FIXED_COLUMNS) :]
+    if not party_cols or not all(c.startswith(VOTES_PREFIX) for c in party_cols):
+        raise MalformedRow(1, "expected one or more votes_<party> columns")
+    roster = PartyRoster(tuple(c[len(VOTES_PREFIX) :] for c in party_cols))
+    if leader not in roster.ids:
+        raise UnknownLeader(f"leader {leader!r} not among parties {roster.ids}")
+
+    rows = data_rows(reader)
+    data = _columns_by_column(rows, len(header), len(roster), has_tags) if rows else None
+    if data is None:
+        data = _columns_by_row(csv_text, party_cols, has_tags)
     check_invariants(data)
     return ElectionDataset(election_id, roster, data, leader)
 
 
 def serialize_dataset(dataset: ElectionDataset) -> str:
-    """Render a dataset back to CSV text; parse(serialize(d)) == d field-for-field."""
+    """Render a dataset back to CSV text; parse(serialize(d)) == d field-for-field.
+
+    Cells are written as ``csv.writer`` writes them.
+    """
     c = dataset.counts()
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     any_tags = any(c.tags)
     header = list(FIXED_COLUMNS) + [VOTES_PREFIX + p for p in dataset.roster.ids]
+    columns = [
+        csv_cells(c.precinct_ids.tolist()),
+        csv_cells(c.region.tolist()),
+        csv_cells(c.territory.tolist()),
+        c.registered.tolist(),
+        c.ballots_cast.tolist(),
+        c.invalid.tolist(),
+        c.machine_counted.astype(np.int64).tolist(),
+        *c.votes.T.tolist(),
+    ]
     if any_tags:
         header.append(TAGS_COLUMN)
-    writer.writerow(header)
-    numbers = np.column_stack(
-        (c.registered, c.ballots_cast, c.invalid, c.machine_counted, c.votes)
-    ).tolist()
-    for pid, region, territory, nums, tags in zip(
-        c.precinct_ids.tolist(), c.region.tolist(), c.territory.tolist(), numbers, c.tags.tolist()
-    ):
-        row = [pid, region, territory, *nums]
-        if any_tags:
-            row.append(";".join(tags))
-        writer.writerow(row)
-    return out.getvalue()
+        columns.append(csv_cells([";".join(tags) for tags in c.tags.tolist()]))
+    row = ",".join(["%s"] * len(columns)) + "\n"
+    return ",".join(csv_cells(header)) + "\n" + format_rows(row, columns)
 
 
 def partition(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +30,55 @@ class ScatterPoint:
     weight: int  # registered voters
 
 
+@dataclass(frozen=True, eq=False)
+class PointCloud:
+    """Points as read-only columns, one entry per point.
+
+    ``precinct_ids`` is an object array of ``str``, ``x`` and ``y`` are
+    float64 and ``weight`` (registered voters) is int64.  Iterating a
+    cloud builds its ``ScatterPoint``s one at a time.
+    """
+
+    precinct_ids: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    weight: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.precinct_ids, self.x, self.y, self.weight):
+            if column.shape != self.x.shape or column.ndim != 1:
+                raise ValueError("point columns must be 1-D and of one length")
+            column.flags.writeable = False
+
+    @classmethod
+    def of(cls, points: "PointCloud | Sequence[ScatterPoint]") -> "PointCloud":
+        """A cloud of the points; a cloud is returned as is."""
+        if isinstance(points, PointCloud):
+            return points
+        n = len(points)
+        return cls(
+            np.fromiter((p.precinct_id for p in points), dtype=object, count=n),
+            np.fromiter((p.x for p in points), dtype=np.float64, count=n),
+            np.fromiter((p.y for p in points), dtype=np.float64, count=n),
+            np.fromiter((p.weight for p in points), dtype=np.int64, count=n),
+        )
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __iter__(self) -> Iterator[ScatterPoint]:
+        columns = (self.precinct_ids, self.x, self.y, self.weight)
+        return map(ScatterPoint, *(column.tolist() for column in columns))
+
+    def take(self, rows: np.ndarray) -> "PointCloud":
+        """The cloud of the points at ``rows`` (an index array or boolean mask), in that order."""
+        return PointCloud(self.precinct_ids[rows], self.x[rows], self.y[rows], self.weight[rows])
+
+    def xy(self) -> np.ndarray:
+        """The ``(n, 2)`` array of (x, y) rows."""
+        return np.column_stack((self.x, self.y))
+
+
 @dataclass(frozen=True)
 class TrendFit:
     slope: float
@@ -42,8 +91,8 @@ def build_points(
     dataset: ElectionDataset,
     party: str,
     y_mode: str = "share_of_registered",
-) -> list[ScatterPoint]:
-    """One point per precinct for ``party`` (or ``others``).
+) -> PointCloud:
+    """One point per precinct for ``party`` (or ``others``), in dataset order.
 
     For y_mode="share_of_cast" a precinct with no ballots contributes y=0.
     """
@@ -63,46 +112,49 @@ def build_points(
         y = votes / c.registered
     else:
         y = np.divide(votes, c.ballots_cast, out=np.zeros(len(c)), where=c.ballots_cast > 0)
-    return [
-        ScatterPoint(pid, xi, yi, weight)
-        for pid, xi, yi, weight in zip(c.precinct_ids.tolist(), x.tolist(), y.tolist(), c.registered.tolist())
-    ]
+    return PointCloud(c.precinct_ids, x, y, c.registered)
 
 
-def fit_trend(points: Sequence[ScatterPoint], weighting: str = "uniform") -> TrendFit:
+def fit_trend(points: PointCloud | Sequence[ScatterPoint], weighting: str = "uniform") -> TrendFit:
     """Least-squares line y = slope*x + intercept over the cloud.
 
     weighting="by_registered" weights each point by its registered count,
-    so large precincts dominate the fit.
+    so large precincts dominate the fit.  The sums run left to right over
+    Python floats: ``d ** 2`` is libm ``pow``, which numpy's ``d * d`` does
+    not match in every last bit.
     """
     if weighting not in ("uniform", "by_registered"):
         raise ValueError(f"unknown weighting {weighting!r}")
     n = len(points)
     if n < 2:
         raise DegenerateX("need at least 2 points to fit a trend")
+    cloud = PointCloud.of(points)
+    xs, ys = cloud.x.tolist(), cloud.y.tolist()
     if weighting == "uniform":
         w = [1.0] * n
     else:
-        w = [float(p.weight) for p in points]
+        w = cloud.weight.astype(np.float64).tolist()
     sw = sum(w)
-    mx = sum(wi * p.x for wi, p in zip(w, points)) / sw
-    my = sum(wi * p.y for wi, p in zip(w, points)) / sw
-    sxx = sum(wi * (p.x - mx) ** 2 for wi, p in zip(w, points))
+    mx = sum([wi * x for wi, x in zip(w, xs)]) / sw
+    my = sum([wi * y for wi, y in zip(w, ys)]) / sw
+    sxx = sum([wi * (x - mx) ** 2 for wi, x in zip(w, xs)])
     if sxx == 0.0:
         raise DegenerateX("all x values identical; slope undefined")
-    sxy = sum(wi * (p.x - mx) * (p.y - my) for wi, p in zip(w, points))
+    sxy = sum([wi * (x - mx) * (y - my) for wi, x, y in zip(w, xs, ys)])
     slope = sxy / sxx
     intercept = my - slope * mx
-    rss = sum(wi * (p.y - (slope * p.x + intercept)) ** 2 for wi, p in zip(w, points))
+    rss = sum([wi * (y - (slope * x + intercept)) ** 2 for wi, x, y in zip(w, xs, ys)])
     return TrendFit(slope, intercept, math.sqrt(rss / sw), n)
 
 
-def slope_standard_error(points: Sequence[ScatterPoint], fit: TrendFit) -> float:
+def slope_standard_error(points: PointCloud | Sequence[ScatterPoint], fit: TrendFit) -> float:
     """Classical OLS standard error of the slope (uniform weights)."""
     n = len(points)
     if n <= 2:
         return float("inf")
-    mx = sum(p.x for p in points) / n
-    sxx = sum((p.x - mx) ** 2 for p in points)
-    rss = sum((p.y - (fit.slope * p.x + fit.intercept)) ** 2 for p in points)
+    cloud = PointCloud.of(points)
+    xs, ys = cloud.x.tolist(), cloud.y.tolist()
+    mx = sum(xs) / n
+    sxx = sum([(x - mx) ** 2 for x in xs])
+    rss = sum([(y - (fit.slope * x + fit.intercept)) ** 2 for x, y in zip(xs, ys)])
     return math.sqrt(rss / (n - 2) / sxx)

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
+from .dataset import format_rows
 from .errors import EmptyPlot
 
 WIDTH, HEIGHT = 720, 520
@@ -30,7 +33,7 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _px(x: float, lo: float, hi: float, size: int, offset: int, flip: bool = False) -> float:
+def _px(x: float | np.ndarray, lo: float, hi: float, size: int, offset: int, flip: bool = False):
     frac = (x - lo) / (hi - lo) if hi > lo else 0.5
     if flip:
         frac = 1.0 - frac
@@ -91,33 +94,39 @@ def _axes(doc: _Doc, x_lo: float, x_hi: float, y_lo: float, y_hi: float, x_label
 
 
 def svg_scatter(
-    series: Sequence[tuple[str, Sequence[tuple[float, float]], tuple[float, float] | None]],
+    series: Sequence[tuple[str, np.ndarray | Sequence[tuple[float, float]], tuple[float, float] | None]],
     title: str = "",
     x_label: str = "turnout",
     y_label: str = "share",
 ) -> str:
     """Scatter overlay of up to 8 labelled series with optional trend lines.
 
-    Each series is (label, [(x, y), ...], (slope, intercept) or None), all
+    Each series is (label, points, (slope, intercept) or None), where the
+    points are an ``(n, 2)`` array or a list of (x, y) pairs, all
     coordinates as fractions of 1.
     """
-    series = list(series)[:8]
-    if not series or all(not pts for _, pts, _ in series):
+    series = [
+        (label, pts, np.asarray(pts, dtype=np.float64).reshape(len(pts), 2), trend)
+        for label, pts, trend in list(series)[:8]
+    ]
+    if not series or all(len(xy) == 0 for _, _, xy, _ in series):
         raise EmptyPlot("no points to draw")
-    for _, pts, _ in series:
-        for x, y in pts:
-            if not (x == x and y == y) or abs(x) > 1e6 or abs(y) > 1e6:
-                raise EmptyPlot(f"non-finite coordinate ({x}, {y})")
+    for _, pts, xy, _ in series:
+        with np.errstate(invalid="ignore"):
+            bad = np.isnan(xy).any(axis=1) | (np.abs(xy) > 1e6).any(axis=1)
+        if bad.any():
+            x, y = pts[int(np.argmax(bad))]
+            raise EmptyPlot(f"non-finite coordinate ({x}, {y})")
     doc = _Doc(title)
     _axes(doc, 0.0, 1.0, 0.0, 1.0, x_label, y_label)
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
-    for idx, (label, pts, trend) in enumerate(series):
+    for idx, (label, _, xy, trend) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        for x, y in pts:
-            px = _px(x, 0, 1, plot_w, MARGIN_L)
-            py = _px(y, 0, 1, plot_h, MARGIN_T, flip=True)
-            doc.add(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="1.6" fill="{color}" fill-opacity="0.45"/>\n')
+        px = _px(xy[:, 0], 0, 1, plot_w, MARGIN_L)
+        py = _px(xy[:, 1], 0, 1, plot_h, MARGIN_T, flip=True)
+        circle = '<circle cx="%.2f" cy="%.2f" r="1.6" fill="' + color + '" fill-opacity="0.45"/>\n'
+        doc.add(format_rows(circle, [px.tolist(), py.tolist()]))
         if trend is not None:
             slope, intercept = trend
             x1, x2 = 0.0, 1.0

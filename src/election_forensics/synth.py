@@ -39,7 +39,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import DatasetArrays, ElectionDataset, PartyRoster, check_invariants, csv_cells
+from .dataset import (
+    DatasetArrays,
+    ElectionDataset,
+    PartyRoster,
+    check_invariants,
+    csv_cells,
+    format_rows,
+    no_tags,
+)
 from .dynamics import IntradayTable, parse_time
 from .errors import InvalidModel, MalformedRow
 from .histograms import QUANTITY_LEADER_SHARE, QUANTITY_TURNOUT
@@ -168,8 +176,14 @@ def _string(value) -> str:
     return value
 
 
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("not a JSON integer")
+    return value
+
+
 def _seed(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    if _integer(value) < 0:
         raise TypeError("not a non-negative JSON integer")
     return value
 
@@ -195,18 +209,18 @@ def model_from_json(text: str) -> HonestModel:
     components = _field(raw, "turnout_components", _list_of(_object), default=default_components)
     registered = _field(raw, "registered", _object, default={})
     model = HonestModel(
-        precincts=_field(raw, "precincts", int),
+        precincts=_field(raw, "precincts", _integer),
         parties=_field(raw, "parties", _list_of(_string)),
         baseline_shares=_field(raw, "baseline_shares", _list_of(_number)),
         leader=_field(raw, "leader", _string),
         registered_median=_field(registered, "median", _number, "registered.", 1500.0),
         registered_sigma=_field(registered, "sigma", _number, "registered.", 0.4),
-        registered_min=_field(registered, "min", int, "registered.", 100),
-        registered_max=_field(registered, "max", int, "registered.", 6000),
+        registered_min=_field(registered, "min", _integer, "registered.", 100),
+        registered_max=_field(registered, "max", _integer, "registered.", 6000),
         turnout_components=tuple(_component(c, i) for i, c in enumerate(components)),
         share_noise_sd=_field(raw, "share_noise_sd", _number, default=0.04),
         machine_fraction=_field(raw, "machine_fraction", _number, default=0.0),
-        territories=_field(raw, "territories", int, default=1),
+        territories=_field(raw, "territories", _integer, default=1),
         report_times=_field(raw, "report_times", _list_of(_report_time), default=()),
     )
     model.validate()
@@ -291,7 +305,7 @@ def scenario_from_json(text: str) -> FraudScenario:
         ),
         target_rounding=RoundingSpec(
             fraction=_field(rounding, "fraction", _number, "target_rounding.", 0.0),
-            targets=_field(rounding, "targets", _list_of(int), "target_rounding.", (70, 75, 80, 85)),
+            targets=_field(rounding, "targets", _list_of(_integer), "target_rounding.", (70, 75, 80, 85)),
             quantity=_field(rounding, "quantity", _string, "target_rounding.", QUANTITY_LEADER_SHARE),
             max_adjustment=_field(rounding, "max_adjustment", _number, "target_rounding.", 0.05),
         ),
@@ -326,8 +340,7 @@ class GroundTruth:
             "precinct_id,component,turnout_prob,honest_ballots_cast,honest_leader_votes,"
             "stuffed_votes,transferred_votes,rounding_delta,jump_votes\n"
         )
-        rows = map(
-            "{},{},{:.6f},{},{},{},{},{},{}\n".format,
+        columns = [
             csv_cells(list(self.precinct_ids)),
             self.component.tolist(),
             self.turnout_prob.tolist(),
@@ -337,8 +350,8 @@ class GroundTruth:
             self.transferred.tolist(),
             self.rounding_delta.tolist(),
             self.jump.tolist(),
-        )
-        return header + "".join(rows)
+        ]
+        return header + format_rows("%s,%s,%.6f,%s,%s,%s,%s,%s,%s\n", columns)
 
 
 @dataclass(frozen=True)
@@ -411,8 +424,6 @@ def generate_honest(model: HonestModel, seed: int) -> SyntheticElection:
     pad = max(5, len(str(max(n - 1, 0))))
     pids = tuple(f"p{i:0{pad}d}" for i in range(n))
     territory_names = np.array([f"T{t + 1}" for t in range(model.territories)], dtype=object)
-    no_tags = np.empty(n, dtype=object)
-    no_tags.fill(())
     columns = DatasetArrays(
         precinct_ids=np.array(pids, dtype=object),
         region=np.full(n, "R1", dtype=object),
@@ -422,7 +433,7 @@ def generate_honest(model: HonestModel, seed: int) -> SyntheticElection:
         invalid=cast - votes.sum(axis=1),
         machine_counted=machine,
         votes=votes,
-        tags=no_tags,
+        tags=no_tags(n),
     )
     dataset = ElectionDataset(f"synthetic-{seed}", PartyRoster(model.parties), columns, model.leader)
 

@@ -1,11 +1,16 @@
+import csv
 import dataclasses
+import io
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from election_forensics import dataset as dataset_module
+from election_forensics import dynamics as dynamics_module
 from election_forensics.compare import parse_protocols
 from election_forensics.dataset import (
     MAX_COUNT,
@@ -20,7 +25,13 @@ from election_forensics.dataset import (
     serialize_dataset,
 )
 from election_forensics.dynamics import parse_intraday
-from election_forensics.errors import InvariantViolation, MalformedRow, UnknownLeader
+from election_forensics.errors import (
+    EmptySeries,
+    ForensicsError,
+    InvariantViolation,
+    MalformedRow,
+    UnknownLeader,
+)
 from election_forensics.scatter import build_points
 from conftest import quick_dataset, record
 
@@ -313,3 +324,206 @@ def test_dataset_rejects_columns_that_do_not_match_roster():
     short = dataclasses.replace(two, territory=np.array(["T"], dtype=object))
     with pytest.raises(InvariantViolation, match="territory does not have 2 rows"):
         ElectionDataset("e", roster, short, "A")
+
+
+# ---- the column readers against the row readers they stand in for
+
+
+def _outcome(read, text):
+    """What ``read`` makes of ``text``: its result, or its error's type, line and message."""
+    try:
+        return read(text)
+    except ForensicsError as exc:
+        return type(exc), getattr(exc, "line", None), exc.message
+
+
+def _by_column_and_by_row(read, text, module, column_reader):
+    """The outcome as read, and with the column reader declining every file."""
+    by_column = _outcome(read, text)
+    with mock.patch.object(module, column_reader, lambda *args: None):
+        by_row = _outcome(read, text)
+    return by_column, by_row
+
+
+def _precincts_both_ways(text):
+    return _by_column_and_by_row(READERS["precincts"], text, dataset_module, "_columns_by_column")
+
+
+def _intraday_both_ways(text):
+    return _by_column_and_by_row(parse_intraday, text, dynamics_module, "_reports_by_column")
+
+
+ROW = "1000,500,0,0,300,200"
+
+
+@pytest.mark.parametrize(
+    "body,expected",
+    [
+        (
+            f"p1,R,T,{ROW}\np2,R,T,1000,5x0,0,0,300,200\n",
+            (MalformedRow, 3, "line 3: column 'ballots_cast': '5x0' is not a non-negative integer"),
+        ),
+        (f"p1,R,T,{ROW}\np2,R,T,1000\n", (MalformedRow, 3, "line 3: expected 9 fields, got 4")),
+        (
+            f"p1,R,T,{ROW}\np2,R,T,1000,500,0,2,300,200\n",
+            (MalformedRow, 3, "line 3: machine_counted must be 0 or 1, got '2'"),
+        ),
+        (
+            f"p1,R,T,1000,1500,0,0,300,200\np2,R,T,1000,5x0,0,0,300,200\n",
+            (InvariantViolation, None, "precinct 'p1': ballots_cast 1500 exceeds registered 1000"),
+        ),
+        (
+            f"p1,R,T,1000,5x0,0,0,300,200\np2,R,T,1000,1500,0,0,300,200\n",
+            (MalformedRow, 2, "line 2: column 'ballots_cast': '5x0' is not a non-negative integer"),
+        ),
+        (f"p1,R,T,{ROW}\np1,R,T,{ROW}\n", (InvariantViolation, None, "precinct 'p1': duplicate precinct_id")),
+        (
+            f'p1,"R\nX",T,{ROW}\np2,R,T,1000,,0,0,300,200\n',
+            (MalformedRow, 4, "line 4: column 'ballots_cast': '' is not a non-negative integer"),
+        ),
+        (
+            f"p1,R,T,{ROW}\np2,R,T,1000,{10**13},0,0,300,200\n",
+            (MalformedRow, 3, f"line 3: column 'ballots_cast': '{10**13}' exceeds {MAX_COUNT}"),
+        ),
+    ],
+    ids=[
+        "bad-cell", "short-row", "bad-machine", "invariant-before-bad-line", "bad-line-before-invariant",
+        "duplicate-id", "after-multiline-cell", "over-cap",
+    ],
+)
+def test_corrupt_precinct_files_fail_alike_by_column_and_by_row(body, expected):
+    by_column, by_row = _precincts_both_ways(f"{HEADER}\n{body}")
+    assert by_column == by_row == expected
+
+
+def test_cells_the_column_check_declines_still_parse_by_row():
+    padded = "0" * 14 + "500"  # 17 characters: past the column check, within the grammar
+    text = f"{HEADER}\n p1 ,R,T, 1000 ,{padded},0, 1 ,300,200\n\np2,R,T,{ROW}\n"
+    by_column, by_row = _precincts_both_ways(text)
+    assert by_column == by_row
+    assert by_column.counts().ballots_cast.tolist() == [500, 500]
+    assert by_column.counts().precinct_ids.tolist() == ["p1", "p2"]
+    assert by_column.counts().machine_counted.tolist() == [True, False]
+
+
+@pytest.mark.parametrize(
+    "body,expected",
+    [
+        (
+            "p1,10:00,100\np1,15:00,2x0\n",
+            (MalformedRow, 3, "line 3: column 'cumulative_voted': '2x0' is not a non-negative integer"),
+        ),
+        ("p1,10:00,100\np1,15:00\n", (MalformedRow, 3, "line 3: expected 3 fields, got 2")),
+        ("p1,10:00,100\np1,25:00,200\n", (MalformedRow, 3, "line 3: time out of range: '25:00'")),
+        (
+            '"p\n1",10:00,100\np2,15:0x,200\n',
+            (MalformedRow, 4, "line 4: column 'time': '0x' is not a non-negative integer"),
+        ),
+        (
+            "p1,15:00,100\np1,10:00,200\n",
+            (InvariantViolation, None, "precinct 'p1': cumulative counts must be non-decreasing"),
+        ),
+        (
+            "p1,10:00,100\np2,10:00,5\np1,10:00,200\n",
+            (InvariantViolation, None, "precinct 'p1': report times must strictly increase"),
+        ),
+        ("p1,10:00,100\n", (EmptySeries, None, "precinct 'p1': need at least 2 reports")),
+    ],
+    ids=["bad-count", "short-row", "bad-time", "after-multiline-cell", "falling", "repeated-time", "one-report"],
+)
+def test_corrupt_intraday_files_fail_alike_by_column_and_by_row(body, expected):
+    by_column, by_row = _intraday_both_ways(f"{INTRADAY_HEADER}\n{body}")
+    assert by_column == by_row == expected
+
+
+_PADS = ("", " ", "\xa0", "\t", " \xa0")
+_BAD_CELLS = ("", "x", "-1", "1_0", "+5", "\u0663", str(MAX_COUNT + 1), "0" * 20 + "1")
+
+
+@st.composite
+def _count_cell(draw, value, long_zeros):
+    """``value`` with optional padding and leading zeros, with ``long_zeros`` past 13 characters too."""
+    zeros = draw(st.sampled_from((0, 0, 1, 3, 9, 15) if long_zeros else (0, 0, 1, 3, 9)))
+    return draw(st.sampled_from(_PADS)) + "0" * zeros + str(value) + draw(st.sampled_from(_PADS))
+
+
+@st.composite
+def _precinct_files(draw):
+    """Precinct files with padded, zero-filled and quoted cells; half of them with faults as well."""
+    tags = draw(st.booleans())
+    long_zeros = draw(st.booleans())  # counts zero-padded past what the column check takes
+    faulty = draw(st.booleans())  # bad cells, short rows, bad machine flags and repeated ids
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(HEADER.split(",") + (["tags"] if tags else []))
+    for i in range(draw(st.integers(0, 8))):
+        cast = draw(st.integers(0, 2000))
+        a = draw(st.integers(0, cast))
+        b = draw(st.integers(0, cast - a))
+        invalid = draw(st.integers(0, cast - a - b))
+        registered = cast + draw(st.integers(1 if cast == 0 else 0, 500))
+        counts = [draw(_count_cell(v, long_zeros)) for v in (registered, cast, invalid)]
+        votes = [draw(_count_cell(v, long_zeros)) for v in (a, b)]
+        pids = (f"p{i}", f" p{i}", f"p,{i}", f'p"{i}', f"p\n{i}") + (("dup",) if faulty else ())
+        pid = draw(st.sampled_from(pids))
+        machine = draw(st.sampled_from(("0", "1", " 1", "0 ") + (("2",) if faulty else ())))
+        row = [pid, "R", draw(st.sampled_from(("T", " T ", "T,1"))), *counts, machine, *votes]
+        if tags:
+            row.append(draw(st.sampled_from(("", " ", "a;b", ";a;", "a ;b"))))
+        if faulty and draw(st.integers(0, 4)) == 0:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_BAD_CELLS))
+        if faulty and draw(st.integers(0, 9)) == 0:
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        writer.writerow(row)
+    return out.getvalue()
+
+
+@given(_precinct_files())
+@settings(max_examples=150, deadline=None)
+def test_precinct_files_read_alike_by_column_and_by_row(text):
+    by_column, by_row = _precincts_both_ways(text)
+    assert by_column == by_row
+
+
+@st.composite
+def _intraday_files(draw):
+    """Intraday files with padded, zero-filled and quoted cells; half of them with faults as well."""
+    long_zeros = draw(st.booleans())
+    faulty = draw(st.booleans())
+    times = ("10:00", "12:00", " 9:05", "09:5 ", "15:00") + (("24:00", "10-00", "1:2:3") if faulty else ())
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(INTRADAY_HEADER.split(","))
+    for _ in range(draw(st.integers(0, 10))):
+        pid = draw(st.sampled_from(("p1", " p1", "p2", "p,3", 'p"4')))
+        row = [pid, draw(st.sampled_from(times)), draw(_count_cell(draw(st.integers(0, 5000)), long_zeros))]
+        if faulty and draw(st.integers(0, 4)) == 0:
+            row[draw(st.integers(0, 2))] = draw(st.sampled_from(_BAD_CELLS))
+        if faulty and draw(st.integers(0, 9)) == 0:
+            row = row[:2]
+        writer.writerow(row)
+    return out.getvalue()
+
+
+@given(_intraday_files())
+@settings(max_examples=150, deadline=None)
+def test_intraday_files_read_alike_by_column_and_by_row(text):
+    by_column, by_row = _intraday_both_ways(text)
+    assert by_column == by_row
+
+
+def test_serialize_dataset_writes_as_csv_writer_does():
+    records = [
+        record(pid="plain"),
+        record(pid='say "hi"', region="a,b"),
+        PrecinctRecord("multi\nline", "R", "T", 1000, 500, 0, True, (300, 200), ("koib", "x,y")),
+    ]
+    ds = quick_dataset(records)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(HEADER.split(",") + ["tags"])
+    for r in ds.records:
+        writer.writerow([r.precinct_id, r.region, r.territory, r.registered, r.ballots_cast, r.invalid,
+                         int(r.machine_counted), *r.votes, ";".join(r.tags)])
+    assert serialize_dataset(ds) == out.getvalue()
+    assert parse_dataset(out.getvalue(), leader="A", election_id="test") == ds

@@ -13,9 +13,25 @@ pytest.importorskip("pytest_benchmark")
 
 from election_forensics import synth  # noqa: E402
 from election_forensics.anomaly import split_two_clusters  # noqa: E402
-from election_forensics.dynamics import serialize_intraday  # noqa: E402
+from election_forensics.dataset import parse_dataset, serialize_dataset  # noqa: E402
+from election_forensics.dynamics import parse_intraday, serialize_intraday  # noqa: E402
 from election_forensics.peaks import simulate_null  # noqa: E402
-from election_forensics.scatter import ScatterPoint  # noqa: E402
+from election_forensics.scatter import ScatterPoint, build_points, fit_trend  # noqa: E402
+from election_forensics.svgplot import svg_scatter  # noqa: E402
+
+
+def _national_16k():
+    """A 16k-precinct, four-party election with four intraday reports per precinct."""
+    model = synth.HonestModel(
+        precincts=16_000,
+        parties=("A", "B", "C", "D"),
+        baseline_shares=(0.52, 0.22, 0.13, 0.08),
+        leader="A",
+        machine_fraction=0.3,
+        territories=8,
+        report_times=(600, 720, 900, 1080),
+    )
+    return synth.generate_honest(model, 0)
 
 
 def test_split_two_clusters_2k_points(benchmark):
@@ -61,3 +77,32 @@ def test_serialize_intraday_20k_precincts(benchmark):
     text = benchmark.pedantic(serialize_intraday, args=(table,), rounds=3)
     assert text.count("\n") == 1 + 4 * 20_000
     assert text.startswith("precinct_id,time,cumulative_voted\np00000,10:00,")
+
+
+def test_parse_dataset_16k_precincts(benchmark):
+    ds = _national_16k().dataset
+    text = serialize_dataset(ds)
+    parsed = benchmark.pedantic(parse_dataset, args=(text, "A"), rounds=3)
+    assert parsed.columns == ds.columns
+
+
+def test_parse_intraday_16k_precincts(benchmark):
+    table = _national_16k().intraday
+    text = serialize_intraday(table)
+    parsed = benchmark.pedantic(parse_intraday, args=(text,), rounds=3)
+    assert parsed == table
+
+
+def test_scatter_path_16k_precincts(benchmark):
+    ds = _national_16k().dataset
+
+    def scatter_path():
+        series = []
+        for party in ("A", "B", "C", "D", "others"):
+            points = build_points(ds, party)
+            fit = fit_trend(points)
+            series.append((party, points.xy(), (fit.slope, fit.intercept)))
+        return svg_scatter(series)
+
+    svg = benchmark.pedantic(scatter_path, rounds=3)
+    assert svg.count("<circle") == 5 * 16_000

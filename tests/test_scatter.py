@@ -3,7 +3,15 @@ import random
 import pytest
 
 from election_forensics.errors import DegenerateX, UnknownParty
-from election_forensics.scatter import OTHERS, ScatterPoint, build_points, fit_trend
+from election_forensics.anomaly import split_two_clusters, superlinearity_check
+from election_forensics.scatter import (
+    OTHERS,
+    PointCloud,
+    ScatterPoint,
+    build_points,
+    fit_trend,
+    slope_standard_error,
+)
 from conftest import quick_dataset, record
 
 
@@ -112,3 +120,61 @@ def test_fit_degenerate_x_raises():
         fit_trend(points)
     with pytest.raises(DegenerateX):
         fit_trend(points[:1])
+
+
+def _cloud_dataset(precincts=400, seed=5):
+    from election_forensics import synth
+
+    model = synth.HonestModel(
+        precincts=precincts, parties=("A", "B", "C"), baseline_shares=(0.5, 0.3, 0.1), leader="A"
+    )
+    return synth.generate_honest(model, seed=seed).dataset
+
+
+def test_points_are_read_only_columns_that_iterate_as_scatter_points():
+    ds = _cloud_dataset()
+    cloud = build_points(ds, "A", y_mode="share_of_cast")
+    assert isinstance(cloud, PointCloud) and len(cloud) == len(ds)
+    c = ds.counts()
+    assert cloud.precinct_ids.tolist() == c.precinct_ids.tolist()
+    assert cloud.weight.tolist() == c.registered.tolist()
+    points = list(cloud)
+    assert all(type(p) is ScatterPoint for p in points)
+    assert [p.x for p in points] == (c.ballots_cast / c.registered).tolist()
+    assert all(type(p.x) is float and type(p.weight) is int for p in points)
+    assert PointCloud.of(points).xy().tolist() == cloud.xy().tolist()
+    assert PointCloud.of(cloud) is cloud
+    with pytest.raises(ValueError):
+        cloud.x[0] = 0.5
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "by_registered"])
+def test_fit_trend_is_equal_on_a_cloud_and_on_its_points(weighting):
+    ds = _cloud_dataset()
+    for party in ("A", "B", OTHERS):
+        cloud = build_points(ds, party)
+        assert fit_trend(cloud, weighting=weighting) == fit_trend(list(cloud), weighting=weighting)
+        fit = fit_trend(cloud)
+        assert slope_standard_error(cloud, fit) == slope_standard_error(list(cloud), fit)
+
+
+def test_superlinearity_and_cluster_split_are_equal_on_a_cloud_and_on_its_points():
+    ds = _cloud_dataset()
+    cloud = build_points(ds, "A", y_mode="share_of_cast")
+    assert superlinearity_check(cloud) == superlinearity_check(list(cloud))
+    split = split_two_clusters(cloud, seed=3, restarts=4)
+    assert split == split_two_clusters(list(cloud), seed=3, restarts=4)
+
+
+def test_superlinearity_halves_follow_x_then_precinct_id():
+    rng = random.Random(4)
+    points = [
+        ScatterPoint(f"p{rng.randint(0, 10**6)}-{i}", rng.choice((0.3, 0.5, 0.7)), rng.random(), 1)
+        for i in range(80)
+    ]
+    ordered = sorted(points, key=lambda p: (p.x, p.precinct_id))
+    lower, upper = ordered[:40], ordered[40:]
+    result = superlinearity_check(points)
+    assert result.split_x == upper[0].x
+    assert result.lower_fit == fit_trend(lower)
+    assert result.upper_fit == fit_trend(upper)

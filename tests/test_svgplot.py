@@ -84,3 +84,25 @@ def test_stuffed_scatter_draws_leader_trend_above_others():
     ]
     svg = svg_scatter(series)
     assert svg == svg_scatter(series)
+
+
+def test_scatter_bytes_equal_for_an_array_and_for_a_list_of_pairs():
+    import numpy as np
+
+    rng = np.random.default_rng(2)
+    xy = rng.random((500, 2))
+    xy[:3] = [(0.0, 1.0), (-0.0, 0.0), (1.0, 0.123456789)]
+    series = [("a", xy, (0.4, 0.1)), ("b", xy[:0], None), ("c", xy[::-1] * 0.5, None)]
+    pairs = [(label, [tuple(p) for p in pts.tolist()], trend) for label, pts, trend in series]
+    assert svg_scatter(series, title="t") == svg_scatter(pairs, title="t")
+
+
+def test_non_finite_coordinate_named_alike_for_an_array_and_for_pairs():
+    import numpy as np
+
+    pairs = [(0.5, 0.5), (0.2, float("inf")), (float("nan"), 0.1)]
+    with pytest.raises(EmptyPlot) as from_pairs:
+        svg_scatter([("a", [(0.1, 0.1)], None), ("b", pairs, None)])
+    with pytest.raises(EmptyPlot) as from_array:
+        svg_scatter([("a", np.array([(0.1, 0.1)]), None), ("b", np.array(pairs), None)])
+    assert from_pairs.value.message == from_array.value.message == "non-finite coordinate (0.2, inf)"

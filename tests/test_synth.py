@@ -263,3 +263,39 @@ def test_honest_generator_rarely_triggers_peak_detector():
         rep = detect_round_peaks(ds, "turnout", replicates=300, seed=seed + 500)
         flagged += bool(rep.flagged)
     assert flagged <= 2
+
+
+_MODEL = {"precincts": 5, "parties": ["X"], "baseline_shares": [0.5], "leader": "X"}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"precincts": 20.7},
+        {"precincts": 20.0},
+        {"precincts": "12"},
+        {"precincts": True},
+        {"registered": {"min": 1.5}},
+        {"registered": {"max": "6000"}},
+        {"territories": True},
+        {"territories": 2.5},
+    ],
+)
+def test_model_json_integer_fields_take_only_json_integers(change):
+    with pytest.raises(InvalidModel):
+        synth.model_from_json(json.dumps(dict(_MODEL, **change)))
+
+
+@pytest.mark.parametrize("targets", [[75.5], [75.0], ["75"], [True], [70, False]])
+def test_scenario_json_rounding_targets_take_only_json_integers(targets):
+    with pytest.raises(InvalidModel):
+        synth.scenario_from_json(json.dumps({"target_rounding": {"targets": targets}}))
+
+
+def test_model_json_integer_fields_keep_their_values():
+    model = synth.model_from_json(
+        json.dumps(dict(_MODEL, precincts=7, registered={"min": 10, "max": 20}, territories=3))
+    )
+    assert (model.precincts, model.registered_min, model.registered_max, model.territories) == (7, 10, 20, 3)
+    scenario = synth.scenario_from_json('{"target_rounding": {"targets": [70, 85]}}')
+    assert scenario.target_rounding.targets == (70, 85)
