@@ -161,7 +161,9 @@ class ClusterSplit:
     bic_two: float
     decision: str  # "one" | "two"
     em_iterations: tuple[int, ...]  # EM iterations run by each restart, in restart order
-    converged: bool  # the winning restart stopped on |delta ll| < tol within _MAX_EM_ITER
+    stop_rule: str  # the EM stopping rule, e.g. "|delta loglik| < 0.001"
+    last_delta_ll: float  # the winning restart's |delta loglik| at its last iteration
+    converged: bool  # the winning restart met the stopping rule within _MAX_EM_ITER
 
     @property
     def separation_score(self) -> float:
@@ -177,6 +179,8 @@ class ClusterSplit:
             "bic_two": self.bic_two,
             "separation_score": self.separation_score,
             "em_iterations": list(self.em_iterations),
+            "stop_rule": self.stop_rule,
+            "last_delta_ll": self.last_delta_ll,
             "converged": self.converged,
         }
 
@@ -184,6 +188,8 @@ class ClusterSplit:
 _VAR_FLOOR = 1e-10
 _MAX_EM_ITER = 250  # a non-converged 2-component fit only loses likelihood
 BIC_DECISION_MARGIN = 10.0
+# Far below BIC_DECISION_MARGIN / 2, the margin in log-likelihood units.
+DEFAULT_EM_TOL = 1e-3
 
 
 def _spherical_loglik_one(xy: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -206,68 +212,82 @@ def _kmeanspp_init(xy: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.stack([xy[first], xy[second]])
 
 
-def _sq_dists(x: np.ndarray, y: np.ndarray, mu: np.ndarray) -> list[np.ndarray]:
-    return [(x - mu[k, 0]) ** 2 + (y - mu[k, 1]) ** 2 for k in range(2)]
+def _sq_dists(x: np.ndarray, y: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """(2, n): each point's squared distance to each component's mean."""
+    return (x - mu[:, 0:1]) ** 2 + (y - mu[:, 1:2]) ** 2
+
+
+def _e_step(logdens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, lse = log(e^a + e^b) and the (2, n) responsibilities e^(a - lse), e^(b - lse).
+
+    ``logdens`` holds the rows a and b.  One ``exp`` and one ``log1p``
+    per point: with t = e^-|a-b|, the larger term's responsibility is
+    1/(1+t) and the smaller one's t/(1+t), so neither underflows before
+    its true value does.
+    """
+    a, b = logdens
+    diff = a - b
+    t = np.exp(-np.abs(diff))
+    lse = np.maximum(a, b) + np.log1p(t)
+    larger_first = np.empty_like(logdens)
+    np.add(t, 1.0, out=larger_first[0])
+    np.divide(1.0, larger_first[0], out=larger_first[0])
+    np.multiply(t, larger_first[0], out=larger_first[1])
+    return lse, np.where(diff >= 0, larger_first, larger_first[::-1])
 
 
 @dataclass(frozen=True)
 class _EMFit:
     ll: float
     mu: np.ndarray  # (2, 2): one (x, y) mean per component
-    resp: np.ndarray  # (n, 2) responsibilities
+    resp: np.ndarray  # (2, n): each component's responsibilities
     iterations: int
-    converged: bool
+    delta_ll: float  # |delta loglik| at the last iteration
 
 
 def _em_two_spherical(xy: np.ndarray, rng: np.random.Generator, tol: float) -> _EMFit:
     """EM for a two-component spherical Gaussian mixture from a k-means++ start.
 
-    The E step works on the contiguous columns ``x`` and ``y`` of ``xy``,
-    one component at a time, so each two-term reduction over a row is one
-    elementwise operation that rounds exactly as the row reduction did.
-    Each component's M-step total is the last element of a running sum
-    of its column: numpy adds axis 0 of the ``(n, 2)`` responsibilities
-    row by row, and ``cumsum`` adds in that order too, where a 1-D
-    ``sum`` would add pairwise and round differently.  Each component's
-    squared distances are computed once per iteration and serve both the
-    variance update and the next E step.
+    Stops when the total log-likelihood changes by less than ``tol``, or
+    after ``_MAX_EM_ITER`` iterations.  The work is on rows, one per
+    component: the M step takes each component's weighted sums of the
+    coordinate rows x and y and of its squared distances as dot products
+    with its responsibility row.  The sums use ``einsum``, whose order of
+    addition does not depend on the core count, where BLAS splits a long
+    dot product over its threads.  Each component's squared distances are
+    computed once per iteration and serve both the variance update and
+    the next E step.
     """
     n = xy.shape[0]
-    x = np.ascontiguousarray(xy[:, 0])
-    y = np.ascontiguousarray(xy[:, 1])
+    coords = np.ascontiguousarray(xy.T)
+    x, y = coords
     mu = _kmeanspp_init(xy, rng)
-    var = [max(float(xy.var()), _VAR_FLOOR)] * 2
-    w = (0.5, 0.5)
+    var = np.full(2, max(float(xy.var()), _VAR_FLOOR))
+    w = np.full(2, 0.5)
     d2 = _sq_dists(x, y, mu)
-    prev_ll = -np.inf
-    converged = False
+    prev_ll = -math.inf
     for iterations in range(1, _MAX_EM_ITER + 1):
-        a, b = (
-            math.log(w[k]) + (-math.log(2 * math.pi * var[k]) - d2[k] / (2 * var[k]))
-            for k in range(2)
-        )
-        m = np.maximum(a, b)
-        lse = m + np.log(np.exp(a - m) + np.exp(b - m))
+        logdens = (np.log(w) - np.log(2 * math.pi * var))[:, None] - d2 * (0.5 / var)[:, None]
+        lse, resp = _e_step(logdens)
         ll = float(lse.sum())
-        r = (np.exp(a - lse), np.exp(b - lse))
-        resp = np.stack(r, axis=1)
-        nk = np.maximum([np.cumsum(rk)[-1] for rk in r], 1e-12)
+        totals = resp.sum(axis=1)
+        nk = np.maximum(totals, 1e-12)
         w = nk / n
-        mu = (resp.T @ xy) / nk[:, None]
+        mu = np.einsum("kn,jn->kj", resp, coords) / nk[:, None]
         d2 = _sq_dists(x, y, mu)
-        var = [max(float((r[k] * d2[k]).sum()) / (2 * nk[k]), _VAR_FLOOR) for k in range(2)]
-        converged = abs(ll - prev_ll) < tol
+        var = np.maximum(np.einsum("kn,kn->k", resp, d2) / (2 * nk), _VAR_FLOOR)
+        delta_ll = abs(ll - prev_ll)
         prev_ll = ll
-        if converged:
+        if delta_ll < tol:
             break
-    return _EMFit(prev_ll, mu, resp, iterations, converged)
+    return _EMFit(ll, mu, resp, iterations, delta_ll)
 
 
 def split_two_clusters(
     points: PointCloud | Sequence[ScatterPoint],
     seed: int = 0,
     restarts: int = 20,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_EM_TOL,
     bic_margin: float = BIC_DECISION_MARGIN,
 ) -> ClusterSplit:
     """Two-component spherical Gaussian mixture versus one, decided by BIC.
@@ -275,9 +295,12 @@ def split_two_clusters(
     The 2-component fit uses EM from k-means++ starts, one independent
     seeded restart stream per index; the winner is the restart with the
     lowest BIC (ties by restart index).  "two" requires a BIC improvement
-    of at least ``bic_margin`` over the single-Gaussian model.  The result
-    records each restart's EM iteration count and whether the winner
-    converged before the iteration cap.
+    of at least ``bic_margin`` over the single-Gaussian model.  Each EM
+    run stops once its log-likelihood changes by less than ``tol``; the
+    default 1e-3 is far below ``bic_margin / 2``, the margin in
+    log-likelihood units.  The result records each restart's EM iteration
+    count, the stopping rule, the winner's last change in log-likelihood
+    and whether it met the rule before the iteration cap.
     """
     if len(points) < 20:
         raise ValueError(f"need at least 20 points, got {len(points)}")
@@ -300,20 +323,20 @@ def split_two_clusters(
         if best is None or bic_two < best[0]:
             best = (bic_two, fit)
     bic_two, fit = best
-    mu, resp = fit.mu, fit.resp
-    labels = resp.argmax(axis=1)
+    mu = fit.mu
+    weights = fit.resp.sum(axis=1) / n
     assignments_arr = np.empty(n, dtype=np.int64)
-    assignments_arr[order] = labels
-    assignments = tuple(assignments_arr.tolist())
-    weights = resp.sum(axis=0) / n
+    assignments_arr[order] = fit.resp[1] > fit.resp[0]  # a tie goes to component 0
     decision = "two" if (bic_one - bic_two) >= bic_margin else "one"
     return ClusterSplit(
-        assignments=assignments,
+        assignments=tuple(assignments_arr.tolist()),
         centroids=((float(mu[0, 0]), float(mu[0, 1])), (float(mu[1, 0]), float(mu[1, 1]))),
         weights=(float(weights[0]), float(weights[1])),
         bic_one=float(bic_one),
         bic_two=float(bic_two),
         decision=decision,
         em_iterations=tuple(iterations),
-        converged=fit.converged,
+        stop_rule=f"|delta loglik| < {tol:g}",
+        last_delta_ll=fit.delta_ll,
+        converged=fit.delta_ll < tol,
     )

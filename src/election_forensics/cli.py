@@ -10,6 +10,7 @@ appear on stderr as ``ERROR <code>: <message>`` lines.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -512,8 +513,27 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    """Run one command with the cyclic garbage collector off.
+
+    A command builds many short-lived objects (``csv`` rows, report
+    dicts) and no reference cycles besides the argument parser's, so
+    collections find nothing; the parser's garbage is collected once,
+    before the command runs.  The collector's previous state is restored
+    on return, because tests and other callers run ``main`` in their own
+    process.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(list(sys.argv[1:] if argv is None else argv))
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv: list[str]) -> int:
     parser = build_parser()
+    gc.collect(0)  # argparse leaves its help formatters in reference cycles
     try:
         args = parser.parse_args(argv)
         payload = args.func(args)

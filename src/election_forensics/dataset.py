@@ -224,6 +224,8 @@ def open_csv(csv_text: str) -> tuple[list[str], Iterator[list[str]]]:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise MalformedRow(1, "missing header row") from None
+    except csv.Error as exc:
+        raise MalformedRow(1, str(exc)) from None
     return header, reader
 
 
@@ -231,16 +233,21 @@ def read_csv(csv_text: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]
     """The stripped header and (line number, row) for each non-empty row after it.
 
     A row's line number is the physical line it starts on, so a quoted
-    cell that spans lines does not shift the numbers of later rows.
+    cell that spans lines does not shift the numbers of later rows.  A
+    row that ``csv`` rejects, such as one with a cell longer than
+    ``csv.field_size_limit()``, is a MalformedRow at that line.
     """
     header, reader = open_csv(csv_text)
 
     def rows() -> Iterator[tuple[int, list[str]]]:
         start = reader.line_num + 1
-        for row in reader:
-            if row:
-                yield start, row
-            start = reader.line_num + 1
+        try:
+            for row in reader:
+                if row:
+                    yield start, row
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise MalformedRow(start, str(exc)) from None
 
     return header, rows()
 

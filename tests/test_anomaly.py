@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from election_forensics import anomaly, scatter, synth
 from election_forensics.anomaly import (
@@ -174,9 +176,25 @@ def test_split_reports_em_iterations_and_convergence():
     assert len(split.em_iterations) == 5
     assert all(1 < it < anomaly._MAX_EM_ITER for it in split.em_iterations)
     assert split.converged is True
+    assert split.stop_rule == "|delta loglik| < 0.001"
+    assert 0 <= split.last_delta_ll < anomaly.DEFAULT_EM_TOL
     d = split.as_dict()
     assert d["em_iterations"] == list(split.em_iterations)
+    assert d["stop_rule"] == "|delta loglik| < 0.001"
+    assert d["last_delta_ll"] == split.last_delta_ll
     assert d["converged"] is True
+
+
+def test_stop_rule_follows_tol():
+    rng = np.random.default_rng(14)
+    pts = _blob_points(rng, (0.45, 0.30), 0.03, 200) + _blob_points(rng, (0.75, 0.65), 0.03, 200, 200)
+    loose = split_two_clusters(pts, seed=3, restarts=3, tol=0.5)
+    tight = split_two_clusters(pts, seed=3, restarts=3, tol=1e-8)
+    assert loose.stop_rule == "|delta loglik| < 0.5"
+    assert tight.stop_rule == "|delta loglik| < 1e-08"
+    assert loose.converged and loose.last_delta_ll < 0.5
+    assert tight.converged and tight.last_delta_ll < 1e-8
+    assert sum(loose.em_iterations) < sum(tight.em_iterations)
 
 
 def test_split_capped_below_convergence_reports_not_converged(monkeypatch):
@@ -186,7 +204,35 @@ def test_split_capped_below_convergence_reports_not_converged(monkeypatch):
     split = split_two_clusters(pts, seed=3, restarts=4)
     assert split.em_iterations == (2, 2, 2, 2)
     assert split.converged is False
+    assert split.last_delta_ll >= anomaly.DEFAULT_EM_TOL
     assert split.as_dict()["converged"] is False
+
+
+def _max_shift_e_step(a, b):
+    """The E step as it was before the one-exp form: three exp and one log per point."""
+    m = np.maximum(a, b)
+    lse = m + np.log(np.exp(a - m) + np.exp(b - m))
+    return lse, np.exp(a - lse), np.exp(b - lse)
+
+
+# A log-density, the gap to the other one (past 800, exp of it underflows), and which is larger.
+_log_density_pairs = st.lists(
+    st.tuples(st.floats(-1000, 1000), st.floats(0, 1500), st.booleans()), min_size=1, max_size=40
+)
+
+
+@given(_log_density_pairs)
+@example([(0.0, 0.0, True), (-3.5, 800.5, True), (12.0, 1200.0, False), (-0.6931471805599453, 0.0, True)])
+@settings(max_examples=200, deadline=None)
+def test_e_step_matches_max_shift_three_exp_formula(pairs):
+    a = np.array([level for level, _, _ in pairs])
+    b = np.array([level - gap if above else level + gap for level, gap, above in pairs])
+    lse, resp = anomaly._e_step(np.stack([a, b]))
+    old_lse, old_r0, old_r1 = _max_shift_e_step(a, b)
+    # relative, except where lse itself is within rounding of zero
+    np.testing.assert_allclose(lse, old_lse, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(resp[0], old_r0, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(resp[1], old_r1, rtol=1e-12, atol=0)
 
 
 def _c10_inputs(seed):
@@ -199,6 +245,15 @@ def _c10_inputs(seed):
     blob = rng.normal((0.55, 0.42), 0.03, (1000, 2))
     one = [ScatterPoint(str(i), float(x), float(y), 1) for i, (x, y) in enumerate(blob)]
     return two, one
+
+
+def test_c10_seed0_two_blobs_converge_under_the_stop_rule():
+    two, _ = _c10_inputs(0)
+    split = split_two_clusters(two, seed=0)
+    assert split.decision == "two"
+    assert split.converged is True
+    assert split.last_delta_ll < anomaly.DEFAULT_EM_TOL
+    assert max(split.em_iterations) < anomaly._MAX_EM_ITER
 
 
 def _national_points():
@@ -229,33 +284,34 @@ def _national_points():
     return scatter.build_points(ds, ds.designated_leader, y_mode="share_of_cast")
 
 
-# Recorded from the (n, 2)-array EM that preceded the column-form one.  Any
-# change to the EM's arithmetic that moves one bit of these fails here; a
-# different numpy build or CPU code path for exp/log may also move them.
+# Recorded from the EM with the one-exp E step, dot-product M step and
+# |delta loglik| < 1e-3 stopping rule.  Any change to the EM's arithmetic
+# that moves one bit of these fails here; a different numpy build or CPU
+# code path for exp/log1p may also move them.
 GOLDEN_SPLITS = {
     "c10-two-blobs": (
         "two",
         "-0x1.725112f6e29f5p+10",
-        "-0x1.b08d982246d29p+12",
-        (("0x1.806dd4f0de734p-1", "0x1.4c1fdfa35c339p-1"), ("0x1.ca1a36e94040cp-2", "0x1.32f25db408a3fp-2")),
+        "-0x1.b08d982246d2bp+12",
+        (("0x1.806dd4f0de73ap-1", "0x1.4c1fdfa35c341p-1"), ("0x1.ca1a36e940408p-2", "0x1.32f25db408a3ep-2")),
         ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
         "5819e39211bce17d29429c28a8abdee763619d221268aee840c6bcb6f360b8d7",
     ),
     "c10-single-blob": (
         "one",
         "-0x1.04cab478f2b56p+13",
-        "-0x1.0417676e6a335p+13",
-        (("0x1.15c5f6dc0e176p-1", "0x1.bd9ed62071407p-2"), ("0x1.1af52fd0dd30fp-1", "0x1.a7849bdbfcdeep-2")),
-        ("0x1.44015b81fe7c6p-2", "0x1.5dff523f00c1cp-1"),
-        "5f7d3441497443b06400836f822cdd3506b22e0404ba11e60f2499bf7b1a3a25",
+        "-0x1.0414e8609074dp+13",
+        (("0x1.163bd812ce757p-1", "0x1.ba780d3e6090ap-2"), ("0x1.1b53a0f8c392fp-1", "0x1.a6b83b93cadc0p-2")),
+        ("0x1.940150f93a445p-2", "0x1.35ff578362dddp-1"),
+        "fc5457c0733395a6303611c6ebdd1876ea22602f88a2bdeb822574460949e29e",
     ),
     "national-3000": (
         "two",
         "-0x1.ce7152f18b501p+12",
-        "-0x1.1af72440dd3cfp+13",
-        (("0x1.0342d23e13bd7p-2", "0x1.0a287d27363c4p-1"), ("0x1.1a6db0c845c21p-1", "0x1.19b1a530a9e3bp-1")),
-        ("0x1.cc4e4c2863846p-3", "0x1.8cec6cf5e71ecp-1"),
-        "45339a22f19b128c0023ac83ac5f19a1ace59bc4ee689457f0064cc3b42f35bc",
+        "-0x1.1af722eb4c108p+13",
+        (("0x1.1a7087bcc9145p-1", "0x1.19b2086d354c7p-1"), ("0x1.034ba7b7c558ep-2", "0x1.0a2898d1263b7p-1")),
+        ("0x1.8ce1b8d8d8b3fp-1", "0x1.cc791c9c9d2ffp-3"),
+        "0fa0483de7873082937b6351efccc924ce21afa5495c7ad88a2d4e0f5cb2ce2e",
     ),
 }
 

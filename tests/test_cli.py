@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -51,6 +52,20 @@ def test_validate_invariant_violation_exits_one(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("ERROR INVARIANT_VIOLATION:")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_state(precincts_csv, tmp_path, enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        out = str(tmp_path / "o")
+        assert main(["validate", "--in", str(precincts_csv), "--leader", "A", "--out", out]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["validate", "--in", str(tmp_path / "nope.csv"), "--leader", "A", "--out", out]) == 2
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_missing_input_file_exits_two(tmp_path, capsys):
@@ -164,6 +179,52 @@ def test_hyperactive_cli(precincts_csv, tmp_path):
     assert rc == 0
     results = _report(out)["results"]
     assert results["flagged"] == ["p1"]  # (500-200)/1000 = 0.30 > 0.13
+
+
+# One cell longer than csv.field_size_limit() (131072 characters by default).
+HUGE_CELL = "R" * 200_000
+
+
+@pytest.mark.parametrize(
+    "rows,line",
+    [
+        (f"p1,R,T1,1000,500,10,0,300,190\np2,{HUGE_CELL},T1,800,400,0,1,150,250\n", 3),
+        (f'p1,"R\nX",T1,1000,500,10,0,300,190\np2,{HUGE_CELL},T1,800,400,0,1,150,250\n', 4),
+        (f"p1,R,T1,1000,500,10,0,300,190\np2,{HUGE_CELL},T1,800,400,0,1\n", 3),
+    ],
+    ids=["second-row", "after-multiline-cell", "short-row"],
+)
+def test_validate_oversized_cell_is_one_malformed_row_error(tmp_path, capsys, rows, line):
+    table = tmp_path / "precincts.csv"
+    table.write_text(PRECINCTS.splitlines(keepends=True)[0] + rows)
+    rc = main(["validate", "--in", str(table), "--leader", "A", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"ERROR MALFORMED_ROW: line {line}: field larger than field limit (131072)"]
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_validate_oversized_header_cell_is_a_malformed_header(tmp_path, capsys):
+    table = tmp_path / "precincts.csv"
+    table.write_text(f"precinct_id,{HUGE_CELL}\n" + PRECINCTS.splitlines(keepends=True)[1])
+    rc = main(["validate", "--in", str(table), "--leader", "A", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "ERROR MALFORMED_ROW: line 1: field larger than field limit (131072)"
+    ]
+
+
+def test_hyperactive_oversized_series_cell_is_one_malformed_row_error(precincts_csv, tmp_path, capsys):
+    series = tmp_path / "intraday.csv"
+    series.write_text(
+        f"precinct_id,time,cumulative_voted\np1,10:00,100\np1,18:00,200\n{HUGE_CELL},10:00,100\n"
+    )
+    rc = main(["hyperactive", "--in", str(precincts_csv), "--leader", "A",
+               "--series", str(series), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["ERROR MALFORMED_ROW: line 4: field larger than field limit (131072)"]
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_prob_subcommands(tmp_path, capsys):

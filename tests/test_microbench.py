@@ -45,6 +45,33 @@ def test_split_two_clusters_2k_points(benchmark):
     assert split.converged
 
 
+def test_split_two_clusters_16k_points(benchmark):
+    """The (turnout, leader share of cast) points of a 16k-precinct election with fraud."""
+    component = synth.TurnoutComponent
+    model = synth.HonestModel(
+        precincts=16_000,
+        parties=("A", "B", "C", "D"),
+        baseline_shares=(0.52, 0.22, 0.13, 0.08),
+        leader="A",
+        registered_median=1200,
+        registered_sigma=0.45,
+        registered_min=150,
+        registered_max=5000,
+        turnout_components=(component(0.25, 0.05, 0.25), component(0.50, 0.08, 0.55), component(0.68, 0.06, 0.20)),
+        machine_fraction=0.3,
+        territories=8,
+    )
+    scenario = synth.FraudScenario(
+        stuffing=synth.StuffingSpec(fraction=0.08, intensity=0.10),
+        transfer=synth.TransferSpec(fraction=0.08, amount=0.50),
+    )
+    ds = synth.synthesize(model, scenario, seed=0).dataset
+    points = build_points(ds, "A", y_mode="share_of_cast")
+    split = benchmark.pedantic(split_two_clusters, args=(points,), kwargs={"seed": 0}, rounds=3)
+    assert split.decision == "two"
+    assert split.converged
+
+
 def test_simulate_null_3k_precincts(benchmark):
     model = synth.HonestModel(
         precincts=3000, parties=("A", "B", "C"), baseline_shares=(0.55, 0.3, 0.1), leader="A"
