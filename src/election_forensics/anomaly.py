@@ -302,6 +302,8 @@ def split_two_clusters(
     count, the stopping rule, the winner's last change in log-likelihood
     and whether it met the rule before the iteration cap.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     if len(points) < 20:
         raise ValueError(f"need at least 20 points, got {len(points)}")
     raw = PointCloud.of(points).xy()

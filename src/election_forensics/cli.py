@@ -261,29 +261,18 @@ def cmd_delta(args) -> dict:
 def cmd_protocol_diff(args) -> dict:
     text = _read(args.infile)
     digest = input_digest(args.infile)
-    roster, pairs = compare.parse_protocols(text, args.leader)
-    rows, summary = compare.protocol_displacements(pairs, roster, args.leader)
-    if not args.no_plots and rows:
+    observer, official = compare.parse_protocols(text, args.leader)
+    diff = compare.protocol_displacements(observer, official)
+    if not args.no_plots and len(diff.precinct_ids):
         atomic_write_text(
             Path(args.out) / "protocol_diff.svg",
             svg_scatter(
-                [
-                    ("observer protocol", [r.from_point for r in rows], None),
-                    ("official", [r.to_point for r in rows], None),
-                ],
+                [("observer protocol", diff.observer, None), ("official", diff.official, None)],
                 title="observer protocol vs official (turnout, leader share)",
                 y_label="leader share of cast",
             ),
         )
-    return {
-        "results": {
-            "pairs": len(rows),
-            "mean_d_turnout": summary.mean_d_turnout,
-            "mean_d_leader_share": summary.mean_d_leader_share,
-            "displacements": [r.as_dict() for r in rows],
-        },
-        "inputs": [digest],
-    }
+    return {"results": diff.as_dict(), "inputs": [digest]}
 
 
 def cmd_paired_scan(args) -> dict:
@@ -304,13 +293,12 @@ def cmd_hyperactive(args) -> dict:
     dataset, digest = _load_dataset(args)
     series_map = dynamics.parse_intraday(_read(args.series))
     report = dynamics.flag_hyperactive(dataset, series_map, threshold=args.threshold)
-    if not args.no_plots and report.rows:
-        xy = np.array([(r.turnout, r.leader_share_of_cast) for r in report.rows])
-        hot = np.array([r.flagged for r in report.rows])
+    if not args.no_plots and len(report.precinct_ids):
+        xy = np.column_stack((report.turnout, report.leader_share_of_cast))
         atomic_write_text(
             Path(args.out) / "hyperactive.svg",
             svg_scatter(
-                [("steady", xy[~hot], None), ("hyperactive", xy[hot], None)],
+                [("steady", xy[~report.hot], None), ("hyperactive", xy[report.hot], None)],
                 title=f"final-increment flags (threshold {args.threshold})",
                 y_label="leader share of cast",
             ),

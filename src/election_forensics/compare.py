@@ -24,13 +24,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import (
+    DatasetArrays,
     ElectionDataset,
     PartyRoster,
-    PrecinctRecord,
     check_invariants,
     parse_count,
     read_csv,
-    record_columns,
+    row_columns,
 )
 from .errors import (
     MalformedRow,
@@ -232,80 +232,94 @@ def parse_delta_table(csv_text: str) -> tuple[list[UnitEntry], list[UnitEntry]]:
     return table_a, table_b
 
 
-@dataclass(frozen=True)
-class ProtocolDisplacement:
-    precinct_id: str
-    from_point: tuple[float, float]  # (turnout, leader share of cast) per observer copy
-    to_point: tuple[float, float]  # same per official data
-    displacement: tuple[float, float]  # official - observer
+@dataclass(frozen=True, eq=False)
+class ProtocolDisplacements:
+    """Official-minus-observer displacement in the (turnout, leader share of cast) plane.
 
-    def as_dict(self) -> dict:
-        return {
-            "precinct_id": self.precinct_id,
-            "observer": list(self.from_point),
-            "official": list(self.to_point),
-            "displacement": list(self.displacement),
-        }
+    Row k of each read-only ``(precincts, 2)`` array belongs to precinct
+    ``precinct_ids[k]``.  The means are Python ``sum``s over the rows in
+    order, divided by their count (0.0 with no rows).
+    """
 
-
-@dataclass(frozen=True)
-class DisplacementSummary:
-    count: int
+    precinct_ids: np.ndarray  # object array of str
+    observer: np.ndarray  # float64 (turnout, leader share of cast) per observer copy
+    official: np.ndarray  # the same per official data
+    displacement: np.ndarray  # official - observer
     mean_d_turnout: float
     mean_d_leader_share: float
 
+    def __post_init__(self):
+        for column in (self.precinct_ids, self.observer, self.official, self.displacement):
+            column.flags.writeable = False
 
-def _point(rec: PrecinctRecord, leader_idx: int) -> tuple[float, float]:
-    turnout = rec.ballots_cast / rec.registered
-    share = rec.votes[leader_idx] / rec.ballots_cast if rec.ballots_cast else 0.0
-    return turnout, share
+    def as_dict(self) -> dict:
+        return {
+            "pairs": len(self.precinct_ids),
+            "mean_d_turnout": self.mean_d_turnout,
+            "mean_d_leader_share": self.mean_d_leader_share,
+            "displacements": [
+                {"precinct_id": pid, "observer": src, "official": dst, "displacement": d}
+                for pid, src, dst, d in zip(
+                    self.precinct_ids.tolist(),
+                    self.observer.tolist(),
+                    self.official.tolist(),
+                    self.displacement.tolist(),
+                )
+            ],
+        }
 
 
-def protocol_displacements(
-    pairs: Sequence[tuple[PrecinctRecord, PrecinctRecord]],
-    roster: PartyRoster,
-    leader: str,
-) -> tuple[list[ProtocolDisplacement], DisplacementSummary]:
-    """Displacement official-minus-observer per precinct, plus the mean vector."""
-    leader_idx = roster.index(leader)
-    rows: list[ProtocolDisplacement] = []
-    for observer, official in pairs:
-        if observer.precinct_id != official.precinct_id:
-            raise PairMismatch(
-                f"paired records disagree on id: {observer.precinct_id!r} vs {official.precinct_id!r}"
-            )
-        if observer.registered != official.registered:
-            raise PairMismatch(
-                f"precinct {observer.precinct_id!r}: registered differs "
-                f"({observer.registered} vs {official.registered})"
-            )
-        src = _point(observer, leader_idx)
-        dst = _point(official, leader_idx)
-        rows.append(
-            ProtocolDisplacement(
-                precinct_id=observer.precinct_id,
-                from_point=src,
-                to_point=dst,
-                displacement=(dst[0] - src[0], dst[1] - src[1]),
-            )
+def _points(dataset: ElectionDataset) -> np.ndarray:
+    """(turnout, leader share of cast) per precinct; the share is 0.0 where no ballot was cast."""
+    c = dataset.counts()
+    cast = c.ballots_cast
+    points = np.zeros((len(dataset), 2))
+    # int64 / int64 rounds once, as Python's int / int does, for counts below 2**53
+    np.divide(cast, c.registered, out=points[:, 0])
+    np.divide(c.votes[:, dataset.leader_index], cast, out=points[:, 1], where=cast > 0)
+    return points
+
+
+def protocol_displacements(observer: ElectionDataset, official: ElectionDataset) -> ProtocolDisplacements:
+    """Displacement official-minus-observer per precinct, plus the mean vector.
+
+    Row k of ``observer`` is paired with row k of ``official``: both must
+    hold the same precinct ids in the same order, with the same registered
+    counts.  Each side's leader share uses its own leader.
+    """
+    a, b = observer.counts(), official.counts()
+    n = len(a)
+    if len(b) != n:
+        raise PairMismatch(f"{n} observer precincts vs {len(b)} official ones")
+    apart = np.flatnonzero(a.precinct_ids != b.precinct_ids)
+    if apart.size:
+        k = apart[0]
+        raise PairMismatch(f"paired records disagree on id: {a.precinct_ids[k]!r} vs {b.precinct_ids[k]!r}")
+    differs = np.flatnonzero(a.registered != b.registered)
+    if differs.size:
+        k = differs[0]
+        raise PairMismatch(
+            f"precinct {a.precinct_ids[k]!r}: registered differs ({a.registered[k]} vs {b.registered[k]})"
         )
-    n = len(rows)
-    summary = DisplacementSummary(
-        count=n,
-        mean_d_turnout=sum(r.displacement[0] for r in rows) / n if n else 0.0,
-        mean_d_leader_share=sum(r.displacement[1] for r in rows) / n if n else 0.0,
-    )
-    return rows, summary
+    src, dst = _points(observer), _points(official)
+    displacement = dst - src
+    # Python's sum of the rows in order: numpy's pairwise sum rounds differently
+    d_turnout, d_share = (sum(column.tolist()) / n if n else 0.0 for column in displacement.T)
+    return ProtocolDisplacements(a.precinct_ids, src, dst, displacement, d_turnout, d_share)
 
 
 PROTOCOL_SOURCES = ("observer", "official")
 
 
-def parse_protocols(csv_text: str, leader: str) -> tuple[PartyRoster, list[tuple[PrecinctRecord, PrecinctRecord]]]:
-    """Parse protocols.csv into (observer, official) record pairs.
+def parse_protocols(csv_text: str, leader: str) -> tuple[ElectionDataset, ElectionDataset]:
+    """Parse protocols.csv into (observer, official) datasets.
 
     Format: ``precinct_id,source,registered,ballots_cast,invalid,votes_<party>...``
-    with source in {observer, official}; each precinct must appear once per source.
+    with source in {observer, official}; each precinct must appear once per
+    source.  The two datasets share one roster and leader and hold the same
+    precincts, sorted by id.  Rows are read one at a time: the error
+    reported is the first MalformedRow in file order, after
+    InvariantViolation for any row before it that breaks a count invariant.
     """
     header, lines = read_csv(csv_text)
     fixed = ("precinct_id", "source", "registered", "ballots_cast", "invalid")
@@ -318,8 +332,15 @@ def parse_protocols(csv_text: str, leader: str) -> tuple[PartyRoster, list[tuple
     if leader not in roster.ids:
         raise UnknownParty(f"leader {leader!r} not among parties {roster.ids}")
 
-    by_source: dict[str, dict[str, PrecinctRecord]] = {s: {} for s in PROTOCOL_SOURCES}
-    rows: list[PrecinctRecord] = []
+    ids: list[str] = []
+    counts: list[list[int]] = []
+    is_official: list[bool] = []
+    seen: dict[str, set[str]] = {s: set() for s in PROTOCOL_SOURCES}
+
+    def columns() -> DatasetArrays:
+        n = len(ids)
+        return row_columns(ids, [""] * n, [""] * n, counts, [False] * n, [()] * n, len(roster))
+
     try:
         for line_no, row in lines:
             if len(row) != len(header):
@@ -327,32 +348,28 @@ def parse_protocols(csv_text: str, leader: str) -> tuple[PartyRoster, list[tuple
             source = row[1].strip()
             if source not in PROTOCOL_SOURCES:
                 raise MalformedRow(line_no, f"source must be observer or official, got {source!r}")
-            counts = [parse_count(cell, line_no, col) for cell, col in zip(row[2:], header[2:])]
-            rec = PrecinctRecord(
-                precinct_id=row[0].strip(),
-                region="",
-                territory="",
-                registered=counts[0],
-                ballots_cast=counts[1],
-                invalid=counts[2],
-                machine_counted=False,
-                votes=tuple(counts[3:]),
-            )
-            rows.append(rec)
-            if rec.precinct_id in by_source[source]:
-                raise MalformedRow(line_no, f"duplicate {source} row for {rec.precinct_id!r}")
-            by_source[source][rec.precinct_id] = rec
+            counts.append([parse_count(cell, line_no, col) for cell, col in zip(row[2:], header[2:])])
+            pid = row[0].strip()
+            ids.append(pid)
+            if pid in seen[source]:
+                raise MalformedRow(line_no, f"duplicate {source} row for {pid!r}")
+            seen[source].add(pid)
+            is_official.append(source == "official")
     except MalformedRow:
-        check_invariants(record_columns(rows, len(roster)))  # an earlier broken row is reported first
+        check_invariants(columns())  # an earlier broken row is reported first
         raise
-    check_invariants(record_columns(rows, len(roster)))
+    data = columns()
+    check_invariants(data)
 
-    obs, off = by_source["observer"], by_source["official"]
-    if set(obs) != set(off):
-        missing = sorted(set(obs) ^ set(off))
+    if seen["observer"] != seen["official"]:
+        missing = sorted(seen["observer"] ^ seen["official"])
         raise PairMismatch(f"precincts missing a counterpart: {missing}")
-    pairs = [(obs[pid], off[pid]) for pid in sorted(obs)]
-    return roster, pairs
+    by_id = np.argsort(data.precinct_ids)
+    official_rows = np.array(is_official, dtype=bool)[by_id]
+    return (
+        ElectionDataset("observer", roster, data.take(by_id[~official_rows]), leader),
+        ElectionDataset("official", roster, data.take(by_id[official_rows]), leader),
+    )
 
 
 @dataclass(frozen=True)

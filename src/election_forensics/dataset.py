@@ -336,7 +336,7 @@ def data_rows(reader: Iterator[list[str]]) -> list[list[str]] | None:
         return None
 
 
-def _columns(
+def row_columns(
     ids: Sequence[str],
     regions: Sequence[str],
     territories: Sequence[str],
@@ -361,19 +361,6 @@ def _columns(
     )
 
 
-def record_columns(records: Sequence[PrecinctRecord], parties: int) -> DatasetArrays:
-    """Columns of rows whose vote vectors each hold ``parties`` counts."""
-    return _columns(
-        [r.precinct_id for r in records],
-        [r.region for r in records],
-        [r.territory for r in records],
-        [(r.registered, r.ballots_cast, r.invalid, *r.votes) for r in records],
-        [r.machine_counted for r in records],
-        [r.tags for r in records],
-        parties,
-    )
-
-
 def make_dataset(
     election_id: str,
     roster: PartyRoster,
@@ -381,7 +368,16 @@ def make_dataset(
     leader: str,
 ) -> ElectionDataset:
     """Check every row's invariants and assemble a dataset from the rows."""
-    columns = record_columns(tuple(records), len(roster))
+    rows = tuple(records)
+    columns = row_columns(
+        [r.precinct_id for r in rows],
+        [r.region for r in rows],
+        [r.territory for r in rows],
+        [(r.registered, r.ballots_cast, r.invalid, *r.votes) for r in rows],
+        [r.machine_counted for r in rows],
+        [r.tags for r in rows],
+        len(roster),
+    )
     check_invariants(columns)
     return ElectionDataset(election_id, roster, columns, leader)
 
@@ -450,7 +446,7 @@ def _columns_by_row(csv_text: str, party_cols: list[str], has_tags: bool) -> Dat
     tags: list[tuple[str, ...]] = []
 
     def columns() -> DatasetArrays:
-        return _columns(ids, regions, territories, counts, machine, tags, len(party_cols))
+        return row_columns(ids, regions, territories, counts, machine, tags, len(party_cols))
 
     try:
         for line_no, row in rows:

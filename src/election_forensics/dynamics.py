@@ -37,20 +37,10 @@ INTRADAY_HEADER = ["precinct_id", "time", "cumulative_voted"]
 
 @dataclass(frozen=True)
 class IntradaySeries:
-    """Ordered intraday reports plus the final official ballot count, when joined."""
+    """One precinct's intraday reports, in order."""
 
     precinct_id: str
     reports: tuple[tuple[int, int], ...]  # (minutes since midnight, cumulative voters)
-    official_cast: int | None = None
-
-    def validate(self) -> None:
-        official = None if self.official_cast is None else np.array([self.official_cast])
-        IntradayTable.from_series({self.precinct_id: self}).check(official)
-
-    def with_official(self, official_cast: int) -> "IntradaySeries":
-        series = IntradaySeries(self.precinct_id, self.reports, official_cast)
-        series.validate()
-        return series
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,31 +266,30 @@ def serialize_intraday(series_map: Mapping[str, IntradaySeries]) -> str:
     return ",".join(INTRADAY_HEADER) + "\n" + format_rows("%s,%s,%s\n", columns)
 
 
-def final_increment(series: IntradaySeries, registered: int) -> float:
-    """Fraction of registered voters appearing only in the final official count."""
-    if len(series.reports) < 2:
-        raise EmptySeries(f"precinct {series.precinct_id!r}: need at least 2 reports")
-    if series.official_cast is None:
-        raise EmptySeries(f"precinct {series.precinct_id!r}: official ballot count not joined")
-    last = series.reports[-1][1]
-    return (series.official_cast - last) / registered
-
-
-@dataclass(frozen=True)
-class HyperactiveRow:
-    precinct_id: str
-    increment: float
-    turnout: float
-    leader_share_of_cast: float
-    flagged: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HyperactiveReport:
+    """Final-increment flags of the precincts with intraday data, as columns in dataset order.
+
+    ``increment`` is (final ballots - last intraday count) / registered and
+    ``hot`` is ``increment > threshold``; the arrays are made read-only.
+    """
+
     threshold: float
-    flagged: tuple[str, ...]
     skipped_missing_series: tuple[str, ...]
-    rows: tuple[HyperactiveRow, ...]
+    precinct_ids: np.ndarray  # object array of str
+    increment: np.ndarray  # float64
+    turnout: np.ndarray  # float64
+    leader_share_of_cast: np.ndarray  # float64, 0.0 where no ballot was cast
+    hot: np.ndarray  # bool
+
+    def __post_init__(self):
+        for column in (self.precinct_ids, self.increment, self.turnout, self.leader_share_of_cast, self.hot):
+            column.flags.writeable = False
+
+    @property
+    def flagged(self) -> tuple[str, ...]:
+        """The hot precincts' ids, in dataset order."""
+        return tuple(self.precinct_ids[self.hot].tolist())
 
     def as_dict(self) -> dict:
         return {
@@ -309,13 +298,19 @@ class HyperactiveReport:
             "skipped_missing_series": list(self.skipped_missing_series),
             "rows": [
                 {
-                    "precinct_id": r.precinct_id,
-                    "increment": r.increment,
-                    "turnout": r.turnout,
-                    "leader_share_of_cast": r.leader_share_of_cast,
-                    "flagged": r.flagged,
+                    "precinct_id": pid,
+                    "increment": increment,
+                    "turnout": turnout,
+                    "leader_share_of_cast": share,
+                    "flagged": hot,
                 }
-                for r in self.rows
+                for pid, increment, turnout, share, hot in zip(
+                    self.precinct_ids.tolist(),
+                    self.increment.tolist(),
+                    self.turnout.tolist(),
+                    self.leader_share_of_cast.tolist(),
+                    self.hot.tolist(),
+                )
             ],
         }
 
@@ -336,22 +331,19 @@ def flag_hyperactive(
     table = IntradayTable.from_series(series_map)
     at = table.positions(c.precinct_ids)
     has = at >= 0
-    ids = c.precinct_ids[has].tolist()
     joined = table.take(at[has])
     cast = c.ballots_cast[has]
     registered = c.registered[has]
     joined.check(official=cast)  # raises the first faulty series' error, in dataset order
     last = joined.cumulative[joined.starts[1:] - 1]  # every checked series has 2+ reports
     increment = (cast - last) / registered
-    turnout = cast / registered
-    share = np.divide(c.votes[has, dataset.leader_index], cast, out=np.zeros(len(ids)), where=cast > 0)
-    hot = increment > threshold
+    share = np.divide(c.votes[has, dataset.leader_index], cast, out=np.zeros(len(cast)), where=cast > 0)
     return HyperactiveReport(
         threshold=threshold,
-        flagged=tuple(pid for pid, is_hot in zip(ids, hot.tolist()) if is_hot),
         skipped_missing_series=tuple(c.precinct_ids[~has].tolist()),
-        rows=tuple(
-            HyperactiveRow(*row)
-            for row in zip(ids, increment.tolist(), turnout.tolist(), share.tolist(), hot.tolist())
-        ),
+        precinct_ids=c.precinct_ids[has],
+        increment=increment,
+        turnout=cast / registered,
+        leader_share_of_cast=share,
+        hot=increment > threshold,
     )

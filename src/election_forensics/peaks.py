@@ -193,10 +193,13 @@ def simulate_null(
     calling thread is worker 0.  A worker's error is raised here once every
     worker has stopped.
 
-    Raises EmptySelection when the quantity includes no precinct.
+    Raises EmptySelection when the quantity includes no precinct, and
+    ValueError unless there are targets and each is an integer percent in 0..100.
     """
     if replicates < MIN_REPLICATES:
         raise ValueError(f"replicates must be >= {MIN_REPLICATES}, got {replicates}")
+    if not targets or not all(isinstance(t, (int, np.integer)) and 0 <= t < N_PERCENT_BINS for t in targets):
+        raise ValueError(f"targets must be integer percents in 0..{N_PERCENT_BINS - 1}, got {list(targets)}")
     numer, denom, mask = _selected(dataset, quantity)
     base_weights = weights_for(dataset, weight_mode)[mask]
     p_hat = shrunken_proportions(numer, denom)

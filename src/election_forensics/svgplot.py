@@ -16,6 +16,7 @@ from .errors import EmptyPlot
 
 WIDTH, HEIGHT = 720, 520
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 36, 44
+PLOT_W, PLOT_H = WIDTH - MARGIN_L - MARGIN_R, HEIGHT - MARGIN_T - MARGIN_B
 
 PALETTE = (
     "#1f77b4",
@@ -62,16 +63,27 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _axes(doc: _Doc, x_lo: float, x_hi: float, y_lo: float, y_hi: float, x_label: str, y_label: str) -> None:
-    plot_w = WIDTH - MARGIN_L - MARGIN_R
-    plot_h = HEIGHT - MARGIN_T - MARGIN_B
+def _frame(doc: _Doc) -> None:
     doc.add(
-        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
+        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{PLOT_W}" height="{PLOT_H}" '
         'fill="none" stroke="#333" stroke-width="1"/>\n'
     )
+
+
+def _axis_labels(doc: _Doc, x_label: str, y_label: str) -> None:
+    doc.add(
+        f'<text x="{MARGIN_L + PLOT_W // 2}" y="{HEIGHT - 8}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{_esc(x_label)}</text>\n'
+        f'<text x="14" y="{MARGIN_T + PLOT_H // 2}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="12" transform="rotate(-90 14 {MARGIN_T + PLOT_H // 2})">{_esc(y_label)}</text>\n'
+    )
+
+
+def _axes(doc: _Doc, x_lo: float, x_hi: float, y_lo: float, y_hi: float, x_label: str, y_label: str) -> None:
+    _frame(doc)
     for i in range(11):
         fx = x_lo + (x_hi - x_lo) * i / 10
-        px = _px(fx, x_lo, x_hi, plot_w, MARGIN_L)
+        px = _px(fx, x_lo, x_hi, PLOT_W, MARGIN_L)
         doc.add(
             f'<line x1="{_fmt(px)}" y1="{HEIGHT - MARGIN_B}" x2="{_fmt(px)}" '
             f'y2="{HEIGHT - MARGIN_B + 4}" stroke="#333"/>\n'
@@ -79,18 +91,13 @@ def _axes(doc: _Doc, x_lo: float, x_hi: float, y_lo: float, y_hi: float, x_label
             f'font-family="sans-serif" font-size="10">{_fmt(fx * 100)}%</text>\n'
         )
         fy = y_lo + (y_hi - y_lo) * i / 10
-        py = _px(fy, y_lo, y_hi, plot_h, MARGIN_T, flip=True)
+        py = _px(fy, y_lo, y_hi, PLOT_H, MARGIN_T, flip=True)
         doc.add(
             f'<line x1="{MARGIN_L - 4}" y1="{_fmt(py)}" x2="{MARGIN_L}" y2="{_fmt(py)}" stroke="#333"/>\n'
             f'<text x="{MARGIN_L - 6}" y="{_fmt(py + 3)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="10">{_fmt(fy * 100)}%</text>\n'
         )
-    doc.add(
-        f'<text x="{MARGIN_L + plot_w // 2}" y="{HEIGHT - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{_esc(x_label)}</text>\n'
-        f'<text x="14" y="{MARGIN_T + plot_h // 2}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12" transform="rotate(-90 14 {MARGIN_T + plot_h // 2})">{_esc(y_label)}</text>\n'
-    )
+    _axis_labels(doc, x_label, y_label)
 
 
 def svg_scatter(
@@ -119,12 +126,10 @@ def svg_scatter(
             raise EmptyPlot(f"non-finite coordinate ({x}, {y})")
     doc = _Doc(title)
     _axes(doc, 0.0, 1.0, 0.0, 1.0, x_label, y_label)
-    plot_w = WIDTH - MARGIN_L - MARGIN_R
-    plot_h = HEIGHT - MARGIN_T - MARGIN_B
     for idx, (label, _, xy, trend) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        px = _px(xy[:, 0], 0, 1, plot_w, MARGIN_L)
-        py = _px(xy[:, 1], 0, 1, plot_h, MARGIN_T, flip=True)
+        px = _px(xy[:, 0], 0, 1, PLOT_W, MARGIN_L)
+        py = _px(xy[:, 1], 0, 1, PLOT_H, MARGIN_T, flip=True)
         circle = '<circle cx="%.2f" cy="%.2f" r="1.6" fill="' + color + '" fill-opacity="0.45"/>\n'
         doc.add(format_rows(circle, [px.tolist(), py.tolist()]))
         if trend is not None:
@@ -132,10 +137,10 @@ def svg_scatter(
             x1, x2 = 0.0, 1.0
             y1, y2 = intercept, slope + intercept
             doc.add(
-                f'<line x1="{_fmt(_px(x1, 0, 1, plot_w, MARGIN_L))}" '
-                f'y1="{_fmt(_px(y1, 0, 1, plot_h, MARGIN_T, True))}" '
-                f'x2="{_fmt(_px(x2, 0, 1, plot_w, MARGIN_L))}" '
-                f'y2="{_fmt(_px(y2, 0, 1, plot_h, MARGIN_T, True))}" '
+                f'<line x1="{_fmt(_px(x1, 0, 1, PLOT_W, MARGIN_L))}" '
+                f'y1="{_fmt(_px(y1, 0, 1, PLOT_H, MARGIN_T, True))}" '
+                f'x2="{_fmt(_px(x2, 0, 1, PLOT_W, MARGIN_L))}" '
+                f'y2="{_fmt(_px(y2, 0, 1, PLOT_H, MARGIN_T, True))}" '
                 f'stroke="{color}" stroke-width="1.5"/>\n'
             )
         doc.add(
@@ -170,13 +175,8 @@ def svg_histogram(
         top = max(top, max(envelope[1], default=0))
     top = top * 1.05 or 1.0
     doc = _Doc(title)
-    plot_w = WIDTH - MARGIN_L - MARGIN_R
-    plot_h = HEIGHT - MARGIN_T - MARGIN_B
-    bar_w = plot_w / n
-    doc.add(
-        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
-        'fill="none" stroke="#333" stroke-width="1"/>\n'
-    )
+    bar_w = PLOT_W / n
+    _frame(doc)
     for i in range(0, n, max(1, n // 10)):
         px = MARGIN_L + (i + 0.5) * bar_w
         doc.add(
@@ -186,8 +186,8 @@ def svg_histogram(
     if envelope is not None:
         lo_band, hi_band = envelope
         for i in range(n):
-            y_hi = _px(hi_band[i], 0, top, plot_h, MARGIN_T, flip=True)
-            y_lo = _px(lo_band[i], 0, top, plot_h, MARGIN_T, flip=True)
+            y_hi = _px(hi_band[i], 0, top, PLOT_H, MARGIN_T, flip=True)
+            y_lo = _px(lo_band[i], 0, top, PLOT_H, MARGIN_T, flip=True)
             doc.add(
                 f'<rect x="{_fmt(MARGIN_L + i * bar_w)}" y="{_fmt(y_hi)}" '
                 f'width="{_fmt(bar_w)}" height="{_fmt(max(y_lo - y_hi, 0.0))}" fill="#bbb" fill-opacity="0.6"/>\n'
@@ -195,16 +195,11 @@ def svg_histogram(
     for i, v in enumerate(values):
         if v <= 0:
             continue
-        py = _px(v, 0, top, plot_h, MARGIN_T, flip=True)
+        py = _px(v, 0, top, PLOT_H, MARGIN_T, flip=True)
         color = "#d62728" if i in set(highlights) else "#1f77b4"
         doc.add(
             f'<rect x="{_fmt(MARGIN_L + i * bar_w + 0.5)}" y="{_fmt(py)}" '
             f'width="{_fmt(max(bar_w - 1.0, 0.5))}" height="{_fmt(HEIGHT - MARGIN_B - py)}" fill="{color}"/>\n'
         )
-    doc.add(
-        f'<text x="{MARGIN_L + plot_w // 2}" y="{HEIGHT - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{_esc(x_label)}</text>\n'
-        f'<text x="14" y="{MARGIN_T + plot_h // 2}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12" transform="rotate(-90 14 {MARGIN_T + plot_h // 2})">{_esc(y_label)}</text>\n'
-    )
+    _axis_labels(doc, x_label, y_label)
     return doc.render()

@@ -40,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import (
+    MAX_COUNT,
     DatasetArrays,
     ElectionDataset,
     PartyRoster,
@@ -99,8 +100,8 @@ class HonestModel:
             raise InvalidModel(f"turnout component weights sum to {wsum}, need 1")
         if any(c.sd < 0 or not 0 <= c.mean <= 1 for c in self.turnout_components):
             raise InvalidModel("turnout components need mean in [0,1] and sd >= 0")
-        if not 1 <= self.registered_min <= self.registered_max:
-            raise InvalidModel("need 1 <= registered_min <= registered_max")
+        if not 1 <= self.registered_min <= self.registered_max <= MAX_COUNT:
+            raise InvalidModel(f"need 1 <= registered_min <= registered_max <= {MAX_COUNT}")
         if not 0 <= self.machine_fraction <= 1:
             raise InvalidModel("machine_fraction must be in [0,1]")
         if self.territories < 1:

@@ -331,6 +331,16 @@ def test_peaks_alpha_out_of_range_exits_one(precincts_csv, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("ERROR INVALID: alpha must be in (0, 1)")
 
 
+@pytest.mark.parametrize("targets", ["150", "-5", "101", "70,150", "7.5", ","])
+def test_peaks_targets_outside_integer_percents_exit_one(fixtures_dir, tmp_path, capsys, targets):
+    rc = main(["peaks", "--in", str(fixtures_dir / "round_targets_precincts.csv"), "--leader", "UNITY",
+               "--seed", "1", "--replicates", "100", "--targets", targets, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR INVALID: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_peaks_with_no_included_precinct_exits_one(tmp_path, capsys):
     table = tmp_path / "precincts.csv"
     rows = "".join(f"p{i},R,T,1000,0,0,0,0,0\n" for i in range(30))
@@ -355,6 +365,15 @@ def test_clusters_report_carries_em_iterations_and_convergence(tmp_path):
     assert len(results["em_iterations"]) == 3
     assert all(isinstance(it, int) and it >= 1 for it in results["em_iterations"])
     assert isinstance(results["converged"], bool)
+
+
+@pytest.mark.parametrize("restarts", ["0", "-1"])
+def test_clusters_with_fewer_than_one_restart_exits_one(fixtures_dir, tmp_path, capsys, restarts):
+    rc = main(["clusters", "--in", str(fixtures_dir / "round_targets_precincts.csv"), "--leader", "UNITY",
+               "--seed", "1", "--restarts", restarts, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"ERROR INVALID: restarts must be >= 1, got {restarts}"]
+    assert not (tmp_path / "o").exists()
 
 
 # A 600-precinct election with four intraday reports and all four fraud
@@ -448,3 +467,57 @@ def test_synth_with_mistyped_json_exits_one(tmp_path, capsys, model, scenario):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERROR INVALID_MODEL: "), lines
     assert not (tmp_path / "o").exists()
+
+
+def _forensics_inputs(directory: Path) -> None:
+    """A seeded 300-precinct election: observer protocols, stuffed official copy, intraday series."""
+    from election_forensics import synth
+    from election_forensics.dataset import serialize_dataset
+    from election_forensics.dynamics import serialize_intraday
+
+    model = synth.HonestModel(
+        precincts=300,
+        parties=("LEAD", "OPA", "OPB"),
+        baseline_shares=(0.5, 0.3, 0.15),
+        leader="LEAD",
+        report_times=(600, 720, 900, 1080),
+    )
+    honest = synth.generate_honest(model, seed=31)
+    scenario = synth.FraudScenario(
+        stuffing=synth.StuffingSpec(fraction=0.3, intensity=0.08),
+        intraday_jump=synth.JumpSpec(fraction=0.1, size=0.2),
+        seed=32,
+    )
+    official, _ = synth.apply_fraud(honest.dataset, scenario)
+    (directory / "precincts.csv").write_text(serialize_dataset(official))
+    (directory / "intraday.csv").write_text(serialize_intraday(honest.intraday))
+    lines = ["precinct_id,source,registered,ballots_cast,invalid,votes_LEAD,votes_OPA,votes_OPB"]
+    # official rows first and in reverse, so the reader has to pair and sort
+    for source, dataset in (("official", official), ("observer", honest.dataset)):
+        c = dataset.counts()
+        rows = zip(c.precinct_ids.tolist(), c.registered.tolist(), c.ballots_cast.tolist(),
+                   c.invalid.tolist(), c.votes.tolist())
+        ordered = list(rows)[::-1] if source == "official" else rows
+        lines += [f"{pid},{source},{reg},{cast},{inv},{','.join(map(str, votes))}"
+                  for pid, reg, cast, inv, votes in ordered]
+    (directory / "protocols.csv").write_text("\n".join(lines) + "\n")
+
+
+# sha256 of each output, recorded before the commands' results were kept as columns.
+FORENSICS_DIGESTS = {
+    ("protocol-diff", "report.json"): "51ab627f7a5b30d340cb04f25e716bc686fa3e399448350228925cf1c0f86f1e",
+    ("protocol-diff", "protocol_diff.svg"): "7fdcb67fee70bfb9939d19923366ef2d49296b66d4d71ef56b5d51fe44337c51",
+    ("hyperactive", "report.json"): "9c454bf00fcee1ffa484a471e20678a482949466e2825581a27da8ebca39a78e",
+    ("hyperactive", "hyperactive.svg"): "a624cc15064b42c5aa232c7120f9bb37af032ef5d920ec0d1b0f55844ec77f53",
+}
+
+
+def test_protocol_diff_and_hyperactive_outputs_match_recorded_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths keep report.json free of the temporary directory
+    _forensics_inputs(tmp_path)
+    assert main(["protocol-diff", "--in", "protocols.csv", "--leader", "LEAD", "--out", "protocol-diff"]) == 0
+    assert main(["hyperactive", "--in", "precincts.csv", "--leader", "LEAD", "--series", "intraday.csv",
+                 "--out", "hyperactive"]) == 0
+    assert _report(tmp_path / "hyperactive")["results"]["flagged"]
+    for (command, name), digest in FORENSICS_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / command / name).read_bytes()).hexdigest() == digest, (command, name)

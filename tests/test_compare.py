@@ -12,7 +12,7 @@ from election_forensics.compare import (
     protocol_displacements,
     subset_contrast,
 )
-from election_forensics.dataset import PartyRoster, partition
+from election_forensics.dataset import partition
 from election_forensics.errors import PairMismatch, RosterMismatch, UnitMismatch
 from conftest import quick_dataset, record
 
@@ -162,33 +162,45 @@ def test_delta_rejects_a_unit_repeated_within_a_table():
 
 
 def test_protocol_displacement_zero_when_identical():
-    roster = PartyRoster(("A", "B"))
-    rec = record()
-    rows, summary = protocol_displacements([(rec, rec)], roster, "A")
-    assert rows[0].displacement == (0.0, 0.0)
-    assert summary.mean_d_turnout == 0.0
+    ds = quick_dataset([record()])
+    diff = protocol_displacements(ds, ds)
+    assert diff.displacement.tolist() == [[0.0, 0.0]]
+    assert diff.mean_d_turnout == 0.0
 
 
 def test_protocol_displacement_known_increase():
-    roster = PartyRoster(("LEAD", "REST"))
-    observer = record(pid="u1", registered=1200, cast=1000, votes=(482, 518))
-    official = record(pid="u1", registered=1200, cast=1000, votes=(617, 383))
-    rows, summary = protocol_displacements([(observer, official)], roster, "LEAD")
-    assert rows[0].displacement[1] == pytest.approx(0.135)
-    assert rows[0].displacement[0] == 0.0
-    assert summary.mean_d_leader_share == pytest.approx(0.135)
+    observer = quick_dataset([record(pid="u1", registered=1200, cast=1000, votes=(482, 518))], ("LEAD", "REST"), "LEAD")
+    official = quick_dataset([record(pid="u1", registered=1200, cast=1000, votes=(617, 383))], ("LEAD", "REST"), "LEAD")
+    diff = protocol_displacements(observer, official)
+    assert diff.displacement[0, 1] == pytest.approx(0.135)
+    assert diff.displacement[0, 0] == 0.0
+    assert diff.mean_d_leader_share == pytest.approx(0.135)
 
 
 def test_protocol_displacement_mismatch_rejected():
-    roster = PartyRoster(("A", "B"))
-    with pytest.raises(PairMismatch):
-        protocol_displacements([(record(pid="x"), record(pid="y"))], roster, "A")
-    with pytest.raises(PairMismatch):
+    with pytest.raises(PairMismatch, match="disagree on id: 'x' vs 'y'"):
+        protocol_displacements(quick_dataset([record(pid="x")]), quick_dataset([record(pid="y")]))
+    with pytest.raises(PairMismatch, match=r"registered differs \(1000 vs 999\)"):
         protocol_displacements(
-            [(record(pid="x", registered=1000), record(pid="x", registered=999, cast=500))],
-            roster,
-            "A",
+            quick_dataset([record(pid="x", registered=1000)]),
+            quick_dataset([record(pid="x", registered=999, cast=500)]),
         )
+    with pytest.raises(PairMismatch, match="1 observer precincts vs 0 official"):
+        protocol_displacements(quick_dataset([record()]), quick_dataset([]))
+
+
+def _reference_displacements(observer, official):
+    """The per-record loop that computed displacements before they were kept as columns."""
+    lead = observer.leader_index
+    rows = []
+    for src, dst in zip(observer.records, official.records):
+        points = [
+            (r.ballots_cast / r.registered, r.votes[lead] / r.ballots_cast if r.ballots_cast else 0.0)
+            for r in (src, dst)
+        ]
+        rows.append((src.precinct_id, *points, (points[1][0] - points[0][0], points[1][1] - points[0][1])))
+    n = len(rows)
+    return rows, sum(r[3][0] for r in rows) / n, sum(r[3][1] for r in rows) / n
 
 
 def test_protocol_displacements_all_positive_under_stuffing():
@@ -200,27 +212,28 @@ def test_protocol_displacements_all_positive_under_stuffing():
         stuffing=synth.StuffingSpec(fraction=1.0, intensity=0.15, jitter=0.0), seed=2
     )
     official, _ = synth.apply_fraud(gen.dataset, scenario)
-    pairs = list(zip(gen.dataset.records, official.records))
-    rows, summary = protocol_displacements(pairs, gen.dataset.roster, "LEAD")
-    assert all(r.displacement[0] > 0 for r in rows)
-    assert all(r.displacement[1] > 0 for r in rows)
-    assert summary.mean_d_turnout == pytest.approx(
-        sum(r.displacement[0] for r in rows) / len(rows)
-    )
+    diff = protocol_displacements(gen.dataset, official)
+    assert (diff.displacement > 0).all()
+    rows, mean_d_turnout, mean_d_share = _reference_displacements(gen.dataset, official)
+    columns = (diff.observer, diff.official, diff.displacement)
+    assert list(zip(diff.precinct_ids.tolist(), *(map(tuple, c.tolist()) for c in columns))) == rows
+    assert (diff.mean_d_turnout, diff.mean_d_leader_share) == (mean_d_turnout, mean_d_share)
 
 
 def test_parse_protocols_round_trip_pairing():
     text = (
         "precinct_id,source,registered,ballots_cast,invalid,votes_L,votes_O\n"
+        "u2,official,800,400,0,100,300\n"
         "u1,observer,1000,500,10,300,190\n"
         "u1,official,1000,700,10,500,190\n"
-        "u2,official,800,400,0,100,300\n"
         "u2,observer,800,400,0,100,300\n"
     )
-    roster, pairs = parse_protocols(text, "L")
-    assert roster.ids == ("L", "O")
-    assert [p[0].precinct_id for p in pairs] == ["u1", "u2"]
-    assert pairs[0][1].votes == (500, 190)
+    observer, official = parse_protocols(text, "L")
+    assert observer.roster == official.roster and observer.roster.ids == ("L", "O")
+    assert observer.designated_leader == official.designated_leader == "L"
+    assert observer.counts().precinct_ids.tolist() == official.counts().precinct_ids.tolist() == ["u1", "u2"]
+    assert observer.counts().ballots_cast.tolist() == [500, 400]
+    assert official.counts().votes.tolist() == [[500, 190], [100, 300]]
     with pytest.raises(PairMismatch):
         parse_protocols(text + "u3,observer,500,100,0,50,50\n", "L")
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,6 @@ from election_forensics import synth
 from election_forensics.dynamics import (
     IntradaySeries,
     IntradayTable,
-    final_increment,
     flag_hyperactive,
     format_time,
     parse_intraday,
@@ -20,34 +20,38 @@ from election_forensics.errors import EmptySeries, InvariantViolation, Malformed
 from conftest import quick_dataset, record
 
 
-def _series(pid="p1", reports=((600, 100), (900, 450)), official=None):
-    return IntradaySeries(pid, tuple(reports), official)
+def _series(pid="p1", reports=((600, 100), (900, 450))):
+    return IntradaySeries(pid, tuple(reports))
+
+
+def _one_precinct(cast):
+    return quick_dataset([record(pid="p1", registered=1000, cast=cast, votes=(cast, 0))])
 
 
 def test_final_increment_arithmetic():
-    series = _series(official=800)
-    assert final_increment(series, registered=1000) == pytest.approx(0.35)
+    report = flag_hyperactive(_one_precinct(800), {"p1": _series()})
+    assert report.increment.tolist() == [pytest.approx(0.35)]
+    assert report.turnout.tolist() == [0.8] and report.leader_share_of_cast.tolist() == [1.0]
+    assert not report.increment.flags.writeable and not report.hot.flags.writeable
 
 
 def test_final_increment_zero_when_official_matches_last_report():
-    series = _series(reports=((600, 100), (900, 450)), official=450)
-    assert final_increment(series, registered=1000) == 0.0
-
-
-def test_final_increment_needs_two_reports_and_official():
-    with pytest.raises(EmptySeries):
-        final_increment(IntradaySeries("p", ((600, 100),), 200), 1000)
-    with pytest.raises(EmptySeries):
-        final_increment(_series(official=None), 1000)
+    report = flag_hyperactive(_one_precinct(450), {"p1": _series()})
+    assert report.increment.tolist() == [0.0]
+    assert report.flagged == () and report.hot.tolist() == [False]
 
 
 def test_series_validation_rules():
+    def check(reports, official):
+        IntradayTable.from_series({"p1": _series(reports=reports)}).check(np.array([official]))
+
     with pytest.raises(InvariantViolation):
-        _series(reports=((600, 300), (900, 200)), official=400).validate()
+        check(((600, 300), (900, 200)), 400)
     with pytest.raises(InvariantViolation):
-        _series(reports=((900, 100), (600, 200)), official=400).validate()
+        check(((900, 100), (600, 200)), 400)
     with pytest.raises(InvariantViolation):
-        _series(reports=((600, 100), (900, 450)), official=440).validate()
+        check(((600, 100), (900, 450)), 440)
+    check(((600, 100), (900, 450)), 450)
 
 
 def test_parse_and_serialize_intraday_round_trip():
@@ -75,12 +79,9 @@ def test_honest_generator_final_increments_stay_small():
         report_times=(600, 720, 900, 1080),
     )
     gen = synth.generate_honest(model, seed=13)
-    small = 0
-    for rec in gen.dataset.records:
-        series = gen.intraday[rec.precinct_id].with_official(rec.ballots_cast)
-        if final_increment(series, rec.registered) <= 0.05:
-            small += 1
-    assert small / len(gen.dataset) >= 0.99
+    report = flag_hyperactive(gen.dataset, gen.intraday)
+    assert len(report.increment) == len(gen.dataset)
+    assert np.count_nonzero(report.increment <= 0.05) / len(gen.dataset) >= 0.99
 
 
 def test_flagging_threshold_is_strict():
@@ -96,9 +97,9 @@ def test_flagging_threshold_is_strict():
     }
     report = flag_hyperactive(ds, series, threshold=0.13)
     assert report.flagged == ("over",)
-    rows = {r.precinct_id: r for r in report.rows}
-    assert rows["exact"].increment == pytest.approx(0.13)
-    assert not rows["exact"].flagged
+    exact = report.precinct_ids.tolist().index("exact")
+    assert report.increment[exact] == pytest.approx(0.13)
+    assert not report.hot[exact]
 
 
 def test_missing_series_skipped_and_counted():
@@ -108,7 +109,7 @@ def test_missing_series_skipped_and_counted():
     series = {"a": _series("a", reports=((600, 100), (900, 480)))}
     report = flag_hyperactive(ds, series)
     assert report.skipped_missing_series == ("b",)
-    assert len(report.rows) == 1
+    assert report.precinct_ids.tolist() == ["a"]
 
 
 def test_flag_set_monotone_in_threshold():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from election_forensics.errors import EmptyPlot
@@ -106,3 +108,27 @@ def test_non_finite_coordinate_named_alike_for_an_array_and_for_pairs():
     with pytest.raises(EmptyPlot) as from_array:
         svg_scatter([("a", np.array([(0.1, 0.1)]), None), ("b", np.array(pairs), None)])
     assert from_pairs.value.message == from_array.value.message == "non-finite coordinate (0.2, inf)"
+
+
+# sha256 of each document, recorded before the histogram shared the scatter plot's frame and labels.
+SVG_DIGESTS = {
+    "histogram": "1d5921441f394fa9237867819e9a4014b4125a1c29a34047103d879acee846c5",
+    "histogram_plain": "7dfdee73d89550c5e0f3edaa061fbac4b040f2afb8eaf7335887a6c0442139e1",
+    "scatter": "b4eff5544607c4d81afd2d2f84dc544c5784a765a6095a526505b1a0183a7c10",
+}
+
+
+def test_svg_bytes_match_recorded_digests():
+    values = [((i * 37) % 23) * 1.5 for i in range(101)]
+    envelope = ([v * 0.5 for v in values], [v * 1.2 + 1 for v in values])
+    documents = {
+        "histogram": svg_histogram(values, title="a <&> b", envelope=envelope, highlights=(70, 75)),
+        "histogram_plain": svg_histogram(values[:40], x_label="x", y_label="y"),
+        "scatter": svg_scatter(
+            [("a", [(0.1, 0.2), (0.5, 0.9)], (0.3, 0.1)), ("b", [(0.7, 0.4)], None)],
+            title="s",
+            y_label="share",
+        ),
+    }
+    for name, digest in SVG_DIGESTS.items():
+        assert hashlib.sha256(documents[name].encode()).hexdigest() == digest, name

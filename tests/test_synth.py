@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from election_forensics import synth
-from election_forensics.dataset import check_invariants, serialize_dataset
+from election_forensics.dataset import MAX_COUNT, check_invariants, parse_dataset, serialize_dataset
 from election_forensics.errors import InvalidModel
 from election_forensics.peaks import detect_round_peaks
 from conftest import quick_dataset, record
@@ -299,3 +299,19 @@ def test_model_json_integer_fields_keep_their_values():
     assert (model.precincts, model.registered_min, model.registered_max, model.territories) == (7, 10, 20, 3)
     scenario = synth.scenario_from_json('{"target_rounding": {"targets": [70, 85]}}')
     assert scenario.target_rounding.targets == (70, 85)
+
+
+def test_model_registered_max_is_capped_at_max_count():
+    at_cap = dict(
+        _MODEL,
+        parties=["X", "Y"],
+        baseline_shares=[0.5, 0.4],
+        registered={"median": 5e13, "max": MAX_COUNT},
+        report_times=["10:00", "18:00"],
+    )
+    gen = synth.generate_honest(synth.model_from_json(json.dumps(at_cap)), seed=1)
+    assert gen.dataset.counts().registered.tolist() == [MAX_COUNT] * 5
+    assert parse_dataset(serialize_dataset(gen.dataset), "X").counts() == gen.dataset.counts()
+    over = dict(at_cap, registered={"median": 5e13, "max": MAX_COUNT + 1})
+    with pytest.raises(InvalidModel, match=f"registered_max <= {MAX_COUNT}"):
+        synth.model_from_json(json.dumps(over))
