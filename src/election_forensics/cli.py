@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, anomaly, compare, dynamics, peaks, probkit, scatter, synth
 from . import histograms as hist_mod
 from .dataset import format_rows, parse_dataset, partition, serialize_dataset
-from .errors import BadCounts, ForensicsError
+from .errors import BadCounts, EmptySelection, ForensicsError
 from .report import build_report, atomic_write_text, input_digest, write_report
 from .svgplot import svg_histogram, svg_scatter
 
@@ -242,10 +242,10 @@ def cmd_contrast(args) -> dict:
         mask = np.fromiter((value in tags for tags in columns.tags), dtype=bool, count=len(dataset))
         label_a, label_b = f"tag {value}", "rest"
     else:
-        raise ForensicsError(f"--by must be machine, territory=<v>, or tag=<v>, got {by!r}")
+        raise ValueError(f"--by must be machine, territory=<v>, or tag=<v>, got {by!r}")
     part_a, part_b = partition(dataset, mask)
     if len(part_a) == 0 or len(part_b) == 0:
-        raise ForensicsError(f"split {by!r} left an empty subset")
+        raise EmptySelection(f"split {by!r} left an empty subset")
     contrast = compare.subset_contrast(part_a, part_b, label_a=label_a, label_b=label_b)
     return {"results": contrast.as_dict(), "inputs": [digest]}
 

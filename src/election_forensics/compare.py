@@ -28,8 +28,10 @@ from .dataset import (
     ElectionDataset,
     PartyRoster,
     check_invariants,
+    count_column,
     parse_count,
-    read_csv,
+    raise_first_fault,
+    read_table,
     row_columns,
 )
 from .errors import (
@@ -211,24 +213,26 @@ def _parse_percent(cell: str, line: int, column: str) -> Decimal:
 
 def parse_delta_table(csv_text: str) -> tuple[list[UnitEntry], list[UnitEntry]]:
     """Parse ``unit,share_b,share_a,turnout_b,turnout_a`` rows (percents) into tables A and B."""
-    header, rows = read_csv(csv_text)
-    if tuple(header) != DELTA_COLUMNS:
+    table = read_table(csv_text)
+    if tuple(table.header) != DELTA_COLUMNS:
         raise MalformedRow(1, f"header must be {','.join(DELTA_COLUMNS)}")
     table_a: list[UnitEntry] = []
     table_b: list[UnitEntry] = []
     seen: set[str] = set()
-    for line_no, row in rows:
-        if len(row) != len(DELTA_COLUMNS):
-            raise MalformedRow(line_no, f"expected {len(DELTA_COLUMNS)} fields, got {len(row)}")
+
+    def check_row(i: int, line: int) -> None:
+        row = table.rows[i]
         share_b, share_a, turnout_b, turnout_a = (
-            _parse_percent(cell, line_no, col) for cell, col in zip(row[1:], DELTA_COLUMNS[1:])
+            _parse_percent(cell, line, col) for cell, col in zip(row[1:], DELTA_COLUMNS[1:])
         )
         unit = row[0].strip()
         if unit in seen:
-            raise MalformedRow(line_no, f"duplicate unit {unit!r}")
+            raise MalformedRow(line, f"duplicate unit {unit!r}")
         seen.add(unit)
         table_b.append((unit, share_b, turnout_b))
         table_a.append((unit, share_a, turnout_a))
+
+    raise_first_fault(table, range(len(table.rows)), check_row)
     return table_a, table_b
 
 
@@ -308,20 +312,21 @@ def protocol_displacements(observer: ElectionDataset, official: ElectionDataset)
     return ProtocolDisplacements(a.precinct_ids, src, dst, displacement, d_turnout, d_share)
 
 
-PROTOCOL_SOURCES = ("observer", "official")
-
-
 def parse_protocols(csv_text: str, leader: str) -> tuple[ElectionDataset, ElectionDataset]:
     """Parse protocols.csv into (observer, official) datasets.
 
     Format: ``precinct_id,source,registered,ballots_cast,invalid,votes_<party>...``
     with source in {observer, official}; each precinct must appear once per
     source.  The two datasets share one roster and leader and hold the same
-    precincts, sorted by id.  Rows are read one at a time: the error
-    reported is the first MalformedRow in file order, after
-    InvariantViolation for any row before it that breaks a count invariant.
+    precincts, sorted by id.  The text is read once and checked a column at
+    a time, and only the rows the column check leaves open are checked
+    again, one at a time.  The error reported is the first MalformedRow in
+    file order, after InvariantViolation for any row before it that breaks
+    a count invariant; a repeated row's own counts are checked before the
+    repeat is reported.
     """
-    header, lines = read_csv(csv_text)
+    table = read_table(csv_text)
+    header = table.header
     fixed = ("precinct_id", "source", "registered", "ballots_cast", "invalid")
     if tuple(header[: len(fixed)]) != fixed:
         raise MalformedRow(1, f"header must start with {','.join(fixed)}")
@@ -332,40 +337,51 @@ def parse_protocols(csv_text: str, leader: str) -> tuple[ElectionDataset, Electi
     if leader not in roster.ids:
         raise UnknownParty(f"leader {leader!r} not among parties {roster.ids}")
 
-    ids: list[str] = []
-    counts: list[list[int]] = []
-    is_official: list[bool] = []
-    seen: dict[str, set[str]] = {s: set() for s in PROTOCOL_SOURCES}
+    rows = table.rows
+    n = len(rows)
+    cells = list(zip(*rows)) or [()] * len(header)
+    ids = list(map(str.strip, cells[0]))
+    sources = list(map(str.strip, cells[1]))
+    source_cells = np.array(sources, dtype=object)
+    official = source_cells == "official"
+    bad_source = ~official & (source_cells != "observer")
+    counts = np.empty((n, len(header) - 2), dtype=np.int64)
+    masked = np.empty((n, len(header) - 2), dtype=bool)
+    for j, column in enumerate(cells[2:]):
+        counts[:, j], masked[:, j] = count_column(column)
+    keys = list(zip(sources, ids))
+    repeated = np.zeros(n, dtype=bool)
+    if len(set(keys)) != n:
+        seen: set[tuple[str, str]] = set()
+        for i, key in enumerate(keys):
+            repeated[i] = key in seen
+            seen.add(key)
 
-    def columns() -> DatasetArrays:
-        n = len(ids)
-        return row_columns(ids, [""] * n, [""] * n, counts, [False] * n, [()] * n, len(roster))
+    def columns(end: int) -> DatasetArrays:
+        return row_columns(ids[:end], [""] * end, [""] * end, counts[:end], [False] * end, [()] * end, len(roster))
 
-    try:
-        for line_no, row in lines:
-            if len(row) != len(header):
-                raise MalformedRow(line_no, f"expected {len(header)} fields, got {len(row)}")
-            source = row[1].strip()
-            if source not in PROTOCOL_SOURCES:
-                raise MalformedRow(line_no, f"source must be observer or official, got {source!r}")
-            counts.append([parse_count(cell, line_no, col) for cell, col in zip(row[2:], header[2:])])
-            pid = row[0].strip()
-            ids.append(pid)
-            if pid in seen[source]:
-                raise MalformedRow(line_no, f"duplicate {source} row for {pid!r}")
-            seen[source].add(pid)
-            is_official.append(source == "official")
-    except MalformedRow:
-        check_invariants(columns())  # an earlier broken row is reported first
-        raise
-    data = columns()
+    def check_row(i: int, line: int) -> None:
+        if bad_source[i]:
+            raise MalformedRow(line, f"source must be observer or official, got {sources[i]!r}")
+        for j in np.flatnonzero(masked[i]).tolist():
+            counts[i, j] = parse_count(rows[i][2 + j], line, header[2 + j])
+        if repeated[i]:
+            check_invariants(columns(i + 1))  # the repeated row's counts are taken before the repeat shows
+            raise MalformedRow(line, f"duplicate {sources[i]} row for {ids[i]!r}")
+
+    flagged = np.flatnonzero(bad_source | masked.any(axis=1) | repeated).tolist()
+    raise_first_fault(table, flagged, check_row, columns)
+    data = columns(n)
     check_invariants(data)
 
-    if seen["observer"] != seen["official"]:
-        missing = sorted(seen["observer"] ^ seen["official"])
+    pids = data.precinct_ids
+    observer_ids, official_ids = set(pids[~official].tolist()), set(pids[official].tolist())
+    if observer_ids != official_ids:
+        missing = sorted(observer_ids ^ official_ids)
         raise PairMismatch(f"precincts missing a counterpart: {missing}")
-    by_id = np.argsort(data.precinct_ids)
-    official_rows = np.array(is_official, dtype=bool)[by_id]
+    # Python's sort of the ids; a numpy argsort of an object array compares far more slowly
+    by_id = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.int64)
+    official_rows = official[by_id]
     return (
         ElectionDataset("observer", roster, data.take(by_id[~official_rows]), leader),
         ElectionDataset("official", roster, data.take(by_id[official_rows]), leader),

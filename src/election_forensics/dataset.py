@@ -30,7 +30,8 @@ import csv
 import io
 import re
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -217,8 +218,47 @@ def check_invariants(columns: DatasetArrays) -> None:
     )
 
 
-def open_csv(csv_text: str) -> tuple[list[str], Iterator[list[str]]]:
-    """The stripped header and a ``csv.reader`` positioned after it."""
+def _start_lines(records: list[list[str]], first: int) -> np.ndarray:
+    """The physical line each record starts on, then the line after the last one.
+
+    ``records[0]`` starts on line ``first``.  A record takes one line plus
+    one for each ``\\n`` inside its quoted cells, so a quoted cell that
+    spans lines does not shift the numbers of later records.
+    """
+    spans = np.fromiter(("".join(r).count("\n") + 1 for r in records), dtype=np.int64, count=len(records))
+    starts = np.full(len(records) + 1, first, dtype=np.int64)
+    starts[1:] += np.cumsum(spans)
+    return starts
+
+
+@dataclass(frozen=True, eq=False)
+class CsvTable:
+    """A CSV text read in one pass, up to its first structural fault.
+
+    ``rows`` are the non-empty rows after the stripped ``header``, each with
+    as many fields as the header.  ``fault`` is the MalformedRow of the
+    first row with another field count or one that ``csv`` rejects, such
+    as a cell longer than ``csv.field_size_limit()``; the rows stop before
+    it, and it is raised only if no earlier row has a fault of its own.
+    ``lines``, the physical line each row starts on, is worked out only
+    when some row is checked on its own.
+    """
+
+    header: list[str]
+    rows: list[list[str]]
+    fault: MalformedRow | None
+    records: list[list[str]]  # the rows and the empty records among them
+    first_line: int  # the physical line of records[0]
+
+    @cached_property
+    def lines(self) -> np.ndarray:
+        """The physical line each row starts on."""
+        starts = _start_lines(self.records, self.first_line)[:-1]
+        return starts if len(self.rows) == len(self.records) else starts[list(map(bool, self.records))]
+
+
+def read_table(csv_text: str) -> CsvTable:
+    """The text read by one ``csv.reader``; a missing or unreadable header is a MalformedRow."""
     reader = csv.reader(io.StringIO(csv_text))
     try:
         header = [h.strip() for h in next(reader)]
@@ -226,30 +266,52 @@ def open_csv(csv_text: str) -> tuple[list[str], Iterator[list[str]]]:
         raise MalformedRow(1, "missing header row") from None
     except csv.Error as exc:
         raise MalformedRow(1, str(exc)) from None
-    return header, reader
+    first = reader.line_num + 1
+    records: list[list[str]] = []
+    error = None
+    try:
+        records.extend(reader)  # keeps the records read before a csv.Error
+    except csv.Error as exc:
+        error = str(exc)
+    widths = np.fromiter(map(len, records), dtype=np.int64, count=len(records))
+    misfits = np.flatnonzero((widths != 0) & (widths != len(header)))
+    fault = None
+    if misfits.size:
+        end = int(misfits[0])
+        error = f"expected {len(header)} fields, got {widths[end]}"
+        records, widths = records[:end], widths[:end]
+    if error is not None:
+        fault = MalformedRow(int(_start_lines(records, first)[-1]), error)
+    rows = records if widths.all() else list(filter(None, records))
+    return CsvTable(header, rows, fault, records, first)
 
 
-def read_csv(csv_text: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """The stripped header and (line number, row) for each non-empty row after it.
+def raise_first_fault(
+    table: CsvTable,
+    flagged: Iterable[int],
+    check_row: Callable[[int, int], None],
+    columns: Callable[[int], DatasetArrays] | None = None,
+) -> None:
+    """Check the flagged rows in order, then raise the table's pending fault.
 
-    A row's line number is the physical line it starts on, so a quoted
-    cell that spans lines does not shift the numbers of later rows.  A
-    row that ``csv`` rejects, such as one with a cell longer than
-    ``csv.field_size_limit()``, is a MalformedRow at that line.
+    ``check_row(i, line)`` takes a row the column pass could not settle:
+    it fills the row's slots or raises MalformedRow.  The first fault, the
+    one a flagged row raises or else the pending one, is raised after
+    ``check_invariants(columns(i))`` reports any of the ``i`` rows before
+    it that breaks a count invariant.
     """
-    header, reader = open_csv(csv_text)
-
-    def rows() -> Iterator[tuple[int, list[str]]]:
-        start = reader.line_num + 1
+    faulty, fault = len(table.rows), table.fault
+    for i in flagged:
         try:
-            for row in reader:
-                if row:
-                    yield start, row
-                start = reader.line_num + 1
-        except csv.Error as exc:
-            raise MalformedRow(start, str(exc)) from None
-
-    return header, rows()
+            check_row(i, int(table.lines[i]))
+        except MalformedRow as exc:
+            faulty, fault = i, exc
+            break
+    if fault is None:
+        return
+    if columns is not None:
+        check_invariants(columns(faulty))  # an invariant broken on an earlier line is reported first
+    raise fault
 
 
 # A cell holding none of these is written as it is; csv.writer quotes only cells with one.
@@ -299,41 +361,36 @@ _COUNT_DIGITS = len(str(MAX_COUNT))
 _PLACE_VALUES = 10 ** np.arange(_COUNT_DIGITS, dtype=np.int64)
 
 
-def count_column(cells: Sequence[str]) -> np.ndarray | None:
-    """The cells as int64 counts, or None unless each one is an easy ``parse_count`` cell.
+def count_column(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The cells as int64 counts, and a mask of the cells left to ``parse_count``.
 
-    An easy cell is 1 to 13 ASCII digits once stripped, at most MAX_COUNT.
-    None leaves the cells to ``parse_count``: a reader then goes row by row
-    to reject the first bad cell, or to accept what this check is too
-    narrow for, such as a count zero-padded past 13 digits.
+    A cell is taken here if it is 1 to 13 ASCII digits once stripped, at
+    most MAX_COUNT.  Any other cell is masked and holds 0: ``parse_count``
+    then rejects it, or accepts what this check is too narrow for, such
+    as a count zero-padded past 13 digits.
     """
+    n = len(cells)
     joined = "".join(cells)
     if not (joined.isascii() and joined.isdigit()):  # some cell is padded, or not a count
         cells = list(map(str.strip, cells))
         joined = "".join(cells)
-        if not (joined.isascii() and joined.isdigit()):
-            return None
-    lengths = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
-    if lengths.min() == 0 or lengths.max() > _COUNT_DIGITS:
-        return None
+    lengths = np.fromiter(map(len, cells), dtype=np.int64, count=n)
+    masked = (lengths == 0) | (lengths > _COUNT_DIGITS)
+    if not (joined.isascii() and joined.isdigit()):
+        digits_only = np.fromiter(map(str.isdigit, cells), dtype=bool, count=n)
+        masked |= ~(digits_only & np.fromiter(map(str.isascii, cells), dtype=bool, count=n))
+    if masked.any():
+        cells = ["0" if bad else cell for cell, bad in zip(cells, masked.tolist())]
+        joined = "".join(cells)
+        lengths[masked] = 1
     # each digit times its place value, summed cell by cell
     ends = np.cumsum(lengths)
     places = np.repeat(ends, lengths) - np.arange(1, len(joined) + 1)
     digits = np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - ord("0")
     counts = np.add.reduceat(digits * _PLACE_VALUES[places], ends - lengths)
-    return None if (counts > MAX_COUNT).any() else counts
-
-
-def data_rows(reader: Iterator[list[str]]) -> list[list[str]] | None:
-    """The reader's non-empty rows, or None when ``csv`` rejects the text.
-
-    None leaves the text to the row-by-row reader, which reports any bad
-    row before the one ``csv`` rejects.
-    """
-    try:
-        return list(filter(None, reader))
-    except csv.Error:
-        return None
+    masked |= counts > MAX_COUNT
+    counts[masked] = 0
+    return counts, masked
 
 
 def row_columns(
@@ -393,91 +450,18 @@ def no_tags(n: int) -> np.ndarray:
     return tags
 
 
-def _columns_by_column(
-    rows: list[list[str]], width: int, parties: int, has_tags: bool
-) -> DatasetArrays | None:
-    """The columns of ``rows``, checked a column at a time; None if any cell needs the row reader."""
-    if set(map(len, rows)) != {width}:
-        return None
-    cells = list(zip(*rows))
-    machine = list(map(str.strip, cells[6]))
-    if not set(machine) <= {"0", "1"}:
-        return None
-    n = len(rows)
-    # one table, laid out as the row reader lays it out, holds every count column
-    table = np.empty((n, 3 + parties), dtype=np.int64)
-    for j, i in enumerate((3, 4, 5, *range(7, 7 + parties))):
-        counts = count_column(cells[i])
-        if counts is None:
-            return None
-        table[:, j] = counts
-    if has_tags:
-        tags = np.fromiter(map(_tags, cells[-1]), dtype=object, count=n)
-    else:
-        tags = no_tags(n)
-    return DatasetArrays(
-        precinct_ids=np.array(list(map(str.strip, cells[0])), dtype=object),
-        region=np.array(list(map(str.strip, cells[1])), dtype=object),
-        territory=np.array(list(map(str.strip, cells[2])), dtype=object),
-        registered=table[:, 0],
-        ballots_cast=table[:, 1],
-        invalid=table[:, 2],
-        machine_counted=np.array(machine) == "1",
-        votes=table[:, 3:],
-        tags=tags,
-    )
-
-
-def _columns_by_row(csv_text: str, party_cols: list[str], has_tags: bool) -> DatasetArrays:
-    """The columns read a row at a time: the grammar's one definition.
-
-    Raises the first MalformedRow in file order, after InvariantViolation
-    for any row before it that breaks a count invariant.
-    """
-    header, rows = read_csv(csv_text)
-    expected = len(header)
-    count_cells = [(3, "registered"), (4, "ballots_cast"), (5, "invalid")]
-    count_cells += [(7 + j, col) for j, col in enumerate(party_cols)]
-    ids: list[str] = []
-    regions: list[str] = []
-    territories: list[str] = []
-    counts: list[list[int]] = []
-    machine: list[bool] = []
-    tags: list[tuple[str, ...]] = []
-
-    def columns() -> DatasetArrays:
-        return row_columns(ids, regions, territories, counts, machine, tags, len(party_cols))
-
-    try:
-        for line_no, row in rows:
-            if len(row) != expected:
-                raise MalformedRow(line_no, f"expected {expected} fields, got {len(row)}")
-            mc_raw = row[6].strip()
-            if mc_raw not in ("0", "1"):
-                raise MalformedRow(line_no, f"machine_counted must be 0 or 1, got {mc_raw!r}")
-            counts.append([parse_count(row[i], line_no, col) for i, col in count_cells])
-            ids.append(row[0].strip())
-            regions.append(row[1].strip())
-            territories.append(row[2].strip())
-            machine.append(mc_raw == "1")
-            tags.append(_tags(row[-1]) if has_tags else ())
-    except MalformedRow:
-        check_invariants(columns())  # an invariant broken on an earlier line is reported first
-        raise
-    return columns()
-
-
 def parse_dataset(csv_text: str, leader: str, election_id: str = "dataset") -> ElectionDataset:
     """Parse ``precincts.csv`` content into a validated dataset.
 
     Raises MalformedRow for structural problems, InvariantViolation for
     rows that fail count invariants, and UnknownLeader when ``leader`` is
     not among the vote columns.  The error reported is the first one in
-    file order.  Well-formed files are read a column at a time; any file
-    with a cell the column check declines is read again row by row, so
-    the row reader alone decides what is an error and where.
+    file order.  The text is read once and checked a column at a time;
+    only the rows with a cell the column check leaves open are checked
+    again, one at a time, by the scalar rules.
     """
-    header, reader = open_csv(csv_text)
+    table = read_table(csv_text)
+    header = table.header
     has_tags = bool(header) and header[-1] == TAGS_COLUMN
     core = header[:-1] if has_tags else header
     if tuple(core[: len(FIXED_COLUMNS)]) != FIXED_COLUMNS:
@@ -489,10 +473,43 @@ def parse_dataset(csv_text: str, leader: str, election_id: str = "dataset") -> E
     if leader not in roster.ids:
         raise UnknownLeader(f"leader {leader!r} not among parties {roster.ids}")
 
-    rows = data_rows(reader)
-    data = _columns_by_column(rows, len(header), len(roster), has_tags) if rows else None
-    if data is None:
-        data = _columns_by_row(csv_text, party_cols, has_tags)
+    rows = table.rows
+    n = len(rows)
+    cells = list(zip(*rows)) or [()] * len(header)
+    machine = list(map(str.strip, cells[6]))
+    machine_cells = np.array(machine, dtype=object)
+    machine_counted = machine_cells == "1"
+    bad_machine = ~machine_counted & (machine_cells != "0")
+    # one table, registered, ballots_cast, invalid and the votes, holds every count column
+    count_at = (3, 4, 5, *range(7, 7 + len(roster)))
+    counts = np.empty((n, len(count_at)), dtype=np.int64)
+    masked = np.empty((n, len(count_at)), dtype=bool)
+    for j, i in enumerate(count_at):
+        counts[:, j], masked[:, j] = count_column(cells[i])
+    ids = list(map(str.strip, cells[0]))
+    tags = np.fromiter(map(_tags, cells[-1]), dtype=object, count=n) if has_tags else no_tags(n)
+
+    def check_row(r: int, line: int) -> None:
+        if bad_machine[r]:
+            raise MalformedRow(line, f"machine_counted must be 0 or 1, got {machine[r]!r}")
+        for j in np.flatnonzero(masked[r]).tolist():
+            counts[r, j] = parse_count(rows[r][count_at[j]], line, header[count_at[j]])
+
+    def columns(end: int) -> DatasetArrays:
+        return DatasetArrays(
+            precinct_ids=np.array(ids[:end], dtype=object),
+            region=np.array(list(map(str.strip, cells[1][:end])), dtype=object),
+            territory=np.array(list(map(str.strip, cells[2][:end])), dtype=object),
+            registered=counts[:end, 0],
+            ballots_cast=counts[:end, 1],
+            invalid=counts[:end, 2],
+            machine_counted=machine_counted[:end],
+            votes=counts[:end, 3:],
+            tags=tags[:end],
+        )
+
+    raise_first_fault(table, np.flatnonzero(bad_machine | masked.any(axis=1)).tolist(), check_row, columns)
+    data = columns(n)
     check_invariants(data)
     return ElectionDataset(election_id, roster, data, leader)
 

@@ -23,11 +23,10 @@ from .dataset import (
     ElectionDataset,
     count_column,
     csv_cells,
-    data_rows,
     format_rows,
-    open_csv,
     parse_count,
-    read_csv,
+    raise_first_fault,
+    read_table,
 )
 from .errors import EmptySeries, InvariantViolation, MalformedRow
 
@@ -168,48 +167,6 @@ def format_time(minutes: int) -> str:
     return f"{minutes // 60:02d}:{minutes % 60:02d}"
 
 
-def _reports_by_column(rows: list[list[str]]) -> tuple[list[str], list[int], list[int] | np.ndarray] | None:
-    """Each row's (stripped id, minutes, count), checked a column at a time.
-
-    None if any cell needs the row reader.
-    """
-    if set(map(len, rows)) != {3}:
-        return None
-    # three lists by item, which beats zip(*rows) over tens of thousands of rows
-    ids, times, cells = (list(map(itemgetter(i), rows)) for i in range(3))
-    cumulative = count_column(cells)
-    if cumulative is None:
-        return None
-    try:
-        minutes_of = {cell: parse_time(cell, 0) for cell in set(times)}
-    except MalformedRow:
-        return None
-    return list(map(str.strip, ids)), list(map(minutes_of.__getitem__, times)), cumulative
-
-
-def _reports_by_row(csv_text: str) -> tuple[list[str], list[int], list[int]]:
-    """Each row's (stripped id, minutes, count), read a row at a time: the grammar's one definition.
-
-    Raises the first MalformedRow in file order.
-    """
-    _, lines = read_csv(csv_text)
-    ids: list[str] = []
-    minutes: list[int] = []
-    cumulative: list[int] = []
-    minutes_of: dict[str, int] = {}  # each distinct time cell is parsed once
-    for line_no, row in lines:
-        if len(row) != 3:
-            raise MalformedRow(line_no, f"expected 3 fields, got {len(row)}")
-        time_cell = row[1]
-        minute = minutes_of.get(time_cell)
-        if minute is None:
-            minute = minutes_of[time_cell] = parse_time(time_cell, line_no)
-        minutes.append(minute)
-        cumulative.append(parse_count(row[2], line_no, "cumulative_voted"))
-        ids.append(row[0].strip())
-    return ids, minutes, cumulative
-
-
 def _first_seen(ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """The distinct ids in the order of their first row, and each row's index among them."""
     column = np.array(ids, dtype=object)
@@ -228,19 +185,37 @@ def parse_intraday(csv_text: str) -> IntradayTable:
 
     Precincts keep the order of their first row, and each one's reports
     are sorted by time.  A malformed row is reported first, in file
-    order; then the first faulty series, in precinct order.  Well-formed
-    files are read a column at a time; any other file is read again row
-    by row, so the row reader alone decides what is an error and where.
+    order; then the first faulty series, in precinct order.  The text is
+    read once and checked a column at a time; only the rows with a cell
+    the column check leaves open are checked again, one at a time.
     """
-    header, reader = open_csv(csv_text)
-    if header != INTRADAY_HEADER:
+    table = read_table(csv_text)
+    if table.header != INTRADAY_HEADER:
         raise MalformedRow(1, "header must be precinct_id,time,cumulative_voted")
-    rows = data_rows(reader)
-    reports = _reports_by_column(rows) if rows else None
-    ids, minutes, cumulative = reports if reports is not None else _reports_by_row(csv_text)
+    rows = table.rows
+    # three lists by item, which beats zip(*rows) over tens of thousands of rows
+    ids, times, cells = (list(map(itemgetter(i), rows)) for i in range(3))
+    counts, masked = count_column(cells)
+    minutes_of: dict[str, int] = {}  # each distinct time cell is parsed once; -1 marks a bad one
+    for cell in set(times):
+        try:
+            minutes_of[cell] = parse_time(cell, 0)
+        except MalformedRow:
+            minutes_of[cell] = -1
+    minutes = np.fromiter(map(minutes_of.__getitem__, times), dtype=np.int64, count=len(times))
+
+    def check_row(i: int, line: int) -> None:
+        if minutes[i] < 0:
+            parse_time(times[i], line)  # raises, now with the row's line
+        counts[i] = parse_count(cells[i], line, "cumulative_voted")
+
+    raise_first_fault(table, np.flatnonzero((minutes < 0) | masked).tolist(), check_row)
+    return _reports_table(list(map(str.strip, ids)), minutes, counts)
+
+
+def _reports_table(ids: list[str], times: np.ndarray, counts: np.ndarray) -> IntradayTable:
+    """The checked table of the reports (id, minutes, count), one per row in file order."""
     precinct_ids, owners = _first_seen(ids)
-    times = np.array(minutes, dtype=np.int64)
-    counts = np.asarray(cumulative, dtype=np.int64)
     step_owner, step_time = np.diff(owners), np.diff(times)
     # rows grouped by precinct and timed in order, as serialize_intraday writes them, need no sort
     if not np.all((step_owner > 0) | ((step_owner == 0) & (step_time > 0))):

@@ -17,6 +17,9 @@ from .dataset import ElectionDataset
 from .errors import BadBinWidth, UnknownParty
 
 N_PERCENT_BINS = 101  # integer percents 0..100
+# Finer turnout bins than 1/10,000 hold no more information for any real
+# precinct, and a table of many millions of bins exhausts memory.
+MAX_TURNOUT_BINS = 10_000
 
 WEIGHT_MODES = ("precincts", "registered", "ballots")
 
@@ -143,9 +146,11 @@ def turnout_bin_index(cast: np.ndarray, registered: np.ndarray, n_bins: int) -> 
 
 
 def turnout_bin_table(dataset: ElectionDataset, bin_width: float = 0.01) -> TurnoutBinTable:
-    if bin_width <= 0 or bin_width > 1:
+    if not 0 < bin_width <= 1:  # NaN too
         raise BadBinWidth(f"bin_width must be in (0, 1], got {bin_width}")
     n_bins_f = 1.0 / bin_width
+    if n_bins_f > MAX_TURNOUT_BINS + 0.5:
+        raise BadBinWidth(f"bin_width {bin_width} gives more than {MAX_TURNOUT_BINS} bins")
     n_bins = round(n_bins_f)
     if abs(n_bins_f - n_bins) > 1e-9:
         raise BadBinWidth(f"bin_width {bin_width} does not divide 1.0 evenly")

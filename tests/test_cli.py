@@ -103,6 +103,16 @@ def test_hist_and_bins_outputs(precincts_csv, tmp_path):
     assert header == "bin_lo,bin_hi,party,votes,precincts"
 
 
+@pytest.mark.parametrize("width", [str(2**-30), "1e-300", "5e-324"])
+def test_bins_finer_than_the_bin_limit_exit_one(precincts_csv, tmp_path, capsys, width):
+    rc = main(["bins", "--in", str(precincts_csv), "--leader", "A", "--bin-width", width,
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"ERROR BAD_BIN_WIDTH: bin_width {float(width)} gives more than 10000 bins"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_peaks_requires_seed(precincts_csv, tmp_path, capsys):
     rc = main(["peaks", "--in", str(precincts_csv), "--leader", "A", "--out", str(tmp_path / "o")])
     assert rc == 1
@@ -138,6 +148,34 @@ def test_contrast_by_machine(precincts_csv, tmp_path):
     assert rc == 0
     results = _report(out)["results"]
     assert results["labels"] == ["machine_counted", "hand_counted"]
+
+
+@pytest.mark.parametrize("by", ["region=R", "machine_counted", "territory"])
+def test_contrast_with_an_unknown_split_exits_one(precincts_csv, tmp_path, capsys, by):
+    rc = main(["contrast", "--in", str(precincts_csv), "--leader", "A", "--by", by, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"ERROR INVALID: --by must be machine, territory=<v>, or tag=<v>, got {by!r}"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "rows,by",
+    [
+        (PRECINCTS, "territory=T9"),
+        (PRECINCTS, "tag=koib"),
+        (PRECINCTS.replace(",10,0,", ",10,1,").replace(",20,0,", ",20,1,"), "machine"),
+    ],
+    ids=["no-precinct-in-the-territory", "no-precinct-with-the-tag", "all-machine-counted"],
+)
+def test_contrast_with_an_empty_side_exits_one(tmp_path, capsys, rows, by):
+    table = tmp_path / "precincts.csv"
+    table.write_text(rows)
+    rc = main(["contrast", "--in", str(table), "--leader", "A", "--by", by, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"ERROR EMPTY_SELECTION: split {by!r} left an empty subset"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_protocol_diff_and_paired_scan(tmp_path):

@@ -9,9 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from election_forensics import dataset as dataset_module
-from election_forensics import dynamics as dynamics_module
-from election_forensics.compare import parse_protocols
+from election_forensics.compare import parse_delta_table, parse_protocols
 from election_forensics.dataset import (
     MAX_COUNT,
     DatasetArrays,
@@ -30,9 +28,11 @@ from election_forensics.errors import (
     ForensicsError,
     InvariantViolation,
     MalformedRow,
+    PairMismatch,
     UnknownLeader,
 )
 from election_forensics.scatter import build_points
+import reference_readers as reference
 from conftest import quick_dataset, record
 
 HEADER = "precinct_id,region,territory,registered,ballots_cast,invalid,machine_counted,votes_A,votes_B"
@@ -326,7 +326,7 @@ def test_dataset_rejects_columns_that_do_not_match_roster():
         ElectionDataset("e", roster, short, "A")
 
 
-# ---- the column readers against the row readers they stand in for
+# ---- the column readers against the row-at-a-time reference readers
 
 
 def _outcome(read, text):
@@ -337,20 +337,21 @@ def _outcome(read, text):
         return type(exc), getattr(exc, "line", None), exc.message
 
 
-def _by_column_and_by_row(read, text, module, column_reader):
-    """The outcome as read, and with the column reader declining every file."""
-    by_column = _outcome(read, text)
-    with mock.patch.object(module, column_reader, lambda *args: None):
-        by_row = _outcome(read, text)
-    return by_column, by_row
+def _by_column_and_by_row(read, reference, text):
+    """The outcome as the library reads ``text``, and as the reference reads it."""
+    return _outcome(read, text), _outcome(reference, text)
 
 
 def _precincts_both_ways(text):
-    return _by_column_and_by_row(READERS["precincts"], text, dataset_module, "_columns_by_column")
+    return _by_column_and_by_row(READERS["precincts"], lambda t: reference.parse_dataset(t, leader="A"), text)
 
 
 def _intraday_both_ways(text):
-    return _by_column_and_by_row(parse_intraday, text, dynamics_module, "_reports_by_column")
+    return _by_column_and_by_row(parse_intraday, reference.parse_intraday, text)
+
+
+def _protocols_both_ways(text):
+    return _by_column_and_by_row(READERS["protocols"], lambda t: reference.parse_protocols(t, "A"), text)
 
 
 ROW = "1000,500,0,0,300,200"
@@ -385,10 +386,24 @@ ROW = "1000,500,0,0,300,200"
             f"p1,R,T,{ROW}\np2,R,T,1000,{10**13},0,0,300,200\n",
             (MalformedRow, 3, f"line 3: column 'ballots_cast': '{10**13}' exceeds {MAX_COUNT}"),
         ),
+        (
+            f'p1,"R\r\nX",T,{ROW}\r\n\r\np2,R,T,1000,5x0,0,0,300,200\r\n',
+            (MalformedRow, 5, "line 5: column 'ballots_cast': '5x0' is not a non-negative integer"),
+        ),
+        (f"\n\np1,R,T,{ROW}\n\np2,R,T,{ROW}\n\np3,R,T,1000\n", (MalformedRow, 8, "line 8: expected 9 fields, got 4")),
+        (
+            f'p1,"R\n\nX",T,{ROW}\np2,R,T,{ROW}\np3,R,T,1000,500,0,7,300,200\n',
+            (MalformedRow, 6, "line 6: machine_counted must be 0 or 1, got '7'"),
+        ),
+        (
+            f'p1,"R\nX",T,{ROW}\n\np2,"{"x" * (csv.field_size_limit() + 1)}",T,{ROW}\n',
+            (MalformedRow, 5, f"line 5: field larger than field limit ({csv.field_size_limit()})"),
+        ),
     ],
     ids=[
         "bad-cell", "short-row", "bad-machine", "invariant-before-bad-line", "bad-line-before-invariant",
-        "duplicate-id", "after-multiline-cell", "over-cap",
+        "duplicate-id", "after-multiline-cell", "over-cap", "crlf", "blank-lines", "blank-line-in-a-quoted-cell",
+        "cell-over-the-size-limit",
     ],
 )
 def test_corrupt_precinct_files_fail_alike_by_column_and_by_row(body, expected):
@@ -510,6 +525,119 @@ def _intraday_files(draw):
 def test_intraday_files_read_alike_by_column_and_by_row(text):
     by_column, by_row = _intraday_both_ways(text)
     assert by_column == by_row
+
+
+@pytest.mark.parametrize(
+    "body,expected",
+    [
+        (
+            "u1,observer,1000,500,0,300,200\nu1,observer,1000,500,0,300,200\n",
+            (MalformedRow, 3, "line 3: duplicate observer row for 'u1'"),
+        ),
+        (
+            "u1,observer,1000,500,0,300,200\n u1 ,observer,1000,1500,0,300,200\n",
+            (InvariantViolation, None, "precinct 'u1': ballots_cast 1500 exceeds registered 1000"),
+        ),
+        (
+            "u1,observer,1000,500,0,300,200\nu1,observer,1000,1500,0,3x0,200\n",
+            (MalformedRow, 3, "line 3: column 'votes_A': '3x0' is not a non-negative integer"),
+        ),
+        (
+            "u1,observer,1000,1500,0,300,200\nu2,observr,1000,500,0,300,200\n",
+            (InvariantViolation, None, "precinct 'u1': ballots_cast 1500 exceeds registered 1000"),
+        ),
+        (
+            f'"u\n1",observer,1000,500,0,300,200\nu1,official,1000,{"0" * 14}500,0,300,200\nu2,official,9\n',
+            (MalformedRow, 5, "line 5: expected 7 fields, got 3"),
+        ),
+        (
+            "u1,observer,1000,500,0,300,200\nu2,official,1000,500,0,300,200\n",
+            (PairMismatch, None, "precincts missing a counterpart: ['u1', 'u2']"),
+        ),
+    ],
+    ids=["repeated-row", "repeated-row-breaking-an-invariant", "bad-cell-in-a-repeated-row",
+         "invariant-before-bad-source", "after-multiline-cell", "unpaired"],
+)
+def test_corrupt_protocol_files_fail_alike_by_column_and_by_row(body, expected):
+    """A repeated row's own counts are checked before the repeat is reported."""
+    by_column, by_row = _protocols_both_ways(f"{PROTOCOLS_HEADER}\n{body}")
+    assert by_column == by_row == expected
+
+
+@st.composite
+def _protocol_files(draw):
+    """Protocol files with padded, zero-filled and quoted cells; half of them with faults as well."""
+    long_zeros = draw(st.booleans())
+    faulty = draw(st.booleans())  # bad cells and sources, short rows, broken invariants and repeated rows
+    pids = draw(st.lists(st.sampled_from(("u1", " u1", "u,2", 'u"3', "u\n4")), max_size=4, unique_by=str.strip))
+    entries = [(pid, source) for pid in pids for source in ("observer", " official ")]
+    if faulty:
+        entries += draw(st.lists(st.sampled_from(entries or [("u5", "observer")]), max_size=2))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(PROTOCOLS_HEADER.split(","))
+    for pid, source in draw(st.permutations(entries)):
+        cast = draw(st.integers(0, 2000))
+        a = draw(st.integers(0, cast))
+        b = draw(st.integers(0, cast - a))
+        invalid = draw(st.integers(0, cast - a - b))
+        registered = cast + draw(st.integers(1 if cast == 0 else 0, 500))
+        if faulty and draw(st.integers(0, 9)) == 0:
+            registered = draw(st.integers(0, cast))  # at most cast: over-registered, or no voters
+        counts = [draw(_count_cell(v, long_zeros)) for v in (registered, cast, invalid, a, b)]
+        if faulty and draw(st.integers(0, 9)) == 0:
+            source = draw(st.sampled_from(("", "Observer", "both")))
+        row = [pid, source, *counts]
+        if faulty and draw(st.integers(0, 4)) == 0:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_BAD_CELLS))
+        if faulty and draw(st.integers(0, 9)) == 0:
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        writer.writerow(row)
+    return out.getvalue()
+
+
+@given(_protocol_files())
+@settings(max_examples=150, deadline=None)
+def test_protocol_files_read_alike_by_column_and_by_row(text):
+    by_column, by_row = _protocols_both_ways(text)
+    assert by_column == by_row
+
+
+DELTA_HEADER = "unit,share_b,share_a,turnout_b,turnout_a"
+REFERENCE = {
+    "precincts": lambda text: reference.parse_dataset(text, leader="A"),
+    "protocols": lambda text: reference.parse_protocols(text, "A"),
+    "intraday": reference.parse_intraday,
+    "delta": reference.parse_delta_table,
+}
+PADDED = "0" * 14 + "500"  # past the column check, within the grammar
+
+
+@pytest.mark.parametrize(
+    "reader,text",
+    [
+        ("precincts", f"{HEADER}\np1,R,T,{ROW}\np2,R,T,{ROW}\n"),
+        ("precincts", f"{HEADER}\np1,R,T,1000,{PADDED},0,0,300,200\np2,R,T,{ROW}\n"),
+        ("precincts", f"{HEADER}\np1,R,T,{ROW}\np2,R,T,1000,5x0,0,0,300,200\n"),
+        ("protocols", f"{PROTOCOLS_HEADER}\nu1,observer,1000,500,0,300,200\nu1,official,1000,500,0,300,200\n"),
+        ("protocols", f"{PROTOCOLS_HEADER}\nu1,observer,1000,{PADDED},0,300,200\nu1,official,1000,500,0,300,200\n"),
+        ("protocols", f"{PROTOCOLS_HEADER}\nu1,observer,1000,500,0,300,200\nu1,official,1000,5x0,0,300,200\n"),
+        ("intraday", f"{INTRADAY_HEADER}\np1,10:00,100\np1,15:00,200\n"),
+        ("intraday", f"{INTRADAY_HEADER}\np1,10:00,100\np1,15:00,{PADDED}\n"),
+        ("intraday", f"{INTRADAY_HEADER}\np1,10:00,100\np1,15:00,2x0\n"),
+        ("delta", f"{DELTA_HEADER}\nA,50.1,40.2,60.0,55.5\nB,50,40,60,55\n"),
+        ("delta", f"{DELTA_HEADER}\nA,{'0' * 14}50.1,40.2,60.0,55.5\nB,50,40,60,55\n"),
+        ("delta", f"{DELTA_HEADER}\nA,50.1,40.2,60.0,55.5\nB,5O,40,60,55\n"),
+    ],
+    ids=[f"{reader}-{kind}" for reader in ("precincts", "protocols", "intraday", "delta")
+         for kind in ("clean", "zero-padded", "bad-last-row")],
+)
+def test_each_reader_makes_one_csv_reader(reader, text):
+    read = READERS.get(reader, parse_delta_table)
+    with mock.patch("csv.reader", wraps=csv.reader) as made:
+        outcome = _outcome(read, text)
+    assert made.call_count == 1
+    assert outcome == _outcome(REFERENCE[reader], text)
 
 
 def test_serialize_dataset_writes_as_csv_writer_does():

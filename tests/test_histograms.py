@@ -5,6 +5,7 @@ from election_forensics import synth
 from election_forensics.peaks import simulate_null
 from election_forensics.errors import BadBinWidth
 from election_forensics.histograms import (
+    MAX_TURNOUT_BINS,
     integer_percent_histogram,
     percent_bins,
     turnout_bin_table,
@@ -115,6 +116,13 @@ def test_bad_bin_width_rejected():
         turnout_bin_table(ds, 0.03)
     with pytest.raises(BadBinWidth):
         turnout_bin_table(ds, 0.0)
+    with pytest.raises(BadBinWidth, match="must be in"):
+        turnout_bin_table(ds, float("nan"))
+    with pytest.raises(BadBinWidth, match="more than 10000 bins"):
+        turnout_bin_table(ds, 2**-30)
+    with pytest.raises(BadBinWidth, match="more than 10000 bins"):
+        turnout_bin_table(ds, 1 / 10_001)
+    assert turnout_bin_table(ds, 1 / 10_000).n_bins == MAX_TURNOUT_BINS
 
 
 def test_histogram_deterministic_across_runs():

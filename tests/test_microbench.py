@@ -13,7 +13,8 @@ pytest.importorskip("pytest_benchmark")
 
 from election_forensics import synth  # noqa: E402
 from election_forensics.anomaly import split_two_clusters  # noqa: E402
-from election_forensics.dataset import parse_dataset, serialize_dataset  # noqa: E402
+from election_forensics.compare import parse_protocols  # noqa: E402
+from election_forensics.dataset import format_rows, parse_dataset, serialize_dataset  # noqa: E402
 from election_forensics.dynamics import parse_intraday, serialize_intraday  # noqa: E402
 from election_forensics.peaks import simulate_null  # noqa: E402
 from election_forensics.scatter import ScatterPoint, build_points, fit_trend  # noqa: E402
@@ -111,6 +112,32 @@ def test_parse_dataset_16k_precincts(benchmark):
     text = serialize_dataset(ds)
     parsed = benchmark.pedantic(parse_dataset, args=(text, "A"), rounds=3)
     assert parsed.columns == ds.columns
+
+
+def test_parse_dataset_16k_precincts_one_zero_padded_count(benchmark):
+    """One valid count zero-padded past 13 digits, which the column check leaves to the row check."""
+    ds = _national_16k().dataset
+    header, first, rest = serialize_dataset(ds).split("\n", 2)
+    cells = first.split(",")
+    cells[4] = "0" * 14 + cells[4]  # ballots_cast
+    text = "\n".join([header, ",".join(cells), rest])
+    parsed = benchmark.pedantic(parse_dataset, args=(text, "A"), rounds=3)
+    assert parsed.columns == ds.columns
+
+
+def test_parse_protocols_16k_precincts(benchmark):
+    """An observer and an official row per precinct: 32k rows."""
+    c = _national_16k().dataset.counts()
+    columns = [c.precinct_ids.tolist(), c.registered.tolist(), c.ballots_cast.tolist(), c.invalid.tolist(),
+               *c.votes.T.tolist()]
+    text = "precinct_id,source,registered,ballots_cast,invalid,votes_A,votes_B,votes_C,votes_D\n" + "".join(
+        format_rows(f"%s,{source},%s,%s,%s,%s,%s,%s,%s\n", columns) for source in ("official", "observer")
+    )
+    observer, official = benchmark.pedantic(parse_protocols, args=(text, "A"), rounds=3)
+    for parsed in (observer, official):
+        assert parsed.counts().precinct_ids.tolist() == c.precinct_ids.tolist()
+        assert np.array_equal(parsed.counts().votes, c.votes)
+        assert np.array_equal(parsed.counts().ballots_cast, c.ballots_cast)
 
 
 def test_parse_intraday_16k_precincts(benchmark):
