@@ -41,30 +41,24 @@ from .errors import (
     UnitMismatch,
     UnknownParty,
 )
+from .scatter import build_points
 
 
 def ks_statistic(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Two-sample Kolmogorov-Smirnov distance: sup |F_x - F_y| over the data."""
+    """Two-sample Kolmogorov-Smirnov distance: sup |F_x - F_y| over the data.
+
+    Both empirical CDFs are evaluated at every pooled sample value, each a
+    count of the values at or below it divided by the sample size.
+    """
     nx, ny = len(xs), len(ys)
     if nx == 0 or ny == 0:
         raise ValueError("both samples must be non-empty")
-    sx = sorted(xs)
-    sy = sorted(ys)
-    best = 0.0
-    i = j = 0
-    while i < nx or j < ny:
-        if j >= ny or (i < nx and sx[i] <= sy[j]):
-            v = sx[i]
-        else:
-            v = sy[j]
-        while i < nx and sx[i] <= v:
-            i += 1
-        while j < ny and sy[j] <= v:
-            j += 1
-        d = abs(i / nx - j / ny)
-        if d > best:
-            best = d
-    return best
+    sx = np.sort(np.asarray(xs, dtype=np.float64))
+    sy = np.sort(np.asarray(ys, dtype=np.float64))
+    pooled = np.concatenate((sx, sy))
+    fx = np.searchsorted(sx, pooled, side="right") / nx
+    fy = np.searchsorted(sy, pooled, side="right") / ny
+    return float(np.abs(fx - fy).max())
 
 
 @dataclass(frozen=True)
@@ -273,17 +267,6 @@ class ProtocolDisplacements:
         }
 
 
-def _points(dataset: ElectionDataset) -> np.ndarray:
-    """(turnout, leader share of cast) per precinct; the share is 0.0 where no ballot was cast."""
-    c = dataset.counts()
-    cast = c.ballots_cast
-    points = np.zeros((len(dataset), 2))
-    # int64 / int64 rounds once, as Python's int / int does, for counts below 2**53
-    np.divide(cast, c.registered, out=points[:, 0])
-    np.divide(c.votes[:, dataset.leader_index], cast, out=points[:, 1], where=cast > 0)
-    return points
-
-
 def protocol_displacements(observer: ElectionDataset, official: ElectionDataset) -> ProtocolDisplacements:
     """Displacement official-minus-observer per precinct, plus the mean vector.
 
@@ -305,7 +288,8 @@ def protocol_displacements(observer: ElectionDataset, official: ElectionDataset)
         raise PairMismatch(
             f"precinct {a.precinct_ids[k]!r}: registered differs ({a.registered[k]} vs {b.registered[k]})"
         )
-    src, dst = _points(observer), _points(official)
+    # (turnout, leader share of cast), the share 0.0 where no ballot was cast
+    src, dst = (build_points(d, d.designated_leader, "share_of_cast").xy() for d in (observer, official))
     displacement = dst - src
     # Python's sum of the rows in order: numpy's pairwise sum rounds differently
     d_turnout, d_share = (sum(column.tolist()) / n if n else 0.0 for column in displacement.T)

@@ -64,6 +64,7 @@ from .histograms import (
 
 DEFAULT_TARGETS = tuple(range(50, 101, 5))
 MIN_REPLICATES = 100
+MAX_REPLICATES = 100_000  # the null holds replicates x targets int64 weights in memory
 BLOCK = 10  # replicates drawn from one random stream
 
 DIAGNOSTIC_NOTE = (
@@ -194,10 +195,11 @@ def simulate_null(
     worker has stopped.
 
     Raises EmptySelection when the quantity includes no precinct, and
-    ValueError unless there are targets and each is an integer percent in 0..100.
+    ValueError unless replicates is in MIN_REPLICATES..MAX_REPLICATES and
+    there are targets, each an integer percent in 0..100.
     """
-    if replicates < MIN_REPLICATES:
-        raise ValueError(f"replicates must be >= {MIN_REPLICATES}, got {replicates}")
+    if not MIN_REPLICATES <= replicates <= MAX_REPLICATES:
+        raise ValueError(f"replicates must be in {MIN_REPLICATES}..{MAX_REPLICATES}, got {replicates}")
     if not targets or not all(isinstance(t, (int, np.integer)) and 0 <= t < N_PERCENT_BINS for t in targets):
         raise ValueError(f"targets must be integer percents in 0..{N_PERCENT_BINS - 1}, got {list(targets)}")
     numer, denom, mask = _selected(dataset, quantity)

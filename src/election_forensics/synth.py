@@ -23,7 +23,7 @@ Mechanisms:
   moves turnout up; transfer moves leader share in either direction).
   Precincts where no target is reachable within the cap are skipped and
   recorded.
-* intraday_jump - end-of-day stuffing invisible to intraday reports.
+* intraday_jump - end-of-day stuffing, one fixed size, invisible to intraday reports.
 
 Generation is deterministic for a fixed (model, scenario, seed): draws are
 made in fixed-size precinct blocks, each from its own (seed, block) stream,
@@ -143,10 +143,16 @@ def _field(raw: dict, key: str, convert, where: str = "", default=_REQUIRED):
         raise InvalidModel(f"{where}{key}: invalid value {value!r}") from None
 
 
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError("not a JSON object")
-    return value
+def _instance_of(kind: type):
+    def read(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"not a {kind.__name__}")
+        return value
+
+    return read
+
+
+_object, _flag, _string = _instance_of(dict), _instance_of(bool), _instance_of(str)
 
 
 def _list_of(convert):
@@ -163,18 +169,6 @@ def _number(value) -> float:
     if not math.isfinite(number):
         raise ValueError("not a finite number")
     return number
-
-
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError("not a JSON boolean")
-    return value
-
-
-def _string(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError("not a JSON string")
-    return value
 
 
 def _integer(value) -> int:
@@ -206,23 +200,26 @@ def _component(raw: dict, index: int) -> TurnoutComponent:
 def model_from_json(text: str) -> HonestModel:
     """Parse and validate a model JSON document; any fault raises InvalidModel."""
     raw = _document(text, "model")
-    default_components = ({"mean": 0.5, "sd": 0.08, "weight": 1.0},)
-    components = _field(raw, "turnout_components", _list_of(_object), default=default_components)
+    components = _field(raw, "turnout_components", _list_of(_object), default=None)
     registered = _field(raw, "registered", _object, default={})
     model = HonestModel(
         precincts=_field(raw, "precincts", _integer),
         parties=_field(raw, "parties", _list_of(_string)),
         baseline_shares=_field(raw, "baseline_shares", _list_of(_number)),
         leader=_field(raw, "leader", _string),
-        registered_median=_field(registered, "median", _number, "registered.", 1500.0),
-        registered_sigma=_field(registered, "sigma", _number, "registered.", 0.4),
-        registered_min=_field(registered, "min", _integer, "registered.", 100),
-        registered_max=_field(registered, "max", _integer, "registered.", 6000),
-        turnout_components=tuple(_component(c, i) for i, c in enumerate(components)),
-        share_noise_sd=_field(raw, "share_noise_sd", _number, default=0.04),
-        machine_fraction=_field(raw, "machine_fraction", _number, default=0.0),
-        territories=_field(raw, "territories", _integer, default=1),
-        report_times=_field(raw, "report_times", _list_of(_report_time), default=()),
+        registered_median=_field(registered, "median", _number, "registered.", HonestModel.registered_median),
+        registered_sigma=_field(registered, "sigma", _number, "registered.", HonestModel.registered_sigma),
+        registered_min=_field(registered, "min", _integer, "registered.", HonestModel.registered_min),
+        registered_max=_field(registered, "max", _integer, "registered.", HonestModel.registered_max),
+        turnout_components=(
+            HonestModel.turnout_components
+            if components is None
+            else tuple(_component(c, i) for i, c in enumerate(components))
+        ),
+        share_noise_sd=_field(raw, "share_noise_sd", _number, default=HonestModel.share_noise_sd),
+        machine_fraction=_field(raw, "machine_fraction", _number, default=HonestModel.machine_fraction),
+        territories=_field(raw, "territories", _integer, default=HonestModel.territories),
+        report_times=_field(raw, "report_times", _list_of(_report_time), default=HonestModel.report_times),
     )
     model.validate()
     return model
@@ -255,6 +252,9 @@ class JumpSpec:
     size: float = 0.0  # end-of-day stuffed ballots as a fraction of registered
 
 
+MECHANISMS = ("stuffing", "transfer", "target_rounding", "intraday_jump")  # FraudScenario fields and JSON keys
+
+
 @dataclass(frozen=True)
 class FraudScenario:
     stuffing: StuffingSpec = StuffingSpec()
@@ -265,12 +265,8 @@ class FraudScenario:
     seed: int | None = None
 
     def validate(self) -> None:
-        for name, frac in (
-            ("stuffing", self.stuffing.fraction),
-            ("transfer", self.transfer.fraction),
-            ("target_rounding", self.target_rounding.fraction),
-            ("intraday_jump", self.intraday_jump.fraction),
-        ):
+        for name in MECHANISMS:
+            frac = getattr(self, name).fraction
             if not 0 <= frac <= 1:
                 raise InvalidModel(f"{name}.fraction must be in [0,1], got {frac}")
         if not 0 <= self.stuffing.intensity <= 1 or self.stuffing.jitter < 0:
@@ -287,35 +283,28 @@ class FraudScenario:
             raise InvalidModel("jump size must be in [0,1]")
 
 
+def _spec(cls, raw: dict, key: str, **convert):
+    """``cls`` from the JSON object ``raw[key]``: each field ``name`` is
+    ``convert[name]`` of its value, or ``cls.name`` when absent or null."""
+    where = f"{key}."
+    return cls(**{name: _field(raw[key], name, read, where, getattr(cls, name)) for name, read in convert.items()})
+
+
 def scenario_from_json(text: str) -> FraudScenario:
     """Parse and validate a scenario JSON document; any fault raises InvalidModel."""
     raw = _document(text, "scenario")
-    stuffing = _field(raw, "stuffing", _object, default={})
-    transfer = _field(raw, "transfer", _object, default={})
-    rounding = _field(raw, "target_rounding", _object, default={})
-    jump = _field(raw, "intraday_jump", _object, default={})
+    # each mechanism is checked to be an object before any mechanism's fields are read
+    specs = {key: _field(raw, key, _object, default={}) for key in MECHANISMS}
     scenario = FraudScenario(
-        stuffing=StuffingSpec(
-            fraction=_field(stuffing, "fraction", _number, "stuffing.", 0.0),
-            intensity=_field(stuffing, "intensity", _number, "stuffing.", 0.0),
-            jitter=_field(stuffing, "jitter", _number, "stuffing.", 1 / 3),
+        stuffing=_spec(StuffingSpec, specs, "stuffing", fraction=_number, intensity=_number, jitter=_number),
+        transfer=_spec(TransferSpec, specs, "transfer", fraction=_number, amount=_number),
+        target_rounding=_spec(
+            RoundingSpec, specs, "target_rounding",
+            fraction=_number, targets=_list_of(_integer), quantity=_string, max_adjustment=_number,
         ),
-        transfer=TransferSpec(
-            fraction=_field(transfer, "fraction", _number, "transfer.", 0.0),
-            amount=_field(transfer, "amount", _number, "transfer.", 0.0),
-        ),
-        target_rounding=RoundingSpec(
-            fraction=_field(rounding, "fraction", _number, "target_rounding.", 0.0),
-            targets=_field(rounding, "targets", _list_of(_integer), "target_rounding.", (70, 75, 80, 85)),
-            quantity=_field(rounding, "quantity", _string, "target_rounding.", QUANTITY_LEADER_SHARE),
-            max_adjustment=_field(rounding, "max_adjustment", _number, "target_rounding.", 0.05),
-        ),
-        intraday_jump=JumpSpec(
-            fraction=_field(jump, "fraction", _number, "intraday_jump.", 0.0),
-            size=_field(jump, "size", _number, "intraday_jump.", 0.0),
-        ),
-        exempt_machine_counted=_field(raw, "exempt_machine_counted", _flag, default=False),
-        seed=_field(raw, "seed", _seed, default=None),
+        intraday_jump=_spec(JumpSpec, specs, "intraday_jump", fraction=_number, size=_number),
+        exempt_machine_counted=_field(raw, "exempt_machine_counted", _flag, default=FraudScenario.exempt_machine_counted),
+        seed=_field(raw, "seed", _seed, default=FraudScenario.seed),
     )
     scenario.validate()
     return scenario
@@ -355,10 +344,27 @@ class GroundTruth:
         return header + format_rows("%s,%s,%.6f,%s,%s,%s,%s,%s,%s\n", columns)
 
 
+def _pre_fraud_truth(
+    columns: DatasetArrays, leader_idx: int, component: np.ndarray, turnout_prob: np.ndarray
+) -> GroundTruth:
+    """Ground truth of a dataset no fraud has touched: its counts are the honest ones."""
+    zeros = np.zeros(len(columns), dtype=np.int64)
+    return GroundTruth(
+        precinct_ids=tuple(columns.precinct_ids.tolist()),
+        component=component,
+        turnout_prob=turnout_prob,
+        honest_ballots_cast=columns.ballots_cast.copy(),
+        honest_leader_votes=columns.votes[:, leader_idx].copy(),
+        stuffed=zeros,
+        transferred=zeros.copy(),
+        rounding_delta=zeros.copy(),
+        jump=zeros.copy(),
+    )
+
+
 @dataclass(frozen=True)
 class SyntheticElection:
-    dataset: ElectionDataset  # after fraud (equals honest when scenario is empty)
-    honest: ElectionDataset
+    dataset: ElectionDataset  # after fraud (the honest draw when there is no scenario)
     truth: GroundTruth
     intraday: IntradayTable  # honest series; empty when the model has no report times
 
@@ -421,14 +427,14 @@ def generate_honest(model: HonestModel, seed: int) -> SyntheticElection:
         cast[b_start:b_end] = c
         votes[b_start:b_end] = v
 
-    leader_idx = model.parties.index(model.leader)
     pad = max(5, len(str(max(n - 1, 0))))
-    pids = tuple(f"p{i:0{pad}d}" for i in range(n))
-    territory_names = np.array([f"T{t + 1}" for t in range(model.territories)], dtype=object)
+    # precinct i lies in territory i mod territories, so at most n names are used
+    used = min(model.territories, max(n, 1))
+    territory_names = np.array([f"T{t + 1}" for t in range(used)], dtype=object)
     columns = DatasetArrays(
-        precinct_ids=np.array(pids, dtype=object),
+        precinct_ids=np.array([f"p{i:0{pad}d}" for i in range(n)], dtype=object),
         region=np.full(n, "R1", dtype=object),
-        territory=territory_names[np.arange(n) % model.territories],
+        territory=territory_names[np.arange(n) % used],
         registered=registered,
         ballots_cast=cast,
         invalid=cast - votes.sum(axis=1),
@@ -449,19 +455,8 @@ def generate_honest(model: HonestModel, seed: int) -> SyntheticElection:
             columns.precinct_ids, np.arange(0, cum.size + 1, len(times)), np.tile(times, n), cum.ravel()
         )
 
-    zeros = np.zeros(n, dtype=np.int64)
-    truth = GroundTruth(
-        precinct_ids=pids,
-        component=component,
-        turnout_prob=turnout_prob,
-        honest_ballots_cast=cast.copy(),
-        honest_leader_votes=votes[:, leader_idx].copy(),
-        stuffed=zeros.copy(),
-        transferred=zeros.copy(),
-        rounding_delta=zeros.copy(),
-        jump=zeros.copy(),
-    )
-    return SyntheticElection(dataset=dataset, honest=dataset, truth=truth, intraday=intraday)
+    truth = _pre_fraud_truth(columns, dataset.leader_index, component, turnout_prob)
+    return SyntheticElection(dataset=dataset, truth=truth, intraday=intraday)
 
 
 def _half_up(numer: int, denom: int) -> int:
@@ -471,16 +466,17 @@ def _half_up(numer: int, denom: int) -> int:
 
 def _distribute(amount: int, weights: Sequence[int]) -> list[int]:
     """Split ``amount`` over non-negative integer weights, proportionally,
-    largest-remainder, deterministic; never exceeds a weight when taking."""
+    largest-remainder, deterministic.  A negative amount is split as its
+    magnitude and each share negated.  No share's magnitude exceeds its
+    weight when ``abs(amount) <= sum(weights)``."""
+    sign = -1 if amount < 0 else 1
+    amount *= sign
     total = sum(weights)
     if total == 0 or amount == 0:
         return [0] * len(weights)
     shares = [amount * w // total for w in weights]
     leftover = amount - sum(shares)
-    order = sorted(
-        range(len(weights)),
-        key=lambda j: (-(amount * weights[j] % total), j),
-    )
+    order = sorted(range(len(weights)), key=lambda j: (-(amount * weights[j] % total), j))
     for j in order:
         if leftover == 0:
             break
@@ -488,7 +484,7 @@ def _distribute(amount: int, weights: Sequence[int]) -> list[int]:
             shares[j] += 1
             leftover -= 1
     # any residue (all weights saturated) stays unassigned; callers cap amount first
-    return shares
+    return [sign * share for share in shares]
 
 
 def apply_fraud(
@@ -501,7 +497,8 @@ def apply_fraud(
 
     ``seed`` overrides ``scenario.seed``; one of them must be set unless the
     scenario is a no-op.  Ground-truth arrays record exact per-precinct
-    stuffed, transferred, rounding, and jump vote counts.
+    stuffed, transferred, rounding, and jump vote counts, added to those of
+    ``truth`` when given.
     """
     scenario.validate()
     n = len(dataset)
@@ -518,18 +515,8 @@ def apply_fraud(
 
     arrays = dataset.counts()
     if truth is None:
-        zeros = np.zeros(n, dtype=np.int64)
-        truth = GroundTruth(
-            precinct_ids=tuple(arrays.precinct_ids.tolist()),
-            component=zeros.copy(),
-            turnout_prob=arrays.ballots_cast / np.maximum(arrays.registered, 1),
-            honest_ballots_cast=arrays.ballots_cast.copy(),
-            honest_leader_votes=arrays.votes[:, leader_idx].copy(),
-            stuffed=zeros.copy(),
-            transferred=zeros.copy(),
-            rounding_delta=zeros.copy(),
-            jump=zeros.copy(),
-        )
+        turnout = arrays.ballots_cast / np.maximum(arrays.registered, 1)
+        truth = _pre_fraud_truth(arrays, leader_idx, np.zeros(n, dtype=np.int64), turnout)
     if not active:
         return dataset, truth
 
@@ -551,6 +538,15 @@ def apply_fraud(
     def affected_set(fraction: float) -> np.ndarray:
         return by_propensity[: round(fraction * by_propensity.size)]
 
+    def add_leader_ballots(affected: np.ndarray, per_registered) -> np.ndarray:
+        """Add rint(per_registered * registered) leader ballots to each affected
+        precinct, capped at its registered voters; returns the ballots added."""
+        amounts = np.rint(per_registered * registered[affected]).astype(np.int64)
+        amounts = np.maximum(np.minimum(amounts, registered[affected] - cast[affected]), 0)
+        cast[affected] += amounts
+        votes[affected, leader_idx] += amounts
+        return amounts
+
     stuffed = np.zeros(n, dtype=np.int64)
     transferred = np.zeros(n, dtype=np.int64)
     rounding_delta = np.zeros(n, dtype=np.int64)
@@ -560,17 +556,11 @@ def apply_fraud(
     spec = scenario.stuffing
     if spec.fraction > 0 and spec.intensity > 0:
         affected = affected_set(spec.fraction)
-        if affected.size:
-            # Gaussian intensity spread, biggest where propensity is lowest:
-            # rank-match a sorted normal sample against propensity order.
-            z = np.sort(shape[affected])[::-1]
-            rel = np.clip(1.0 + spec.jitter * np.clip(z, -3.0, 3.0), 0.0, None)
-            amounts = np.rint(spec.intensity * rel * registered[affected]).astype(np.int64)
-            amounts = np.minimum(amounts, registered[affected] - cast[affected])
-            amounts = np.maximum(amounts, 0)
-            stuffed[affected] = amounts
-            cast[affected] += amounts
-            votes[affected, leader_idx] += amounts
+        # Gaussian intensity spread, biggest where propensity is lowest:
+        # rank-match a sorted normal sample against propensity order.
+        z = np.sort(shape[affected])[::-1]
+        rel = np.clip(1.0 + spec.jitter * np.clip(z, -3.0, 3.0), 0.0, None)
+        stuffed[affected] = add_leader_ballots(affected, spec.intensity * rel)
 
     spec = scenario.transfer
     if spec.fraction > 0 and spec.amount > 0:
@@ -585,86 +575,57 @@ def apply_fraud(
 
     spec = scenario.target_rounding
     if spec.fraction > 0 and spec.targets:
-        affected = affected_set(spec.fraction)
         targets = sorted(spec.targets)
-        for i in affected:
+        cap = spec.max_adjustment + 1e-12
+        other_idx = [j for j in range(votes.shape[1]) if j != leader_idx]
+        # Python ints and scalar writes: int64 amount * weight overflows near MAX_COUNT; fancy writes are slower
+        for i in affected_set(spec.fraction):
             c = int(cast[i])
-            reg = int(registered[i])
             if spec.quantity == QUANTITY_LEADER_SHARE:
                 if c == 0:
                     skipped.append(pids[i])
                     continue
                 v = int(votes[i, leader_idx])
+                others = [int(votes[i, j]) for j in other_idx]
                 current = 100.0 * v / c
-                best = None
                 for t in sorted(targets, key=lambda t: (abs(t - current), t)):
-                    want = _half_up(c * t, 100)
-                    delta = want - v
-                    if abs(delta) / c > spec.max_adjustment + 1e-12:
-                        continue
-                    others = [int(votes[i, j]) for j in range(votes.shape[1]) if j != leader_idx]
-                    if delta > sum(others):
-                        continue
-                    best = (delta, others)
-                    break
-                if best is None:
+                    delta = _half_up(c * t, 100) - v
+                    if abs(delta) / c <= cap and delta <= sum(others):
+                        break
+                else:
                     skipped.append(pids[i])
                     continue
-                delta, others = best
-                other_idx = [j for j in range(votes.shape[1]) if j != leader_idx]
-                if delta > 0:
-                    taken = _distribute(delta, others)
-                    for j, take in zip(other_idx, taken):
-                        votes[i, j] -= take
-                    votes[i, leader_idx] += sum(taken)
-                    rounding_delta[i] = sum(taken)
-                elif delta < 0:
-                    give = -delta
-                    weights = [o + 1 for o in others]  # allow giving to zero-vote parties
-                    given = _distribute(give, weights)
-                    for j, g in zip(other_idx, given):
-                        votes[i, j] += g
-                    votes[i, leader_idx] -= sum(given)
-                    rounding_delta[i] = -sum(given)
+                # signed: taken from the others, or given to them (zero-vote parties too)
+                moved = _distribute(delta, others if delta > 0 else [o + 1 for o in others])
+                for j, m in zip(other_idx, moved):
+                    votes[i, j] -= m
+                votes[i, leader_idx] += sum(moved)
+                rounding_delta[i] = sum(moved)
             else:  # turnout: stuff up to the nearest reachable target at or above
-                best = None
+                reg = int(registered[i])
                 for t in targets:
-                    want = _half_up(reg * t, 100)
-                    delta = want - c
-                    if delta < 0:
-                        continue
-                    if delta / reg > spec.max_adjustment + 1e-12 or want > reg:
-                        continue
-                    best = delta
-                    break
-                if best is None:
+                    delta = _half_up(reg * t, 100) - c
+                    if 0 <= delta and delta / reg <= cap and c + delta <= reg:
+                        break
+                else:
                     skipped.append(pids[i])
                     continue
-                cast[i] += best
-                votes[i, leader_idx] += best
-                rounding_delta[i] = best
+                cast[i] += delta
+                votes[i, leader_idx] += delta
+                rounding_delta[i] = delta
 
     spec = scenario.intraday_jump
     if spec.fraction > 0 and spec.size > 0:
         affected = affected_set(spec.fraction)
-        amounts = np.rint(spec.size * registered[affected]).astype(np.int64)
-        amounts = np.minimum(amounts, registered[affected] - cast[affected])
-        amounts = np.maximum(amounts, 0)
-        jump[affected] = amounts
-        cast[affected] += amounts
-        votes[affected, leader_idx] += amounts
+        jump[affected] = add_leader_ballots(affected, spec.size)
 
     columns = replace(arrays, ballots_cast=cast, votes=votes)
     check_invariants(columns)
     new_dataset = ElectionDataset(
         dataset.election_id, dataset.roster, columns, dataset.designated_leader
     )
-    new_truth = GroundTruth(
-        precinct_ids=truth.precinct_ids,
-        component=truth.component,
-        turnout_prob=truth.turnout_prob,
-        honest_ballots_cast=truth.honest_ballots_cast,
-        honest_leader_votes=truth.honest_leader_votes,
+    new_truth = replace(
+        truth,
         stuffed=truth.stuffed + stuffed,
         transferred=truth.transferred + transferred,
         rounding_delta=truth.rounding_delta + rounding_delta,
@@ -681,6 +642,4 @@ def synthesize(model: HonestModel, scenario: FraudScenario | None, seed: int) ->
         return honest
     fraud_seed = scenario.seed if scenario.seed is not None else seed
     dataset, truth = apply_fraud(honest.dataset, scenario, seed=fraud_seed, truth=honest.truth)
-    return SyntheticElection(
-        dataset=dataset, honest=honest.dataset, truth=truth, intraday=honest.intraday
-    )
+    return replace(honest, dataset=dataset, truth=truth)

@@ -2,11 +2,13 @@ import gc
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from election_forensics.cli import main
+from election_forensics.peaks import MAX_REPLICATES, MIN_REPLICATES
 from election_forensics.report import validate_report
 
 PRECINCTS = (
@@ -379,6 +381,20 @@ def test_peaks_targets_outside_integer_percents_exit_one(fixtures_dir, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("replicates", [MIN_REPLICATES - 1, MAX_REPLICATES + 1])
+def test_peaks_replicates_outside_their_range_exit_one(tmp_path, capsys, replicates):
+    table = tmp_path / "precincts.csv"
+    rows = "".join(f"p{i},R,T,1000,{500 + i},0,0,300,{200 + i}\n" for i in range(50))
+    table.write_text(PRECINCTS.splitlines(keepends=True)[0] + rows)
+    rc = main(["peaks", "--in", str(table), "--leader", "A", "--seed", "1", "--replicates", str(replicates),
+               "--no-plots", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"ERROR INVALID: replicates must be in {MIN_REPLICATES}..{MAX_REPLICATES}, got {replicates}"
+    ]
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_peaks_with_no_included_precinct_exits_one(tmp_path, capsys):
     table = tmp_path / "precincts.csv"
     rows = "".join(f"p{i},R,T,1000,0,0,0,0,0\n" for i in range(30))
@@ -469,6 +485,22 @@ def test_synth_with_bad_report_times_exits_one(tmp_path, capsys, times):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ERROR INVALID_MODEL: report_times")
     assert not (tmp_path / "o").exists()
+
+
+def test_synth_builds_names_only_for_territories_in_use(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(dict(SYNTH_MODEL, precincts=3, territories=2_000_000)))
+    tracemalloc.start()
+    try:
+        rc = main(["synth", "--model", str(model), "--seed", "1", "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    # names for all 2,000,000 territories would take over 100 MB
+    assert peak < 10_000_000
+    rows = (tmp_path / "o" / "precincts.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["T1", "T2", "T3"]
 
 
 _NO_SD = [{"mean": 0.5, "weight": 1.0}]

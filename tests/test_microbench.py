@@ -6,6 +6,8 @@ verifies.  Save a record with ``pytest tests/test_microbench.py
 --benchmark-autosave``; skip the timing with ``--benchmark-skip``.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,18 @@ from election_forensics.dynamics import parse_intraday, serialize_intraday  # no
 from election_forensics.peaks import simulate_null  # noqa: E402
 from election_forensics.scatter import ScatterPoint, build_points, fit_trend  # noqa: E402
 from election_forensics.svgplot import svg_scatter  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def _collector_off():
+    """Run each benchmark with the cyclic garbage collector off, as ``cli.main`` runs every command."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _national_16k():
