@@ -31,21 +31,45 @@ target clustering still stands out.
 The test is one-sided (excess only), with add-one smoothing on the
 Monte-Carlo p-value: p = (1 + #{null >= observed}) / (replicates + 1).
 Replicates are drawn in blocks of ``BLOCK`` = 10: block k holds replicates
-10k .. 10k + 9 and draws them from one generator seeded by (seed, k).
-The block is drawn precinct by precinct, each precinct's ten draws in a
-row, so the binomial sampler sets up once per precinct instead of once
-per draw.  The last block is always drawn in full and trimmed, so a
-replicate's draws depend only on the seed and its own index: the null for
-R replicates is the first R rows of the null for any larger R.  The
-blocks run on every core the process may use: the binomial draws release
-the GIL, and each block writes only its own rows, so the null is
-bit-identical on any number of cores.  This stream layout replaced one
-generator per replicate, so nulls, p-values and null moments differ from
-earlier versions by Monte-Carlo noise; observed counts do not.
+10k .. 10k + 9 and draws them from one generator seeded by (seed, k).  The
+last block is always drawn in full and trimmed, so a replicate's draws
+depend only on the seed and its own index: the null for R replicates is
+the first R rows of the null for any larger R.
+
+A replicate only needs the bin each precinct's count lands in, so the null
+is drawn in bin space.  Once per call, each precinct's exact probability
+q_ib of landing in each requested bin b under Bin(n_i, p_i) is tabulated:
+the pmf comes from the ratio recurrence (n - k) / (k + 1) * p / (1 - p)
+(over failures where p > 1/2) across a count window n p -/+ t, normalised
+over it, with t from Bernstein's inequality so that the window leaves out
+less than ``TAIL_MASS`` = 1e-18, and is summed between the bin edges
+ceil(n (2b - 1) / 200) that percent_bins' half-up rounding implies.  The
+requested bins of positive mass and "none of them" form an alias table
+(Walker's method) per precinct.  Block k then draws one (m, BLOCK) matrix
+of uniforms, one per draw, precinct by precinct, for the m precincts whose
+window reaches a requested bin, and inverts each to its bin in constant
+time; every draw of the other precincts lands in no requested bin.  Two
+cases still draw binomial counts from the same block stream, after the
+uniforms: turnout weighted by ballots, where the weight is the draw
+itself, and precincts whose count window is wider than ``WINDOW_CAP``
+counts (n around 1.8e5 at p = 1/2), which no workload comes near.
+Weighted counts sum exactly in int64.
+
+Blocks with binomial precincts run on every core the process may use: the
+binomial draws release the GIL, and each block writes only its own rows.
+The table's draws are short numpy steps, which would only contend for the
+GIL, so they run on one thread, block after block for each run of rows.
+Either way the null is bit-identical on any number of cores.  The stream
+layout is that of the binomial blocks it replaced, but a uniform maps to a
+different count than a binomial draw did, so nulls, p-values and null
+moments differ from earlier versions by Monte-Carlo noise; observed counts
+do not.  Each target set has its own tables, so a null for some targets is
+no longer the matching columns of the null for all 101 bins.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -66,6 +90,12 @@ DEFAULT_TARGETS = tuple(range(50, 101, 5))
 MIN_REPLICATES = 100
 MAX_REPLICATES = 100_000  # the null holds replicates x targets int64 weights in memory
 BLOCK = 10  # replicates drawn from one random stream
+TAIL_MASS = 1e-18  # most probability a count window leaves out
+WINDOW_CAP = 4096  # widest count window tabulated; wider precincts draw binomials
+CHUNK = 1 << 14  # pmf entries per table-building step; at least WINDOW_CAP
+SLICE = 1024  # table rows drawn per pass
+BATCH = 512  # table rows built per pass
+_TAIL_LOG = math.log(2 / TAIL_MASS)
 
 DIAGNOSTIC_NOTE = (
     "Round-percent excess is a statistical diagnostic, not proof: it measures "
@@ -175,6 +205,290 @@ def _selected(dataset: ElectionDataset, quantity: str) -> tuple[np.ndarray, np.n
     return numer[mask], denom[mask], mask
 
 
+def count_windows(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and width of each count window [lo, lo + width) of Bin(n, p).
+
+    The window is n*p -/+ t, clipped to 0..n, with t from Bernstein's
+    inequality 2 exp(-t^2 / (2 (n p (1-p) + t/3))) = TAIL_MASS, so less
+    than TAIL_MASS of the distribution lies outside it.
+    """
+    mean = n * p
+    half = _TAIL_LOG / 3 + np.sqrt(_TAIL_LOG**2 / 9 + 2 * _TAIL_LOG * mean * (1 - p))
+    lo = np.maximum(np.floor(mean - half), 0).astype(np.int64)
+    hi = np.minimum(np.ceil(mean + half), n).astype(np.int64)
+    return lo, hi - lo + 1
+
+
+def _recurrence(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-row terms of the pmf recurrence: count window, direction, first count and odds.
+
+    Where p > 1/2 the recurrence runs over failures, from the top of the
+    window down, so that its odds never exceed one.
+    """
+    lo, width = count_windows(n, p)
+    flip = p > 0.5
+    start = np.where(flip, n - (lo + width - 1), lo).astype(float)
+    q = np.minimum(p, 1 - p)
+    return lo, width, flip, start, q / (1 - q)
+
+
+def _distinct(values) -> np.ndarray:
+    """The distinct integers among a few values, ascending.
+
+    np.unique without return_inverse imports numpy.ma on its first call,
+    about 18 ms of a command's run.
+    """
+    return np.array(sorted({int(v) for v in values}), dtype=np.int64)
+
+
+def _ragged(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For rows of these lengths laid end to end: each entry's row, and its index in the row."""
+    index = np.arange(int(lengths.sum()))
+    index -= np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return np.repeat(np.arange(lengths.size), lengths), index
+
+
+def _reached_masses(n, lo, width, flip, start, odds, edges, cut, cuts, at, reached, reach, work) -> np.ndarray:
+    """The masses of the bins each row reaches, row after row.
+
+    The first six arguments are _recurrence's terms; rows of similar
+    width should be neighbours, since a chunk pads its windows to its
+    widest.  Row i's masses are those of bins[reached[i] + r] for r below
+    reach[i], where at[j] is the index of bins[j] among the ascending
+    ``edges``; edges[cut[i]] .. edges[cut[i] + cuts[i] - 1] must hold both
+    edges of each of them.  Count k lands in bin b iff L(b) <= k < L(b + 1),
+    L(b) = ceil(n (2b - 1) / 200), so each window is cut at L of its
+    edges and summed between cuts.  The pmf comes from the ratio
+    recurrence over the window and is normalised over it.  ``work`` is a
+    float array of CHUNK + 1 entries; no window may be wider than CHUNK.
+    """
+    # Row i's cuts in pmf order: 0, its edges' L - lo and its width.  Over
+    # failures count k sits at hi - k: edge L cuts at hi + 1 - L, last edge first.
+    length = cuts + 2
+    row, j = _ragged(length)
+    over = np.repeat(flip, length)
+    top = np.repeat(cuts - 1, length)
+    pos = j - 1
+    np.clip(pos, 0, top, out=pos)
+    np.subtract(top, pos, out=pos, where=over)
+    pos += np.repeat(cut, length)
+    pos = edges[pos]
+    pos *= 2
+    pos -= 1
+    pos *= np.repeat(n, length)
+    pos += 199
+    pos //= 200
+    np.subtract(pos, np.repeat(lo, length), out=pos, where=~over)
+    np.subtract(np.repeat(lo + width, length), pos, out=pos, where=over)
+    del over, top
+    np.clip(pos, 0, np.repeat(width, length), out=pos)
+    pos[j == 0] = 0
+    last = j == np.repeat(length - 1, length)
+    del j
+    pos[last] = width
+
+    # In a chunk of rows, pmf[:, c] / pmf[:, c - 1] = (n - k) / (k + 1) * odds
+    # = (n + 1) * odds / (k + 1) - odds, with k = start + c - 1.  One spare
+    # zero lets the last window's end be a reduceat index.
+    pieces = np.empty(pos.size)
+    begins = np.cumsum(length) - length
+    first = 0
+    while first < n.size:
+        ahead = width[first : first + CHUNK // int(width[first])]
+        stop = min(first + CHUNK // int(ahead.max()), n.size)
+        c = slice(first, stop)
+        steps = np.arange(1.0, int(width[c].max()))
+        flat = work[: (stop - first) * (steps.size + 1) + 1]
+        flat[-1] = 0.0
+        pmf = flat[:-1].reshape(stop - first, steps.size + 1)
+        ratio = pmf[:, 1:]
+        np.add(start[c, None], steps, out=ratio)
+        np.divide(((n[c] + 1) * odds[c])[:, None], ratio, out=ratio)
+        ratio -= odds[c, None]
+        pmf[:, 0] = 1.0
+        np.cumprod(pmf, axis=1, out=pmf)
+        f = slice(begins[first], begins[stop - 1] + length[stop - 1])
+        pieces[f] = np.add.reduceat(flat, pos[f] + pmf.shape[1] * (row[f] - first))
+        first = stop
+    # A piece runs from its cut to the next; reduceat gives one entry for
+    # an empty piece, and a row's last cut starts none.
+    pieces[np.append(pos[1:] == pos[:-1], True) | last] = 0.0
+    total = np.add.reduceat(pieces, begins)
+
+    # Bin b's piece starts at the cut of L(b), or of L(b + 1) over failures.
+    _, r = _ragged(reach)
+    edge = at[np.repeat(reached, reach) + r] - np.repeat(cut, reach)
+    edge = np.where(np.repeat(flip, reach), np.repeat(cuts - 1, reach) - edge, edge + 1)
+    masses = pieces[np.repeat(begins, reach) + edge]
+    masses /= np.repeat(total, reach)
+    return masses
+
+
+def bin_masses(n: np.ndarray, p: np.ndarray, bins) -> np.ndarray:
+    """masses[i, j]: probability that Bin(n[i], p[i]) lands in percent bin bins[j].
+
+    Bins follow percent_bins' half-up rounding.  Each row's pmf comes from
+    the ratio recurrence (n - k) / (k + 1) * p / (1 - p) over its count
+    window (count_windows) and is normalised over it.  Every window must be
+    at most WINDOW_CAP counts wide.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    terms = _recurrence(n, np.asarray(p, dtype=float))
+    if terms[1].max(initial=1) > WINDOW_CAP:
+        raise ValueError(f"a count window is wider than {WINDOW_CAP}")
+    cols = _distinct(bins)
+    column = np.searchsorted(cols, bins)
+    edges = _distinct([*cols, *(cols + 1)])
+    # Every row is cut at every edge and reaches every bin.
+    by_width = np.argsort(terms[1], kind="stable")
+    zero = np.zeros(n.size, dtype=np.int64)
+    masses = np.empty((n.size, cols.size))
+    masses[by_width] = _reached_masses(
+        n[by_width], *(t[by_width] for t in terms), edges, zero, zero + edges.size,
+        np.searchsorted(edges, cols), zero, zero + cols.size, np.empty(CHUNK + 1),
+    ).reshape(n.size, cols.size)
+    return masses[:, column]
+
+
+def _pair(prob, own, alias, small, split, end) -> None:
+    """Vose's pairing, one bucket per row per pass, in every row at once.
+
+    A row's slots from small to split hold scaled masses under one, the
+    rest up to end one or more.  Small slot s keeps its mass and takes the
+    rest of its bucket from the current large slot g; once g falls under
+    one, its own bucket takes the rest from g + 1.  A slot left when either
+    kind runs out is full up to rounding.  The last slot of prob, own and
+    alias is scratch, written by rows that are done.
+    """
+    scratch = prob.size - 1
+    small, large = small.copy(), split.copy()
+    left = np.where(large < end, prob[large], 0.0)
+    while small.size:
+        full = left >= 1
+        give = full & (small < split)
+        drop = ~full & (large + 1 < end)
+        busy = give | drop
+        bucket = np.where(give, small, np.where(drop, large, scratch))
+        donor = large + drop
+        bucket_mass, donor_mass = prob[bucket], prob[donor]
+        prob[bucket] = np.where(give, bucket_mass, left)
+        alias[bucket] = own[donor]
+        left += np.where(give, bucket_mass, donor_mass) - 1
+        small += give
+        large += drop
+        if not busy.all():
+            small, split, large, end, left = (a[busy] for a in (small, split, large, end, left))
+
+
+class _AliasTable:
+    """Per-precinct alias tables (Walker's method), in CSR layout.
+
+    The table holds the precincts whose count window reaches a requested
+    bin, at positions ``index`` of those it was built from; every draw of
+    the others lands in no requested bin.  Row i's outcomes are the
+    requested bins of positive mass under Bin(n_i, p_i) and ``none``
+    (every other bin), where that has positive mass: K_i outcomes, one per
+    slot from first_i on.  A uniform u picks slot first_i + floor(u K_i),
+    which yields its own outcome when the fraction of u K_i is below the
+    slot's prob, and its alias otherwise.
+    """
+
+    def __init__(self, n: np.ndarray, p: np.ndarray, bins: np.ndarray) -> None:
+        none = bins.size
+        edges = _distinct([*bins, *(bins + 1)])
+        lo, width, flip, start, odds = _recurrence(n, p)
+        lowest, highest = (200 * lo + n) // (2 * n), (200 * (lo + width - 1) + n) // (2 * n)
+        # Row i reaches bins[reached[i]] .. bins[reached[i] + reach[i] - 1],
+        # whose edges are among edges[cut[i]] .. edges[cut[i] + cuts[i] - 1].
+        reached = np.searchsorted(bins, lowest)
+        reach = np.searchsorted(bins, highest, side="right") - reached
+        cut = np.searchsorted(edges, lowest)
+        cuts = np.searchsorted(edges, highest + 1, side="right") - cut
+        del lowest, highest
+        self.index = np.flatnonzero(reach)
+        self.rows = self.index.size
+        # Rows are tabulated in runs of SLICE rows, and within a run
+        # narrowest window first, so that a chunk pads its windows little
+        # and the slots one draw pass reads lie together.
+        tabulated = self.index[np.lexsort((width[self.index], np.arange(self.rows) // SLICE))]
+        n, lo, width, flip, start, odds, cut, cuts, reached, reach = (
+            a[tabulated] for a in (n, lo, width, flip, start, odds, cut, cuts, reached, reach)
+        )
+        at = np.searchsorted(edges, bins)
+        work = np.empty(CHUNK + 1)
+        count = np.empty(tabulated.size, dtype=np.int64)
+        smalls = np.empty(tabulated.size, dtype=np.int64)
+        # A row has at most reach + 1 outcomes; the slots fill from the front.
+        prob = np.empty(int(reach.sum()) + tabulated.size + 1)
+        own = np.empty(prob.size, dtype=np.uint8)
+        filled = 0
+        for b0 in range(0, tabulated.size, BATCH):
+            b = slice(b0, b0 + BATCH)
+            masses = _reached_masses(
+                n[b], lo[b], width[b], flip[b], start[b], odds[b], edges, cut[b], cuts[b], at, reached[b], reach[b],
+                work,
+            )
+            # Each row's outcomes: its bins of positive mass, and none where
+            # that has positive mass; scaled to mean one, each below one first.
+            owner, r = _ragged(reach[b])
+            label = (np.repeat(reached[b], reach[b]) + r).astype(np.uint8)
+            rest = np.maximum(1 - np.add.reduceat(masses, np.cumsum(reach[b]) - reach[b]), 0.0)
+            kept, left = masses > 0, rest > 0
+            owner = np.concatenate([owner[kept], np.flatnonzero(left)])
+            value = np.concatenate([masses[kept], rest[left]])
+            label = np.concatenate([label[kept], np.full(np.count_nonzero(left), none, dtype=np.uint8)])
+            count[b] = np.bincount(owner, minlength=reach[b].size)
+            value *= count[b][owner]
+            large = value >= 1
+            smalls[b] = np.bincount(owner[~large], minlength=reach[b].size)
+            order = np.argsort((2 * owner + large).astype(np.int16), kind="stable")
+            prob[filled : filled + value.size] = value[order]
+            own[filled : filled + value.size] = label[order]
+            filled += value.size
+
+        # Draw order is index order; the slot after the last is scratch for _pair.
+        offsets = np.concatenate([[0], np.cumsum(count)])
+        at_row = np.searchsorted(self.index, tabulated)
+        self.count, self.first = np.empty((self.rows, 1)), np.empty((self.rows, 1))
+        self.count[at_row, 0], self.first[at_row, 0] = count, offsets[:-1]
+        self.prob, own = prob[: filled + 1], own[: filled + 1]
+        alias = own.copy()  # an unpaired slot is full, up to rounding
+        _pair(self.prob, own, alias, offsets[:-1], offsets[:-1] + smalls, offsets[1:])
+        # Slot s yields outcome[2 s + 1], its own, when its fraction is below prob[s], else outcome[2 s].
+        self.outcome = np.stack([alias, own], axis=1).ravel()
+
+    def draw(self, streams, counts, weights, shift) -> None:
+        """Adds the weight of each row's BLOCK draws from each stream to its counts, at outcome + shift.
+
+        ``streams`` and ``counts`` pair one generator with one 1-D int64
+        array.  A stream's (rows, BLOCK) uniforms come in slices of SLICE
+        rows, the same numbers as one (rows, BLOCK) draw; every stream
+        draws a slice before the next slice, so its table rows stay in
+        cache.  ``weights`` is None (each draw counts one) or one int64
+        weight per draw, row-major.
+        """
+        shape = (min(self.rows, SLICE), BLOCK)
+        work = np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.uint8)
+        for lo in range(0, self.rows, SLICE):
+            rows = slice(lo, min(lo + SLICE, self.rows))
+            u, whole, slot, outcome = (a[: rows.stop - lo] for a in work)
+            block_weights = None if weights is None else weights[lo * BLOCK : rows.stop * BLOCK]
+            for rng, total in zip(streams, counts):
+                rng.random(out=u)
+                # u <= 1 - 2**-53, so floor(u K) < K for every K this small.
+                u *= self.count[rows]
+                np.floor(u, out=whole)
+                u -= whole
+                np.add(whole, self.first[rows], out=slot, casting="unsafe")
+                # Every slot is in range; "clip" lets take write straight into out.
+                np.take(self.prob, slot, out=whole, mode="clip")
+                slot <<= 1
+                slot += u < whole
+                np.take(self.outcome, slot, out=outcome, mode="clip")
+                np.add(outcome, shift, out=slot)
+                total += bincount_percent(slot.ravel(), block_weights, total.size)
+
+
 def simulate_null(
     dataset: ElectionDataset,
     quantity: str,
@@ -185,14 +499,16 @@ def simulate_null(
 ) -> NullDistribution:
     """Per-target bin weights under the size-and-proportion-preserving null.
 
-    Block k draws an (m, BLOCK) matrix of binomial counts for the m
-    included precincts from the stream (seed, k); column j is replicate
-    k * BLOCK + j.  The block is binned in place and counted in one call,
-    with column j's bins shifted by 101 * j.  Weighted modes sum exactly in
-    int64.  The blocks are strided over one thread per available core (at
-    most one per block): worker w runs blocks w, w + workers, ..., and the
-    calling thread is worker 0.  A worker's error is raised here once every
-    worker has stopped.
+    Block k holds replicates k * BLOCK .. k * BLOCK + BLOCK - 1, drawn
+    from the stream (seed, k): first an (m, BLOCK) matrix of uniforms for
+    the m precincts in the alias tables, inverted to bins, then an
+    (m', BLOCK) matrix of binomial counts for the m' precincts drawn as
+    binomials.  The precincts in neither never land in a requested bin.
+    Column j of either is replicate k * BLOCK + j.  Weighted modes sum
+    exactly in int64.  With binomial precincts the blocks are strided over
+    one thread per available core (at most one per block): worker w runs
+    blocks w, w + workers, ..., and the calling thread is worker 0.  A
+    worker's error is raised here once every worker has stopped.
 
     Raises EmptySelection when the quantity includes no precinct, and
     ValueError unless replicates is in MIN_REPLICATES..MAX_REPLICATES and
@@ -205,33 +521,43 @@ def simulate_null(
     numer, denom, mask = _selected(dataset, quantity)
     base_weights = weights_for(dataset, weight_mode)[mask]
     p_hat = shrunken_proportions(numer, denom)
-    target_arr = np.asarray(targets, dtype=np.int64)
+    bins = _distinct(targets)
+    column = np.searchsorted(bins, targets)
+    none = bins.size  # column of every bin not requested
+    width = none + 1
 
-    # Precinct-major: row i repeats precinct i's (n, p) across the block.
-    shape = (denom.size, BLOCK)
-    n_col, p_col = denom[:, None], p_hat[:, None]
-    shift = N_PERCENT_BINS * np.arange(BLOCK)
-    # Turnout weighted by ballots weighs each replicate by its own simulated ballots.
+    # Turnout weighted by ballots weighs each replicate by its own simulated
+    # ballots, so it draws them all; so do precincts whose window is too wide.
     own_ballots = quantity == QUANTITY_TURNOUT and weight_mode == "ballots"
-    fixed_weights = None if weight_mode == "precincts" or own_ballots else np.repeat(base_weights, BLOCK)
+    tabled = np.zeros(denom.size, dtype=bool) if own_ballots else count_windows(denom, p_hat)[1] <= WINDOW_CAP
+    table = _AliasTable(denom[tabled], p_hat[tabled], bins)
+    wide_n, wide_p = denom[~tabled][:, None], p_hat[~tabled][:, None]
+    fixed = None if weight_mode == "precincts" or own_ballots else base_weights
+    table_weights = None if fixed is None else np.repeat(fixed[tabled][table.index], BLOCK)
+    wide_weights = None if fixed is None else np.repeat(fixed[~tabled], BLOCK)
+    column_of_bin = np.full(N_PERCENT_BINS, none)
+    column_of_bin[bins] = np.arange(none)
+    shift = width * np.arange(BLOCK)
 
     blocks = -(-replicates // BLOCK)
-    weights = np.empty((blocks * BLOCK, len(targets)), dtype=np.int64)
-    workers = min(_cores(), blocks)
-
-    def draw(k: int) -> None:
-        sim = _block_rng(seed, k).binomial(n_col, p_col, size=shape)
-        if own_ballots:
-            bins, block_weights = percent_bins(sim, n_col), sim.ravel()
-        else:
-            bins, block_weights = percent_bins(sim, n_col, out=sim), fixed_weights
-        bins += shift
-        counts = bincount_percent(bins.ravel(), block_weights, N_PERCENT_BINS * BLOCK)
-        weights[k * BLOCK : (k + 1) * BLOCK] = counts.reshape(BLOCK, N_PERCENT_BINS)[:, target_arr]
+    counts = np.zeros((blocks, BLOCK * width), dtype=np.int64)
+    # The table's draws are many short numpy steps, which only contend for
+    # the interpreter lock when run on several threads; binomials release it.
+    workers = min(_cores(), blocks) if wide_n.size else 1
 
     def run(first: int) -> None:
-        for k in range(first, blocks, workers):
-            draw(k)
+        streams = [_block_rng(seed, k) for k in range(first, blocks, workers)]
+        mine = counts[first::workers]  # a view: one row per block
+        if table.rows:
+            table.draw(streams, mine, table_weights, shift)
+        for rng, total in zip(streams, mine) if wide_n.size else ():
+            sim = rng.binomial(wide_n, wide_p, size=(wide_n.size, BLOCK))
+            if own_ballots:
+                at, block_weights = column_of_bin[percent_bins(sim, wide_n)], sim.ravel()
+            else:
+                at, block_weights = column_of_bin[percent_bins(sim, wide_n, out=sim)], wide_weights
+            at += shift
+            total += bincount_percent(at.ravel(), block_weights, total.size)
 
     # Imported here, not at the top: it loads logging, which no command that
     # skips the null needs.  An executor starts no thread until a task is
@@ -243,7 +569,8 @@ def simulate_null(
         run(0)
         for future in others:
             future.result()
-    return NullDistribution(quantity, weight_mode, tuple(targets), weights[:replicates], seed)
+    weights = counts.reshape(blocks * BLOCK, width)[:replicates, column]
+    return NullDistribution(quantity, weight_mode, tuple(targets), weights, seed)
 
 
 def mc_p_value(null_weights: np.ndarray, observed: int) -> float:

@@ -54,6 +54,7 @@ from .errors import InvalidModel, MalformedRow
 from .histograms import QUANTITY_LEADER_SHARE, QUANTITY_TURNOUT
 
 BLOCK = 4096
+MAX_PRECINCTS = 10_000_000  # the generator holds several arrays of this length
 _FRAUD_STREAM = 1_000_003  # offset keeping fraud draws disjoint from generation blocks
 
 
@@ -81,8 +82,8 @@ class HonestModel:
     report_times: tuple[int, ...] = ()  # distinct minutes since midnight; empty = no intraday
 
     def validate(self) -> None:
-        if self.precincts < 0:
-            raise InvalidModel(f"precincts must be >= 0, got {self.precincts}")
+        if not 0 <= self.precincts <= MAX_PRECINCTS:
+            raise InvalidModel(f"precincts must be in 0..{MAX_PRECINCTS}, got {self.precincts}")
         if not self.parties or len(set(self.parties)) != len(self.parties):
             raise InvalidModel("parties must be non-empty and unique")
         if len(self.baseline_shares) != len(self.parties):

@@ -503,6 +503,18 @@ def test_synth_builds_names_only_for_territories_in_use(tmp_path):
     assert [row.split(",")[2] for row in rows] == ["T1", "T2", "T3"]
 
 
+def test_synth_with_too_many_precincts_exits_one(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(dict(SYNTH_MODEL, precincts=10_000_000_000_000)))
+    rc = main(["synth", "--model", str(model), "--seed", "1", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR INVALID_MODEL: precincts"), lines
+    assert not (tmp_path / "o").exists()
+
+
 _NO_SD = [{"mean": 0.5, "weight": 1.0}]
 
 

@@ -107,6 +107,20 @@ def test_simulate_null_16k_precincts(benchmark):
     assert null.weights.sum() > 0
 
 
+@pytest.mark.parametrize("replicates", [200, 1000])
+def test_simulate_null_16k_precincts_101_bins(benchmark, replicates):
+    """The plot null: every integer percent, as ``ef peaks`` draws it for its envelope (1000 replicates by default)."""
+    model = synth.HonestModel(
+        precincts=16_000, parties=("A", "B", "C"), baseline_shares=(0.55, 0.3, 0.1), leader="A"
+    )
+    ds = synth.generate_honest(model, 0).dataset
+    null = benchmark.pedantic(
+        simulate_null, args=(ds, "leader_share", replicates, 1), kwargs={"targets": tuple(range(101))}, rounds=3
+    )
+    assert null.weights.shape == (replicates, 101)
+    assert (null.weights.sum(axis=1) == len(ds)).all()
+
+
 def test_serialize_intraday_20k_precincts(benchmark):
     model = synth.HonestModel(
         precincts=20_000,

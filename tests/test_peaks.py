@@ -1,9 +1,12 @@
 import hashlib
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from election_forensics import peaks, synth
 from election_forensics.peaks import (
@@ -187,13 +190,14 @@ def test_block_null_matches_per_replicate_null_in_distribution(quantity, weight_
 
 
 # sha256 of the null weights' bytes, recorded with one worker from the (seed, block) streams.
+# ("turnout", "ballots") draws binomials; the others invert uniforms through the bin tables.
 NULL_DIGESTS = {
-    ("turnout", "precincts"): "638d6f66b65134d81d28126f1f3e7f56e81bdd51358daaa27f46e6f08c19da16",
-    ("turnout", "registered"): "af4d3af59e3a4b1954c6d5a9246d71b56b6ed0e867c71976c7176a41d14473d8",
+    ("turnout", "precincts"): "38c7167b0a4cc2264e8ed4efd96ebdacc11fa1e1385ef644c0c935726be47ffc",
+    ("turnout", "registered"): "4742824ed459d09b3cbf93329ddcd472bf9befb4a587ad2f5f3f8a0d666cc6fe",
     ("turnout", "ballots"): "b3ab56a2fc0624050a0a8cc781bcd981f879536ac1cdc18cdca3cd852109825c",
-    ("leader_share", "precincts"): "1b15323d34cff4dd224a9528dd1e443b3db621281a4bc768c5f5fa0f379c651b",
-    ("leader_share", "registered"): "d25c715744120540c060e5e1908c7fa23411e98617aafdd9ee24d0bdeb634438",
-    ("leader_share", "ballots"): "1af972d7c6a46884c0f0e9c21c46b1dd4d63b5416ed08c98253d99f891680859",
+    ("leader_share", "precincts"): "2bd5b5a23a081d0c07369b0b9e6c7a1183c6aa36a90d82d5736842af850137b7",
+    ("leader_share", "registered"): "95fcb86e7e3ea229a884122f7cce4c096462e6826755ef2f019e41fc0eed4c3e",
+    ("leader_share", "ballots"): "b4c522f8d96a5847c1b5dc295e674aaf35e3464d361f7c483ea2937bfd5ecbbf",
 }
 
 
@@ -221,3 +225,194 @@ def test_null_worker_error_reaches_caller(monkeypatch, workers):
     with pytest.raises(RuntimeError, match="block 5 failed"):
         simulate_null(_null_dataset(), "leader_share", replicates=101, seed=1)
     assert threading.active_count() == before
+
+
+def _scipy_bin_masses(n, p, bins):
+    """P(Bin(n, p) lands in each percent bin) from scipy's cdf, with percent_bins' edges."""
+    from scipy.stats import binom
+
+    low_edge = (n * (2 * np.asarray(bins) - 1) + 199) // 200
+    high_edge = (n * (2 * np.asarray(bins) + 1) + 199) // 200
+    return binom.cdf(high_edge - 1, n, p) - binom.cdf(low_edge - 1, n, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 5000), p=st.floats(0, 1), bins=st.lists(st.integers(0, 100), min_size=1, unique=True))
+@example(n=1, p=0.0, bins=[0, 100])
+@example(n=1, p=1.0, bins=[0, 100])
+@example(n=2, p=0.5, bins=[0, 50, 100])
+@example(n=2, p=1e-300, bins=[0])
+@example(n=5000, p=0.5, bins=[0, 100])
+@example(n=4999, p=0.999999, bins=[100])
+def test_bin_masses_match_scipy(n, p, bins):
+    everything = peaks.bin_masses(np.array([n]), np.array([p]), np.arange(101))[0]
+    assert np.abs(everything - _scipy_bin_masses(n, p, np.arange(101))).max() <= 1e-12
+    assert abs(everything.sum() - 1) <= 1e-12
+    chosen = peaks.bin_masses(np.array([n]), np.array([p]), np.array(bins))[0]
+    assert np.abs(chosen - everything[bins]).max() <= 1e-14
+
+
+def _widest_n(p):
+    """The largest n whose count window at p is at most WINDOW_CAP wide."""
+
+    def fits(n):
+        return peaks.count_windows(np.array([n]), np.array([p]))[1][0] <= peaks.WINDOW_CAP
+
+    lo, hi = 1, 2
+    while fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("p", [0.5, 0.37, 0.93])
+def test_bin_masses_match_scipy_just_under_the_window_cap(p):
+    n = _widest_n(p)
+    assert peaks.count_windows(np.array([n]), np.array([p]))[1][0] > peaks.WINDOW_CAP - 4
+    masses = peaks.bin_masses(np.array([n]), np.array([p]), np.arange(101))[0]
+    assert np.abs(masses - _scipy_bin_masses(n, p, np.arange(101))).max() <= 1e-12
+    assert abs(masses.sum() - 1) <= 1e-12
+    with pytest.raises(ValueError, match="wider than"):
+        peaks.bin_masses(np.array([n + 1000]), np.array([p]), np.arange(101))
+
+
+def test_count_window_leaves_out_less_than_the_tail_bound():
+    from scipy.stats import binom
+
+    n = np.array([1, 7, 50, 1000, 20000, 150000])
+    for p in (0.0, 1e-6, 0.03, 0.5, 0.81, 1.0):
+        lo, width = peaks.count_windows(n, np.full(n.size, p))
+        outside = binom.cdf(lo - 1, n, p) + binom.sf(lo + width - 1, n, p)
+        assert np.all(outside < peaks.TAIL_MASS), (p, outside)
+
+
+def _exact_moments(ds, quantity, weight_mode):
+    """Each bin's exact null mean, variance and variance of the sample variance's limit."""
+    numer, denom, mask = peaks._selected(ds, quantity)
+    p_hat = peaks.shrunken_proportions(numer, denom)
+    w = weights_for(ds, weight_mode)[mask].astype(float)[:, None]
+    q = peaks.bin_masses(denom, p_hat, np.arange(101))
+    bernoulli_var = q * (1 - q)
+    mean = (w * q).sum(axis=0)
+    var = (w**2 * bernoulli_var).sum(axis=0)
+    fourth_cumulant = (w**4 * bernoulli_var * (1 - 6 * bernoulli_var)).sum(axis=0)
+    return mean, var, fourth_cumulant + 2 * var**2
+
+
+def _assert_moments(weights, mean, var, var_of_var, weight_max):
+    # 5 standard errors, plus one draw's weight over R for bins whose mass
+    # is so small that a single hit is a many-sigma event
+    r = weights.shape[0]
+    slack = weight_max / r
+    got_mean = weights.mean(axis=0)
+    gap = np.abs(got_mean - mean)
+    assert np.all(gap <= 5 * np.sqrt(var / r) + slack), np.flatnonzero(gap > 5 * np.sqrt(var / r) + slack)
+    got_var = weights.var(axis=0, ddof=1)
+    gap = np.abs(got_var - var)
+    bound = 5 * np.sqrt(var_of_var / r) + weight_max**2 / r
+    assert np.all(gap <= bound), np.flatnonzero(gap > bound)
+
+
+@pytest.mark.parametrize(
+    "quantity,weight_mode",
+    [("leader_share", "precincts"), ("leader_share", "registered"), ("leader_share", "ballots"),
+     ("turnout", "precincts"), ("turnout", "registered")],
+)
+def test_null_matches_exact_bin_moments(quantity, weight_mode):
+    ds = _null_dataset()
+    null = simulate_null(ds, quantity, 2000, seed=17, targets=tuple(range(101)), weight_mode=weight_mode)
+    mean, var, var_of_var = _exact_moments(ds, quantity, weight_mode)
+    weight_max = float(weights_for(ds, weight_mode).max())
+    _assert_moments(null.weights.astype(float), mean, var, var_of_var, weight_max)
+
+
+def _mixed_dataset():
+    """300 ordinary precincts and one of 10**12 registered voters, whose window is far too wide to tabulate."""
+    rng = np.random.default_rng(3)
+    records = []
+    for i in range(300):
+        registered = int(rng.integers(100, 2000))
+        cast = int(rng.binomial(registered, 0.55))
+        lead = int(rng.binomial(cast, 0.6))
+        records.append(record(pid=f"p{i}", registered=registered, cast=cast, votes=(lead, cast - lead)))
+    cast = 55 * 10**10 + 12345
+    records.append(record(pid="big", registered=10**12, cast=cast, votes=(33 * 10**10, cast - 33 * 10**10)))
+    return quick_dataset(records)
+
+
+@pytest.mark.parametrize("quantity,bin_of_big", [("turnout", 55), ("leader_share", 60)])
+@pytest.mark.parametrize("weight_mode", ["precincts", "registered"])
+def test_null_adds_binomial_and_table_draws(quantity, bin_of_big, weight_mode):
+    # the big precinct is drawn as a binomial; its share sits thousands of
+    # standard deviations inside one bin, so it adds its weight there in
+    # every replicate, and the other bins follow the tabulated precincts
+    ds = _mixed_dataset()
+    numer, denom, mask = peaks._selected(ds, quantity)
+    p_hat = peaks.shrunken_proportions(numer, denom)
+    assert peaks.count_windows(denom, p_hat)[1][-1] > peaks.WINDOW_CAP
+    assert peaks.count_windows(denom, p_hat)[1][:-1].max() <= peaks.WINDOW_CAP
+    w = weights_for(ds, weight_mode)[mask]
+    null = simulate_null(ds, quantity, 2000, seed=5, targets=tuple(range(101)), weight_mode=weight_mode)
+    weights = null.weights.copy()
+    assert np.all(weights[:, bin_of_big] >= w[-1])
+    weights[:, bin_of_big] -= w[-1]
+
+    q = peaks.bin_masses(denom[:-1], p_hat[:-1], np.arange(101))
+    wf = w[:-1].astype(float)[:, None]
+    bernoulli_var = q * (1 - q)
+    var = (wf**2 * bernoulli_var).sum(axis=0)
+    var_of_var = (wf**4 * bernoulli_var * (1 - 6 * bernoulli_var)).sum(axis=0) + 2 * var**2
+    _assert_moments(weights.astype(float), (wf * q).sum(axis=0), var, var_of_var, float(w[:-1].max()))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_mixed_null_does_not_depend_on_worker_count(monkeypatch, workers):
+    # with a binomial precinct the blocks run on every core
+    ds = _mixed_dataset()
+    args = (ds, "turnout", 101, 8, tuple(range(101)), "registered")
+    monkeypatch.setattr(peaks, "_cores", lambda: 1)
+    serial = simulate_null(*args)
+    monkeypatch.setattr(peaks, "_cores", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = simulate_null(*args)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(threaded.weights, serial.weights)
+
+
+def test_repeated_and_unsorted_targets_get_their_own_columns():
+    ds = _null_dataset()
+    ordered = simulate_null(ds, "leader_share", 120, seed=3, targets=(0, 60, 65))
+    picked = simulate_null(ds, "leader_share", 120, seed=3, targets=(65, 60, 65, 0))
+    assert np.array_equal(picked.weights, ordered.weights[:, [2, 1, 2, 0]])
+
+
+def test_null_memory_stays_small(monkeypatch):
+    # a calibration-sized election: 3000 precincts, registered ~1200
+    model = synth.HonestModel(
+        precincts=3000,
+        parties=("LEAD", "OPA", "OPB", "OPC"),
+        baseline_shares=(0.60, 0.20, 0.10, 0.05),
+        leader="LEAD",
+        registered_median=1200,
+        registered_sigma=0.4,
+        registered_min=200,
+        registered_max=5000,
+        turnout_components=(synth.TurnoutComponent(0.30, 0.06, 0.35), synth.TurnoutComponent(0.55, 0.07, 0.65)),
+        share_noise_sd=0.04,
+    )
+    ds = synth.generate_honest(model, 0).dataset
+    monkeypatch.setattr(peaks, "_cores", lambda: 2)
+    # a first call caches the count arrays and makes the imports, which are not the null's memory
+    simulate_null(ds, "turnout", 100, 2)
+    tracemalloc.start()
+    try:
+        simulate_null(ds, "turnout", 1000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
