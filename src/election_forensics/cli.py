@@ -99,7 +99,7 @@ def cmd_scatter(args) -> dict:
             }
         except ForensicsError as exc:
             fits[party] = {"error": exc.message}
-        columns = [c.tolist() for c in (points.precinct_ids, points.x, points.y, points.weight)]
+        columns = [points.precinct_ids, points.x, points.y, points.weight]
         rows = format_rows("%s,%.9f,%.9f,%d\n", columns)
         atomic_write_text(out / f"scatter_{party}.csv", "precinct_id,x,y,weight\n" + rows)
         svg_series.append((party, points.xy(), trend))

@@ -318,8 +318,11 @@ def raise_first_fault(
 _QUOTE_TRIGGERS = re.compile('[,"\r\n]')
 
 
-def csv_cells(cells: list[str]) -> list[str]:
-    """Each cell as ``csv.writer`` writes it in a row of two or more cells."""
+def csv_cells(cells: Sequence[str]) -> Sequence[str]:
+    """Each cell as ``csv.writer`` writes it in a row of two or more cells.
+
+    Cells that need no quoting, the usual case, are returned as given.
+    """
     if not _QUOTE_TRIGGERS.search("".join(cells)):
         return cells
     written = []
@@ -332,17 +335,30 @@ def csv_cells(cells: list[str]) -> list[str]:
     return written
 
 
-def format_rows(row: str, columns: Sequence[list]) -> str:
+# Rows written per ``%`` call by ``format_rows``.
+ROW_BLOCK = 4096
+
+
+def format_rows(row: str, columns: Sequence[Sequence | np.ndarray]) -> str:
     """``row % cells`` for each row of the equal-length ``columns``, joined.
 
-    The rows are written by one ``%`` call over the cells interleaved row
-    by row, not by one call per row.
+    A column is a list, tuple or 1-d ndarray.  The rows are written
+    ROW_BLOCK (4,096) at a time: one ``%`` call per block over its cells
+    interleaved row by row, an ndarray column's slice turned into Python
+    scalars by ``tolist`` block by block.  The blocks are joined once, so
+    the peak memory is about two copies of the output plus one block.
     """
     n = len(columns[0]) if columns else 0
-    cells: list = [None] * (n * len(columns))
-    for j, column in enumerate(columns):
-        cells[j :: len(columns)] = column
-    return (row * n) % tuple(cells)
+    width = len(columns)
+    blocks = []
+    for start in range(0, n, ROW_BLOCK):
+        rows = min(ROW_BLOCK, n - start)
+        cells: list = [None] * (rows * width)
+        for j, column in enumerate(columns):
+            part = column[start : start + rows]
+            cells[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
+        blocks.append((row * rows) % tuple(cells))
+    return "".join(blocks)
 
 
 def parse_count(cell: str, line: int, column: str) -> int:
@@ -523,14 +539,14 @@ def serialize_dataset(dataset: ElectionDataset) -> str:
     any_tags = any(c.tags)
     header = list(FIXED_COLUMNS) + [VOTES_PREFIX + p for p in dataset.roster.ids]
     columns = [
-        csv_cells(c.precinct_ids.tolist()),
-        csv_cells(c.region.tolist()),
-        csv_cells(c.territory.tolist()),
-        c.registered.tolist(),
-        c.ballots_cast.tolist(),
-        c.invalid.tolist(),
-        c.machine_counted.astype(np.int64).tolist(),
-        *c.votes.T.tolist(),
+        csv_cells(c.precinct_ids),
+        csv_cells(c.region),
+        csv_cells(c.territory),
+        c.registered,
+        c.ballots_cast,
+        c.invalid,
+        c.machine_counted.view(np.uint8),
+        *c.votes.T,
     ]
     if any_tags:
         header.append(TAGS_COLUMN)

@@ -231,13 +231,14 @@ def _reports_table(ids: list[str], times: np.ndarray, counts: np.ndarray) -> Int
 def serialize_intraday(series_map: Mapping[str, IntradaySeries]) -> str:
     """``intraday.csv`` text: precincts sorted by id, each one's reports in its order."""
     table = IntradayTable.from_series(series_map)
-    ids = table.precinct_ids.tolist()
-    table = table.take(np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64))
-    quoted = np.array(csv_cells(table.precinct_ids.tolist()), dtype=object)
+    ids = table.precinct_ids
+    if not (ids[1:] > ids[:-1]).all():  # a generated table is already in order
+        order = sorted(range(len(ids)), key=ids.tolist().__getitem__)
+        table = table.take(np.array(order, dtype=np.int64))
+    quoted = np.asarray(csv_cells(table.precinct_ids), dtype=object)
     distinct, which = np.unique(table.minutes, return_inverse=True)
     labels = np.array([format_time(m) for m in distinct.tolist()], dtype=object)
-    row_ids = np.repeat(quoted, np.diff(table.starts))
-    columns = [row_ids.tolist(), labels[which].tolist(), table.cumulative.tolist()]
+    columns = [np.repeat(quoted, np.diff(table.starts)), labels[which], table.cumulative]
     return ",".join(INTRADAY_HEADER) + "\n" + format_rows("%s,%s,%s\n", columns)
 
 

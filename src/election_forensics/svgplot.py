@@ -56,7 +56,7 @@ class _Doc:
         self.parts.append(fragment)
 
     def render(self) -> str:
-        return "".join(self.parts) + "</svg>\n"
+        return "".join([*self.parts, "</svg>\n"])
 
 
 def _esc(text: str) -> str:
@@ -131,7 +131,7 @@ def svg_scatter(
         px = _px(xy[:, 0], 0, 1, PLOT_W, MARGIN_L)
         py = _px(xy[:, 1], 0, 1, PLOT_H, MARGIN_T, flip=True)
         circle = '<circle cx="%.2f" cy="%.2f" r="1.6" fill="' + color + '" fill-opacity="0.45"/>\n'
-        doc.add(format_rows(circle, [px.tolist(), py.tolist()]))
+        doc.add(format_rows(circle, [px, py]))
         if trend is not None:
             slope, intercept = trend
             x1, x2 = 0.0, 1.0

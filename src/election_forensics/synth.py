@@ -332,15 +332,15 @@ class GroundTruth:
             "stuffed_votes,transferred_votes,rounding_delta,jump_votes\n"
         )
         columns = [
-            csv_cells(list(self.precinct_ids)),
-            self.component.tolist(),
-            self.turnout_prob.tolist(),
-            self.honest_ballots_cast.tolist(),
-            self.honest_leader_votes.tolist(),
-            self.stuffed.tolist(),
-            self.transferred.tolist(),
-            self.rounding_delta.tolist(),
-            self.jump.tolist(),
+            csv_cells(self.precinct_ids),
+            self.component,
+            self.turnout_prob,
+            self.honest_ballots_cast,
+            self.honest_leader_votes,
+            self.stuffed,
+            self.transferred,
+            self.rounding_delta,
+            self.jump,
         ]
         return header + format_rows("%s,%s,%.6f,%s,%s,%s,%s,%s,%s\n", columns)
 
@@ -432,9 +432,11 @@ def generate_honest(model: HonestModel, seed: int) -> SyntheticElection:
     # precinct i lies in territory i mod territories, so at most n names are used
     used = min(model.territories, max(n, 1))
     territory_names = np.array([f"T{t + 1}" for t in range(used)], dtype=object)
+    region = np.empty(n, dtype=object)
+    region.fill("R1")  # one shared str; np.full would make one per precinct
     columns = DatasetArrays(
         precinct_ids=np.array([f"p{i:0{pad}d}" for i in range(n)], dtype=object),
-        region=np.full(n, "R1", dtype=object),
+        region=region,
         territory=territory_names[np.arange(n) % used],
         registered=registered,
         ballots_cast=cast,

@@ -5,9 +5,13 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from election_forensics import synth
 from election_forensics.cli import main
+from election_forensics.dataset import serialize_dataset
+from election_forensics.dynamics import serialize_intraday
 from election_forensics.peaks import MAX_REPLICATES, MIN_REPLICATES
 from election_forensics.report import validate_report
 
@@ -474,6 +478,28 @@ def test_synth_files_match_recorded_digests(tmp_path):
     assert sorted(_report(out)["results"]["files"]) == sorted(SYNTH_DIGESTS)
     for name, digest in SYNTH_DIGESTS.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_synth_writers_peak_below_five_times_their_output():
+    model = synth.model_from_json(json.dumps(dict(SYNTH_MODEL, precincts=20_000)))
+    generated = synth.synthesize(model, synth.scenario_from_json(json.dumps(SYNTH_SCENARIO)), 11)
+    writers = {
+        "serialize_dataset": lambda: serialize_dataset(generated.dataset),
+        "GroundTruth.to_csv": generated.truth.to_csv,
+        "serialize_intraday": lambda: serialize_intraday(generated.intraday),
+    }
+    for name, write in writers.items():
+        tracemalloc.start()
+        try:
+            text = write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the blocks and their join are two copies of the text; whole-column cell lists took 9-10 times it
+        assert peak < 5 * len(text), (name, peak / len(text))
+    table = generated.intraday
+    shuffled = table.take(np.random.default_rng(0).permutation(len(table)))
+    assert serialize_intraday(shuffled) == serialize_intraday(table)
 
 
 @pytest.mark.parametrize("times", [["10:00", "10:00", "15:00"], ["10:00"], ["10:00", "24:00"]])

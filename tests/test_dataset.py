@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from election_forensics.compare import parse_delta_table, parse_protocols
 from election_forensics.dataset import (
     MAX_COUNT,
+    ROW_BLOCK,
     DatasetArrays,
     ElectionDataset,
     PartyRoster,
     PrecinctRecord,
     check_invariants,
+    format_rows,
     make_dataset,
     parse_dataset,
     partition,
@@ -144,6 +146,50 @@ def _build_bounded_record(reg_extra, cast, v1_frac, v2_frac, inv_frac, mc, i):
 def test_round_trip_property(records):
     ds = make_dataset("h", PartyRoster(("A", "B")), records, "A")
     assert parse_dataset(serialize_dataset(ds), leader="A", election_id="h") == ds
+
+
+def _one_shot_rows(row, columns):
+    """``format_rows`` as one ``%`` call: a template of n rows over every cell interleaved row by row."""
+    n = len(columns[0]) if columns else 0
+    cells = [None] * (n * len(columns))
+    for j, column in enumerate(columns):
+        cells[j :: len(columns)] = column.tolist() if isinstance(column, np.ndarray) else column
+    return (row * n) % tuple(cells)
+
+
+def _column(rng, n, dtype, conversion):
+    if dtype == "int64":
+        return rng.integers(-(10**12), 10**12, n)
+    if dtype == "float64":
+        return rng.normal(0.0, 10.0 ** rng.integers(-3, 7), n)
+    # object: strings for %s, Python ints for the numeric templates
+    if conversion == "%s":
+        return np.array([f"id{v}" for v in rng.integers(0, 10**6, n)], dtype=object)
+    return np.array(rng.integers(0, 10**9, n).tolist(), dtype=object)
+
+
+@given(
+    n=st.sampled_from([0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7]),
+    specs=st.lists(
+        st.tuples(
+            st.sampled_from(["%s", "%d", "%.6f", "%.9f", "%.2f"]),
+            st.sampled_from(["int64", "float64", "object"]),
+            st.booleans(),  # the column as a list rather than an ndarray
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_block_wise_format_rows_equals_one_shot(n, specs, seed):
+    rng = np.random.default_rng(seed)
+    columns = []
+    for conversion, dtype, as_list in specs:
+        column = _column(rng, n, dtype, conversion)
+        columns.append(column.tolist() if as_list else column)
+    row = "<" + ",".join(conversion for conversion, _, _ in specs) + ">\n"
+    assert format_rows(row, columns) == _one_shot_rows(row, columns)
 
 
 def test_share_ordering_invariant():

@@ -135,6 +135,37 @@ def test_serialize_intraday_20k_precincts(benchmark):
     assert text.startswith("precinct_id,time,cumulative_voted\np00000,10:00,")
 
 
+def _national_100k():
+    """A 100k-precinct, four-party election with stuffing and transfer."""
+    model = synth.HonestModel(
+        precincts=100_000,
+        parties=("A", "B", "C", "D"),
+        baseline_shares=(0.52, 0.22, 0.13, 0.08),
+        leader="A",
+        machine_fraction=0.3,
+        territories=8,
+    )
+    scenario = synth.FraudScenario(
+        stuffing=synth.StuffingSpec(fraction=0.08, intensity=0.10),
+        transfer=synth.TransferSpec(fraction=0.08, amount=0.50),
+    )
+    return synth.synthesize(model, scenario, seed=0)
+
+
+def test_serialize_dataset_100k_precincts(benchmark):
+    ds = _national_100k().dataset
+    text = benchmark.pedantic(serialize_dataset, args=(ds,), rounds=3)
+    assert text.count("\n") == 1 + 100_000
+    assert text.startswith("precinct_id,region,territory,registered,ballots_cast,invalid,machine_counted,")
+
+
+def test_ground_truth_to_csv_100k_precincts(benchmark):
+    truth = _national_100k().truth
+    text = benchmark.pedantic(truth.to_csv, rounds=3)
+    assert text.count("\n") == 1 + 100_000
+    assert text.startswith("precinct_id,component,turnout_prob,")
+
+
 def test_parse_dataset_16k_precincts(benchmark):
     ds = _national_16k().dataset
     text = serialize_dataset(ds)
