@@ -288,16 +288,15 @@ def split_two_clusters(
     seed: int = 0,
     restarts: int = 20,
     tol: float = DEFAULT_EM_TOL,
-    bic_margin: float = BIC_DECISION_MARGIN,
 ) -> ClusterSplit:
     """Two-component spherical Gaussian mixture versus one, decided by BIC.
 
     The 2-component fit uses EM from k-means++ starts, one independent
     seeded restart stream per index; the winner is the restart with the
     lowest BIC (ties by restart index).  "two" requires a BIC improvement
-    of at least ``bic_margin`` over the single-Gaussian model.  Each EM
+    of at least BIC_DECISION_MARGIN over the single-Gaussian model.  Each EM
     run stops once its log-likelihood changes by less than ``tol``; the
-    default 1e-3 is far below ``bic_margin / 2``, the margin in
+    default 1e-3 is far below BIC_DECISION_MARGIN / 2, the margin in
     log-likelihood units.  The result records each restart's EM iteration
     count, the stopping rule, the winner's last change in log-likelihood
     and whether it met the rule before the iteration cap.
@@ -329,7 +328,7 @@ def split_two_clusters(
     weights = fit.resp.sum(axis=1) / n
     assignments_arr = np.empty(n, dtype=np.int64)
     assignments_arr[order] = fit.resp[1] > fit.resp[0]  # a tie goes to component 0
-    decision = "two" if (bic_one - bic_two) >= bic_margin else "one"
+    decision = "two" if (bic_one - bic_two) >= BIC_DECISION_MARGIN else "one"
     return ClusterSplit(
         assignments=tuple(assignments_arr.tolist()),
         centroids=((float(mu[0, 0]), float(mu[0, 1])), (float(mu[1, 0]), float(mu[1, 1]))),

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, anomaly, compare, dynamics, peaks, probkit, scatter, synth
 from . import histograms as hist_mod
-from .dataset import format_rows, parse_dataset, partition, serialize_dataset
+from .dataset import csv_cells, format_rows, parse_dataset, partition, serialize_dataset
 from .errors import BadCounts, EmptySelection, ForensicsError
 from .report import build_report, atomic_write_text, input_digest, write_report
 from .svgplot import svg_histogram, svg_scatter
@@ -82,6 +82,9 @@ def cmd_scatter(args) -> dict:
         if scatter.OTHERS not in parties and len(dataset.roster) > 1:
             parties.append(scatter.OTHERS)
     parties = parties[:8]
+    for party in parties:  # each names a file in --out
+        if Path(f"scatter_{party}.csv").name != f"scatter_{party}.csv":
+            raise ValueError(f"party {party!r} does not make a plain file name; pick parties with --parties")
     out = Path(args.out)
     fits = {}
     svg_series = []
@@ -99,7 +102,7 @@ def cmd_scatter(args) -> dict:
             }
         except ForensicsError as exc:
             fits[party] = {"error": exc.message}
-        columns = [points.precinct_ids, points.x, points.y, points.weight]
+        columns = [csv_cells(points.precinct_ids), points.x, points.y, points.weight]
         rows = format_rows("%s,%.9f,%.9f,%d\n", columns)
         atomic_write_text(out / f"scatter_{party}.csv", "precinct_id,x,y,weight\n" + rows)
         svg_series.append((party, points.xy(), trend))
@@ -120,9 +123,9 @@ def cmd_hist(args) -> dict:
     dataset, digest = _load_dataset(args)
     hist = hist_mod.integer_percent_histogram(dataset, args.quantity, args.weight_mode)
     out = Path(args.out)
-    lines = ["quantity,bin,weight"]
-    lines += [f"{hist.quantity},{b},{w}" for b, w in enumerate(hist.bins)]
-    atomic_write_text(out / "hist.csv", "\n".join(lines) + "\n")
+    n = len(hist.bins)
+    rows = format_rows("%s,%d,%d\n", [csv_cells([hist.quantity] * n), range(n), hist.bins])
+    atomic_write_text(out / "hist.csv", "quantity,bin,weight\n" + rows)
     if not args.no_plots:
         atomic_write_text(
             out / "hist.svg",
@@ -143,12 +146,12 @@ def cmd_bins(args) -> dict:
     dataset, digest = _load_dataset(args)
     table = hist_mod.turnout_bin_table(dataset, args.bin_width)
     out = Path(args.out)
-    lines = ["bin_lo,bin_hi,party,votes,precincts"]
-    for b in range(table.n_bins):
-        lo, hi = table.bin_bounds(b)
-        for j, party in enumerate(table.parties):
-            lines.append(f"{lo:.4f},{hi:.4f},{party},{table.votes[b][j]},{table.precinct_counts[b]}")
-    atomic_write_text(out / "bins.csv", "\n".join(lines) + "\n")
+    k = len(table.parties)  # one row per bin and party
+    lo, hi = np.repeat([table.bin_bounds(b) for b in range(table.n_bins)], k, axis=0).T
+    columns = [lo, hi, list(csv_cells(table.parties)) * table.n_bins, np.ravel(table.votes),
+               np.repeat(table.precinct_counts, k)]
+    rows = format_rows("%.4f,%.4f,%s,%d,%d\n", columns)
+    atomic_write_text(out / "bins.csv", "bin_lo,bin_hi,party,votes,precincts\n" + rows)
     return {
         "results": {
             "bin_width": table.bin_width,
@@ -368,11 +371,9 @@ def cmd_prob(args) -> dict:
         res = probkit.subset_coincidence(*(_whole(v, k) for v, k in zip(args.values, names)))
         decimal, exact = res.decimal, res.probability
         results = {"op": "coincidence", "decimal": decimal}
-    elif args.op == "sigma":
+    else:  # sigma; argparse's choices admit no other op
         decimal = probkit.proportion_sigma(args.values[0], _whole(args.values[1], "n"))
         results = {"op": "sigma", "decimal": decimal}
-    else:
-        raise ForensicsError(f"unknown prob operation {args.op!r}")
     if exact is not None:
         results["exact"] = str(exact)
     line = f"{decimal!r}"

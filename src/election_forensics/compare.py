@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import (
+    VOTES_PREFIX,
     DatasetArrays,
     ElectionDataset,
     PartyRoster,
@@ -315,9 +316,9 @@ def parse_protocols(csv_text: str, leader: str) -> tuple[ElectionDataset, Electi
     if tuple(header[: len(fixed)]) != fixed:
         raise MalformedRow(1, f"header must start with {','.join(fixed)}")
     party_cols = header[len(fixed) :]
-    if not party_cols or not all(c.startswith("votes_") for c in party_cols):
+    if not party_cols or not all(c.startswith(VOTES_PREFIX) for c in party_cols):
         raise MalformedRow(1, "expected one or more votes_<party> columns")
-    roster = PartyRoster(tuple(c[len("votes_") :] for c in party_cols))
+    roster = PartyRoster(tuple(c[len(VOTES_PREFIX) :] for c in party_cols))
     if leader not in roster.ids:
         raise UnknownParty(f"leader {leader!r} not among parties {roster.ids}")
 
@@ -395,11 +396,13 @@ def paired_contest_scan(
     threshold: int = 300,
     party: str | None = None,
 ) -> PairedScanResult:
-    """Precincts where one contest's party total beats the other's by > threshold.
+    """Precincts where one contest's party total beats the other's by > threshold >= 0.
 
     Defaults to the leader of dataset A; both contests must field that party.
     Only precinct ids present in both datasets are scanned.
     """
+    if threshold < 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
     party = party or records_a.designated_leader
     ia = records_a.roster.index(party)
     ib = records_b.roster.index(party)

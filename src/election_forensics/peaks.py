@@ -81,6 +81,7 @@ from .histograms import (
     N_PERCENT_BINS,
     QUANTITY_TURNOUT,
     bincount_percent,
+    integer_percent_histogram,
     percent_bins,
     resolve_quantity,
     weights_for,
@@ -397,7 +398,7 @@ class _AliasTable:
         none = bins.size
         edges = _distinct([*bins, *(bins + 1)])
         lo, width, flip, start, odds = _recurrence(n, p)
-        lowest, highest = (200 * lo + n) // (2 * n), (200 * (lo + width - 1) + n) // (2 * n)
+        lowest, highest = percent_bins(lo, n), percent_bins(lo + width - 1, n)
         # Row i reaches bins[reached[i]] .. bins[reached[i] + reach[i] - 1],
         # whose edges are among edges[cut[i]] .. edges[cut[i] + cuts[i] - 1].
         reached = np.searchsorted(bins, lowest)
@@ -595,10 +596,8 @@ def detect_round_peaks(
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     null = simulate_null(dataset, quantity, replicates, seed, targets, weight_mode)
-    numer, denom, mask = _selected(dataset, quantity)
-    bins = percent_bins(numer, denom)
-    counts = bincount_percent(bins, weights_for(dataset, weight_mode)[mask])
-    observed = counts[np.asarray(targets, dtype=np.int64)]
+    hist = integer_percent_histogram(dataset, quantity, weight_mode)
+    observed = np.array(hist.bins, dtype=np.int64)[np.asarray(targets, dtype=np.int64)]
 
     mean = null.weights.mean(axis=0)
     sd = null.weights.std(axis=0, ddof=1)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,10 @@ import pytest
 from election_forensics.dataset import ElectionDataset, PartyRoster, PrecinctRecord, make_dataset
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+# The one statement of report.json's shape, read from the installed package data.
+REPORT_SCHEMA = json.loads(
+    resources.files("election_forensics").joinpath("schemas/report.schema.json").read_text(encoding="utf-8")
+)
 
 
 def record(

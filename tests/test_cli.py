@@ -1,10 +1,13 @@
+import csv
 import gc
 import hashlib
+import io
 import json
 import math
 import tracemalloc
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -13,7 +16,9 @@ from election_forensics.cli import main
 from election_forensics.dataset import serialize_dataset
 from election_forensics.dynamics import serialize_intraday
 from election_forensics.peaks import MAX_REPLICATES, MIN_REPLICATES
-from election_forensics.report import validate_report
+from election_forensics.report import CAVEAT
+
+from conftest import REPORT_SCHEMA
 
 PRECINCTS = (
     "precinct_id,region,territory,registered,ballots_cast,invalid,machine_counted,votes_A,votes_B\n"
@@ -43,7 +48,8 @@ def test_validate_happy_path(precincts_csv, tmp_path):
     out = tmp_path / "out"
     assert main(["validate", "--in", str(precincts_csv), "--leader", "A", "--out", str(out)]) == 0
     report = _report(out)
-    assert validate_report(report) == []
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["caveat"] == CAVEAT
     assert report["results"]["records"] == 3
     assert report["results"]["parties"] == ["A", "B"]
 
@@ -109,6 +115,81 @@ def test_hist_and_bins_outputs(precincts_csv, tmp_path):
     assert header == "bin_lo,bin_hi,party,votes,precincts"
 
 
+# sha256 of each CSV on the round-targets fixture, recorded with the f-string and unquoted-cell writers.
+ROW_WRITER_DIGESTS = {
+    ("hist", "hist.csv"): "9aa26695576f9a3bbe0444277ad7c0cba770cca48b211ef6c0efdf8a59cf1a8b",
+    ("hist-turnout-ballots", "hist.csv"): "6364e2497001a817105d736418c898edbf96ad2fa3b2e018c382781f87b2a11c",
+    ("bins-0.01", "bins.csv"): "7a0afd6b365ab7810a22cb357f2243d8f38a37dc5e9a4ff51a0bf719f13002f3",
+    ("bins-0.0001", "bins.csv"): "31c75d79b2ef742a0bb90fb0e877b67be45b1b8c5759abab6281f5c640be9d9f",
+    ("scatter", "scatter_OPP_A.csv"): "cdede3c6a1e28f8fba3b1279d74100f36bbc95926ffff5d0876bb919de1b5e05",
+    ("scatter", "scatter_OPP_B.csv"): "70e8580706fa26b3133b6cc9f1b359f36b399077db3bf7bad2639ba2b45d954e",
+    ("scatter", "scatter_OPP_C.csv"): "bfe6ecb77b336afade8dc82306b162508c9deefe01992045eb39d41da5734c0c",
+    ("scatter", "scatter_UNITY.csv"): "57b72e1e147b13c747388c4e78557fb180277698232798aed79921a08bb56ed0",
+    ("scatter", "scatter_others.csv"): "fb669dca04c956ee11c1f63ffc3c39ac75f73272e1c8792dc873428d19042cb0",
+}
+
+
+def test_hist_bins_and_scatter_csvs_match_recorded_digests(fixtures_dir, tmp_path):
+    source = ["--in", str(fixtures_dir / "round_targets_precincts.csv"), "--leader", "UNITY"]
+    runs = {
+        "hist": ["hist"],
+        "hist-turnout-ballots": ["hist", "--quantity", "turnout", "--weight-mode", "ballots"],
+        "bins-0.01": ["bins", "--bin-width", "0.01"],
+        "bins-0.0001": ["bins", "--bin-width", "0.0001"],
+        "scatter": ["scatter", "--no-plots"],
+    }
+    for run, argv in runs.items():
+        assert main([*argv, *source, "--out", str(tmp_path / run)]) == 0, run
+    assert sorted(p.name for p in (tmp_path / "scatter").glob("*.csv")) == sorted(
+        name for run, name in ROW_WRITER_DIGESTS if run == "scatter"
+    )
+    for (run, name), digest in ROW_WRITER_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest() == digest, (run, name)
+
+
+def test_csv_text_cells_with_a_comma_read_back_unchanged(tmp_path):
+    table = tmp_path / "precincts.csv"
+    table.write_text(
+        'precinct_id,region,territory,registered,ballots_cast,invalid,machine_counted,"votes_A,B",votes_C\n'
+        '"p,1",R,T1,1000,500,10,0,300,190\n'
+        "p2,R,T1,800,400,0,1,150,250\n"
+        "p3,R,T2,1200,900,20,0,600,280\n"
+    )
+    source = ["--in", str(table), "--leader", "A,B"]
+    assert main(["scatter", *source, "--no-plots", "--out", str(tmp_path / "s")]) == 0
+    assert main(["hist", *source, "--quantity", "share:A,B", "--no-plots", "--out", str(tmp_path / "h")]) == 0
+    assert main(["bins", *source, "--bin-width", "0.25", "--out", str(tmp_path / "b")]) == 0
+
+    def rows(path: Path) -> list[list[str]]:
+        parsed = list(csv.reader(io.StringIO(path.read_text(), newline="")))
+        assert all(len(row) == len(parsed[0]) for row in parsed), path.name
+        return parsed[1:]
+
+    written = sorted(p.name for p in (tmp_path / "s").glob("*.csv"))
+    assert written == ["scatter_A,B.csv", "scatter_C.csv", "scatter_others.csv"]
+    for name in written:
+        assert [row[0] for row in rows(tmp_path / "s" / name)] == ["p,1", "p2", "p3"], name
+    assert {row[0] for row in rows(tmp_path / "h" / "hist.csv")} == {"share:A,B"}
+    assert [row[2] for row in rows(tmp_path / "b" / "bins.csv")] == ["A,B", "C"] * 4
+
+
+@pytest.mark.parametrize(
+    "header_party,parties",
+    [("../../../escaped", ""), ("B", "../escaped")],
+    ids=["party-from-the-header", "party-from-the-option"],
+)
+def test_scatter_refuses_a_party_that_names_a_path(tmp_path, capsys, header_party, parties):
+    table = tmp_path / "precincts.csv"
+    table.write_text(PRECINCTS.replace("votes_B", f"votes_{header_party}"))
+    out = tmp_path / "a" / "b" / "out"
+    rc = main(["scatter", "--in", str(table), "--leader", "A", "--parties", parties, "--out", str(out)])
+    assert rc == 1
+    party = parties or header_party
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"ERROR INVALID: party {party!r} does not make a plain file name; pick parties with --parties"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["precincts.csv"]
+
+
 @pytest.mark.parametrize("width", [str(2**-30), "1e-300", "5e-324"])
 def test_bins_finer_than_the_bin_limit_exit_one(precincts_csv, tmp_path, capsys, width):
     rc = main(["bins", "--in", str(precincts_csv), "--leader", "A", "--bin-width", width,
@@ -134,7 +215,8 @@ def test_peaks_on_shipped_fixture_flags_all_four_targets(fixtures_dir, tmp_path)
     assert rc == 0
     report = _report(out)
     assert set(report["results"]["flagged_targets"]) >= {70, 75, 80, 85}
-    assert validate_report(report) == []
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["caveat"] == CAVEAT
 
 
 def test_delta_on_shipped_district_fixture(fixtures_dir, tmp_path):
@@ -207,6 +289,14 @@ def test_protocol_diff_and_paired_scan(tmp_path):
     assert rc == 0
     results = _report(out2)["results"]
     assert results["counts"] == {"a_over_b": 1, "b_over_a": 0}
+
+
+def test_paired_scan_with_a_negative_threshold_exits_one(precincts_csv, tmp_path, capsys):
+    rc = main(["paired-scan", "--in-a", str(precincts_csv), "--in-b", str(precincts_csv), "--leader", "A",
+               "--threshold", "-5", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["ERROR INVALID: threshold must be >= 0, got -5"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_hyperactive_cli(precincts_csv, tmp_path):
@@ -335,14 +425,9 @@ def test_synth_cli_writes_dataset_and_truth(fixtures_dir, tmp_path):
 
 
 def test_reports_validate_against_packaged_schema(precincts_csv, tmp_path):
-    import jsonschema
-
-    schema = json.loads(
-        (Path(__file__).parent.parent / "src/election_forensics/schemas/report.schema.json").read_text()
-    )
     out = tmp_path / "out"
     main(["validate", "--in", str(precincts_csv), "--leader", "A", "--out", str(out)])
-    jsonschema.validate(_report(out), schema)
+    jsonschema.validate(_report(out), REPORT_SCHEMA)
 
 
 @pytest.mark.parametrize(
