@@ -190,6 +190,7 @@ _MAX_EM_ITER = 250  # a non-converged 2-component fit only loses likelihood
 BIC_DECISION_MARGIN = 10.0
 # Far below BIC_DECISION_MARGIN / 2, the margin in log-likelihood units.
 DEFAULT_EM_TOL = 1e-3
+MAX_RESTARTS = 1000  # each restart is one EM fit
 
 
 def _spherical_loglik_one(xy: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -303,6 +304,8 @@ def split_two_clusters(
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if restarts > MAX_RESTARTS:
+        raise ValueError(f"restarts must be <= {MAX_RESTARTS}, got {restarts}")
     if len(points) < 20:
         raise ValueError(f"need at least 20 points, got {len(points)}")
     raw = PointCloud.of(points).xy()

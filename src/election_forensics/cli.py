@@ -87,7 +87,7 @@ def cmd_scatter(args) -> dict:
             raise ValueError(f"party {party!r} does not make a plain file name; pick parties with --parties")
     out = Path(args.out)
     fits = {}
-    svg_series = []
+    series = []
     for party in parties:
         points = scatter.build_points(dataset, party, y_mode=args.y_mode)
         trend = None
@@ -102,15 +102,17 @@ def cmd_scatter(args) -> dict:
             }
         except ForensicsError as exc:
             fits[party] = {"error": exc.message}
+        series.append((party, points, trend))
+    svg = None
+    if not args.no_plots:  # every party's points and the plot are made before the first write
+        svg_series = [(party, points.xy(), trend) for party, points, trend in series]
+        svg = svg_scatter(svg_series, title=f"turnout vs {args.y_mode}", y_label=args.y_mode)
+    for party, points, _ in series:  # one CSV text at a time
         columns = [csv_cells(points.precinct_ids), points.x, points.y, points.weight]
         rows = format_rows("%s,%.9f,%.9f,%d\n", columns)
         atomic_write_text(out / f"scatter_{party}.csv", "precinct_id,x,y,weight\n" + rows)
-        svg_series.append((party, points.xy(), trend))
-    if not args.no_plots:
-        atomic_write_text(
-            out / "scatter.svg",
-            svg_scatter(svg_series, title=f"turnout vs {args.y_mode}", y_label=args.y_mode),
-        )
+    if svg is not None:
+        atomic_write_text(out / "scatter.svg", svg)
     results = {
         "fits": fits,
         "y_mode": args.y_mode,
@@ -123,14 +125,12 @@ def cmd_hist(args) -> dict:
     dataset, digest = _load_dataset(args)
     hist = hist_mod.integer_percent_histogram(dataset, args.quantity, args.weight_mode)
     out = Path(args.out)
+    svg = None if args.no_plots else svg_histogram(hist.bins, title=f"{args.quantity} ({args.weight_mode})")
     n = len(hist.bins)
     rows = format_rows("%s,%d,%d\n", [csv_cells([hist.quantity] * n), range(n), hist.bins])
     atomic_write_text(out / "hist.csv", "quantity,bin,weight\n" + rows)
-    if not args.no_plots:
-        atomic_write_text(
-            out / "hist.svg",
-            svg_histogram(hist.bins, title=f"{args.quantity} ({args.weight_mode})"),
-        )
+    if svg is not None:
+        atomic_write_text(out / "hist.svg", svg)
     return {
         "results": {
             "quantity": hist.quantity,

@@ -24,16 +24,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import (
-    VOTES_PREFIX,
+    COUNT,
     DatasetArrays,
     ElectionDataset,
-    PartyRoster,
+    Rule,
     check_invariants,
-    count_column,
-    parse_count,
-    raise_first_fault,
+    read_columns,
     read_table,
     row_columns,
+    two_valued,
+    vote_roster,
 )
 from .errors import (
     MalformedRow,
@@ -206,29 +206,25 @@ def _parse_percent(cell: str, line: int, column: str) -> Decimal:
     return Decimal(text)
 
 
+def _percent_column(cells: Sequence[str]) -> tuple[list, np.ndarray]:
+    """The cells as Decimals, and a mask of the cells that are not percents, which hold None."""
+    values = [Decimal(text) if _PERCENT.fullmatch(text) else None for text in map(str.strip, cells)]
+    return values, np.array([value is None for value in values], dtype=bool)
+
+
+PERCENT: Rule = (_percent_column, _parse_percent)
+
+
 def parse_delta_table(csv_text: str) -> tuple[list[UnitEntry], list[UnitEntry]]:
     """Parse ``unit,share_b,share_a,turnout_b,turnout_a`` rows (percents) into tables A and B."""
     table = read_table(csv_text)
     if tuple(table.header) != DELTA_COLUMNS:
         raise MalformedRow(1, f"header must be {','.join(DELTA_COLUMNS)}")
-    table_a: list[UnitEntry] = []
-    table_b: list[UnitEntry] = []
-    seen: set[str] = set()
-
-    def check_row(i: int, line: int) -> None:
-        row = table.rows[i]
-        share_b, share_a, turnout_b, turnout_a = (
-            _parse_percent(cell, line, col) for cell, col in zip(row[1:], DELTA_COLUMNS[1:])
-        )
-        unit = row[0].strip()
-        if unit in seen:
-            raise MalformedRow(line, f"duplicate unit {unit!r}")
-        seen.add(unit)
-        table_b.append((unit, share_b, turnout_b))
-        table_a.append((unit, share_a, turnout_a))
-
-    raise_first_fault(table, range(len(table.rows)), check_row)
-    return table_a, table_b
+    rules = dict.fromkeys(range(1, len(DELTA_COLUMNS)), PERCENT)
+    repeat = ((0,), "duplicate unit {!r}")
+    cells, (share_b, share_a, turnout_b, turnout_a) = read_columns(table, rules, repeat=repeat)
+    units = list(map(str.strip, cells[0]))
+    return list(zip(units, share_a, turnout_a)), list(zip(units, share_b, turnout_b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,67 +293,31 @@ def protocol_displacements(observer: ElectionDataset, official: ElectionDataset)
     return ProtocolDisplacements(a.precinct_ids, src, dst, displacement, d_turnout, d_share)
 
 
+PROTOCOL_COLUMNS = ("precinct_id", "source", "registered", "ballots_cast", "invalid")
+
+
 def parse_protocols(csv_text: str, leader: str) -> tuple[ElectionDataset, ElectionDataset]:
     """Parse protocols.csv into (observer, official) datasets.
 
     Format: ``precinct_id,source,registered,ballots_cast,invalid,votes_<party>...``
     with source in {observer, official}; each precinct must appear once per
     source.  The two datasets share one roster and leader and hold the same
-    precincts, sorted by id.  The text is read once and checked a column at
-    a time, and only the rows the column check leaves open are checked
-    again, one at a time.  The error reported is the first MalformedRow in
-    file order, after InvariantViolation for any row before it that breaks
-    a count invariant; a repeated row's own counts are checked before the
-    repeat is reported.
+    precincts, sorted by id.  The error reported is the first one in file
+    order, as ``read_columns`` finds it; a repeated row is a MalformedRow.
     """
     table = read_table(csv_text)
-    header = table.header
-    fixed = ("precinct_id", "source", "registered", "ballots_cast", "invalid")
-    if tuple(header[: len(fixed)]) != fixed:
-        raise MalformedRow(1, f"header must start with {','.join(fixed)}")
-    party_cols = header[len(fixed) :]
-    if not party_cols or not all(c.startswith(VOTES_PREFIX) for c in party_cols):
-        raise MalformedRow(1, "expected one or more votes_<party> columns")
-    roster = PartyRoster(tuple(c[len(VOTES_PREFIX) :] for c in party_cols))
-    if leader not in roster.ids:
-        raise UnknownParty(f"leader {leader!r} not among parties {roster.ids}")
+    roster = vote_roster(table.header, PROTOCOL_COLUMNS, leader, UnknownParty)
+    rules = {1: two_valued("observer", "official"), **dict.fromkeys(range(2, len(table.header)), COUNT)}
 
-    rows = table.rows
-    n = len(rows)
-    cells = list(zip(*rows)) or [()] * len(header)
-    ids = list(map(str.strip, cells[0]))
-    sources = list(map(str.strip, cells[1]))
-    source_cells = np.array(sources, dtype=object)
-    official = source_cells == "official"
-    bad_source = ~official & (source_cells != "observer")
-    counts = np.empty((n, len(header) - 2), dtype=np.int64)
-    masked = np.empty((n, len(header) - 2), dtype=bool)
-    for j, column in enumerate(cells[2:]):
-        counts[:, j], masked[:, j] = count_column(column)
-    keys = list(zip(sources, ids))
-    repeated = np.zeros(n, dtype=bool)
-    if len(set(keys)) != n:
-        seen: set[tuple[str, str]] = set()
-        for i, key in enumerate(keys):
-            repeated[i] = key in seen
-            seen.add(key)
+    def columns(cells: list, values: list, end: int) -> DatasetArrays:
+        counts = np.column_stack([v[:end] for v in values[1:]])
+        ids = list(map(str.strip, cells[0][:end]))
+        return row_columns(ids, [""] * end, [""] * end, counts, [False] * end, [()] * end, len(roster))
 
-    def columns(end: int) -> DatasetArrays:
-        return row_columns(ids[:end], [""] * end, [""] * end, counts[:end], [False] * end, [()] * end, len(roster))
-
-    def check_row(i: int, line: int) -> None:
-        if bad_source[i]:
-            raise MalformedRow(line, f"source must be observer or official, got {sources[i]!r}")
-        for j in np.flatnonzero(masked[i]).tolist():
-            counts[i, j] = parse_count(rows[i][2 + j], line, header[2 + j])
-        if repeated[i]:
-            check_invariants(columns(i + 1))  # the repeated row's counts are taken before the repeat shows
-            raise MalformedRow(line, f"duplicate {sources[i]} row for {ids[i]!r}")
-
-    flagged = np.flatnonzero(bad_source | masked.any(axis=1) | repeated).tolist()
-    raise_first_fault(table, flagged, check_row, columns)
-    data = columns(n)
+    cells, values = read_columns(table, rules, repeat=((1, 0), "duplicate {} row for {!r}"), columns=columns)
+    data = columns(cells, values, len(table.rows))
     check_invariants(data)
+    official = values[0]
 
     pids = data.precinct_ids
     observer_ids, official_ids = set(pids[~official].tolist()), set(pids[official].tolist())
@@ -365,7 +325,7 @@ def parse_protocols(csv_text: str, leader: str) -> tuple[ElectionDataset, Electi
         missing = sorted(observer_ids ^ official_ids)
         raise PairMismatch(f"precincts missing a counterpart: {missing}")
     # Python's sort of the ids; a numpy argsort of an object array compares far more slowly
-    by_id = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.int64)
+    by_id = np.array(sorted(range(len(pids)), key=pids.tolist().__getitem__), dtype=np.int64)
     official_rows = official[by_id]
     return (
         ElectionDataset("observer", roster, data.take(by_id[~official_rows]), leader),

@@ -31,11 +31,12 @@ import io
 import re
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, MalformedRow, UnknownLeader
+from .errors import ForensicsError, InvariantViolation, MalformedRow, UnknownLeader, UnknownParty
 
 FIXED_COLUMNS = (
     "precinct_id",
@@ -76,8 +77,6 @@ class PartyRoster:
         try:
             return self.ids.index(party)
         except ValueError:
-            from .errors import UnknownParty
-
             raise UnknownParty(f"party {party!r} not in roster {self.ids}") from None
 
 
@@ -155,13 +154,9 @@ class ElectionDataset:
                 raise InvariantViolation("<columns>", f"column {f.name} does not have {n} rows")
         if c.votes.shape != (n, len(self.roster)):
             raise InvariantViolation("<columns>", "votes vector does not match roster")
-        ids = c.precinct_ids.tolist()
-        if len(set(ids)) != n:
-            seen: set[str] = set()
-            for pid in ids:
-                if pid in seen:
-                    raise InvariantViolation(pid, "duplicate precinct_id")
-                seen.add(pid)
+        repeats = np.flatnonzero(first_repeats(c.precinct_ids.tolist()))
+        if repeats.size:
+            raise InvariantViolation(c.precinct_ids[repeats[0]], "duplicate precinct_id")
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -286,34 +281,6 @@ def read_table(csv_text: str) -> CsvTable:
     return CsvTable(header, rows, fault, records, first)
 
 
-def raise_first_fault(
-    table: CsvTable,
-    flagged: Iterable[int],
-    check_row: Callable[[int, int], None],
-    columns: Callable[[int], DatasetArrays] | None = None,
-) -> None:
-    """Check the flagged rows in order, then raise the table's pending fault.
-
-    ``check_row(i, line)`` takes a row the column pass could not settle:
-    it fills the row's slots or raises MalformedRow.  The first fault, the
-    one a flagged row raises or else the pending one, is raised after
-    ``check_invariants(columns(i))`` reports any of the ``i`` rows before
-    it that breaks a count invariant.
-    """
-    faulty, fault = len(table.rows), table.fault
-    for i in flagged:
-        try:
-            check_row(i, int(table.lines[i]))
-        except MalformedRow as exc:
-            faulty, fault = i, exc
-            break
-    if fault is None:
-        return
-    if columns is not None:
-        check_invariants(columns(faulty))  # an invariant broken on an earlier line is reported first
-    raise fault
-
-
 # A cell holding none of these is written as it is; csv.writer quotes only cells with one.
 _QUOTE_TRIGGERS = re.compile('[,"\r\n]')
 
@@ -399,14 +366,121 @@ def count_column(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         cells = ["0" if bad else cell for cell, bad in zip(cells, masked.tolist())]
         joined = "".join(cells)
         lengths[masked] = 1
-    # each digit times its place value, summed cell by cell
-    ends = np.cumsum(lengths)
-    places = np.repeat(ends, lengths) - np.arange(1, len(joined) + 1)
-    digits = np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - ord("0")
-    counts = np.add.reduceat(digits * _PLACE_VALUES[places], ends - lengths)
+    # each digit times its place value, summed cell by cell; a place (12 down to 0 within
+    # a cell) is an int8 running sum, so the scratch holds one int64 per character
+    starts = np.cumsum(lengths) - lengths
+    steps = np.full(len(joined), -1, dtype=np.int8)
+    steps[starts] = lengths - 1
+    terms = _PLACE_VALUES[np.cumsum(steps, dtype=np.int8)]
+    terms *= np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - ord("0")
+    counts = np.add.reduceat(terms, starts)
     masked |= counts > MAX_COUNT
     counts[masked] = 0
     return counts, masked
+
+
+# A column's rule: ``read_all(cells)`` gives the column's values and a mask
+# of the cells it leaves open, and ``read_one(cell, line, column)`` gives one
+# open cell's value or raises MalformedRow.
+Rule = tuple[Callable[[Sequence[str]], tuple], Callable[[str, int, str], object]]
+
+COUNT: Rule = (count_column, parse_count)
+
+
+def two_valued(a: str, b: str) -> Rule:
+    """The rule of a cell that is ``a`` or ``b`` once stripped; its value is True for ``b``."""
+
+    def read_all(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        stripped = np.array(list(map(str.strip, cells)), dtype=object)
+        is_b = stripped == b
+        return is_b, ~is_b & (stripped != a)
+
+    def read_one(cell: str, line: int, column: str) -> bool:
+        text = cell.strip()
+        if text not in (a, b):
+            raise MalformedRow(line, f"{column} must be {a} or {b}, got {text!r}")
+        return text == b
+
+    return read_all, read_one
+
+
+def first_repeats(keys: Sequence) -> np.ndarray:
+    """A mask of the keys equal to an earlier key."""
+    repeated = np.zeros(len(keys), dtype=bool)
+    if len(set(keys)) != len(keys):
+        seen = set()
+        for i, key in enumerate(keys):
+            repeated[i] = key in seen
+            seen.add(key)
+    return repeated
+
+
+def read_columns(
+    table: CsvTable,
+    rules: dict[int, Rule],
+    repeat: tuple[tuple[int, ...], str] | None = None,
+    columns: Callable[[list, list, int], DatasetArrays] | None = None,
+) -> tuple[list, list]:
+    """The table's cells, one list per column, and the values ``rules`` read from them, in rule order.
+
+    ``rules`` maps column indices to rules in the order a row's cells are
+    checked.  Only rows with a cell left open, or whose stripped ``repeat``
+    key cells repeat an earlier row's, are read again, cell by cell; a
+    repeat is reported after the row's cells, as its message formatted with
+    the key.  The first fault in file order is raised after
+    ``check_invariants(columns(cells, values, end))`` of the rows before it
+    (a repeated row's included).
+    """
+    rows, header = table.rows, table.header
+    # strided slices of the flattened rows: far faster than zip(*rows) for many rows of few cells
+    flat = list(chain.from_iterable(rows))
+    cells = [flat[j :: len(header)] for j in range(len(header))]
+    del flat  # before the column reads, whose scratch arrays set the reader's peak memory
+    values, open_masks = [], []
+    flagged = np.zeros(len(rows), dtype=bool)
+    for index, (read_all, _) in rules.items():
+        column_values, open_cells = read_all(cells[index])
+        values.append(column_values)
+        open_masks.append(open_cells)
+        flagged |= open_cells
+    if repeat is not None:
+        key_columns, message = repeat
+        keys = list(zip(*(map(str.strip, cells[j]) for j in key_columns)))
+        repeated = first_repeats(keys)
+        flagged |= repeated
+    end, fault = len(rows), table.fault
+    for i in np.flatnonzero(flagged).tolist():
+        line = int(table.lines[i])
+        try:
+            for k, (index, (_, read_one)) in enumerate(rules.items()):
+                if open_masks[k][i]:
+                    values[k][i] = read_one(rows[i][index], line, header[index])
+        except MalformedRow as exc:
+            end, fault = i, exc
+            break
+        if repeat is not None and repeated[i]:
+            end, fault = i + 1, MalformedRow(line, message.format(*keys[i]))
+            break
+    if fault is not None:
+        if columns is not None:
+            check_invariants(columns(cells, values, end))  # an invariant broken earlier is reported first
+        raise fault
+    return cells, values
+
+
+def vote_roster(
+    header: Sequence[str], fixed: Sequence[str], leader: str, unknown: type[ForensicsError]
+) -> PartyRoster:
+    """The roster of a header of ``fixed`` columns then ``votes_<party>`` ones; ``unknown`` without ``leader``."""
+    if tuple(header[: len(fixed)]) != tuple(fixed):
+        raise MalformedRow(1, f"header must start with {','.join(fixed)}")
+    party_cols = header[len(fixed) :]
+    if not party_cols or not all(c.startswith(VOTES_PREFIX) for c in party_cols):
+        raise MalformedRow(1, "expected one or more votes_<party> columns")
+    roster = PartyRoster(tuple(c[len(VOTES_PREFIX) :] for c in party_cols))
+    if leader not in roster.ids:
+        raise unknown(f"leader {leader!r} not among parties {roster.ids}")
+    return roster
 
 
 def row_columns(
@@ -472,60 +546,23 @@ def parse_dataset(csv_text: str, leader: str, election_id: str = "dataset") -> E
     Raises MalformedRow for structural problems, InvariantViolation for
     rows that fail count invariants, and UnknownLeader when ``leader`` is
     not among the vote columns.  The error reported is the first one in
-    file order.  The text is read once and checked a column at a time;
-    only the rows with a cell the column check leaves open are checked
-    again, one at a time, by the scalar rules.
+    file order, as ``read_columns`` finds it.
     """
     table = read_table(csv_text)
-    header = table.header
-    has_tags = bool(header) and header[-1] == TAGS_COLUMN
-    core = header[:-1] if has_tags else header
-    if tuple(core[: len(FIXED_COLUMNS)]) != FIXED_COLUMNS:
-        raise MalformedRow(1, f"header must start with {','.join(FIXED_COLUMNS)}")
-    party_cols = core[len(FIXED_COLUMNS) :]
-    if not party_cols or not all(c.startswith(VOTES_PREFIX) for c in party_cols):
-        raise MalformedRow(1, "expected one or more votes_<party> columns")
-    roster = PartyRoster(tuple(c[len(VOTES_PREFIX) :] for c in party_cols))
-    if leader not in roster.ids:
-        raise UnknownLeader(f"leader {leader!r} not among parties {roster.ids}")
+    has_tags = bool(table.header) and table.header[-1] == TAGS_COLUMN
+    roster = vote_roster(table.header[:-1] if has_tags else table.header, FIXED_COLUMNS, leader, UnknownLeader)
+    # registered, ballots_cast, invalid and the votes, checked after machine_counted
+    rules = {6: two_valued("0", "1"), **dict.fromkeys((3, 4, 5, *range(7, 7 + len(roster))), COUNT)}
 
-    rows = table.rows
-    n = len(rows)
-    cells = list(zip(*rows)) or [()] * len(header)
-    machine = list(map(str.strip, cells[6]))
-    machine_cells = np.array(machine, dtype=object)
-    machine_counted = machine_cells == "1"
-    bad_machine = ~machine_counted & (machine_cells != "0")
-    # one table, registered, ballots_cast, invalid and the votes, holds every count column
-    count_at = (3, 4, 5, *range(7, 7 + len(roster)))
-    counts = np.empty((n, len(count_at)), dtype=np.int64)
-    masked = np.empty((n, len(count_at)), dtype=bool)
-    for j, i in enumerate(count_at):
-        counts[:, j], masked[:, j] = count_column(cells[i])
-    ids = list(map(str.strip, cells[0]))
-    tags = np.fromiter(map(_tags, cells[-1]), dtype=object, count=n) if has_tags else no_tags(n)
-
-    def check_row(r: int, line: int) -> None:
-        if bad_machine[r]:
-            raise MalformedRow(line, f"machine_counted must be 0 or 1, got {machine[r]!r}")
-        for j in np.flatnonzero(masked[r]).tolist():
-            counts[r, j] = parse_count(rows[r][count_at[j]], line, header[count_at[j]])
-
-    def columns(end: int) -> DatasetArrays:
+    def columns(cells: list, values: list, end: int) -> DatasetArrays:
+        machine_counted, registered, ballots_cast, invalid, *votes = (v[:end] for v in values)
+        ids, regions, territories = (np.array(list(map(str.strip, c[:end])), dtype=object) for c in cells[:3])
         return DatasetArrays(
-            precinct_ids=np.array(ids[:end], dtype=object),
-            region=np.array(list(map(str.strip, cells[1][:end])), dtype=object),
-            territory=np.array(list(map(str.strip, cells[2][:end])), dtype=object),
-            registered=counts[:end, 0],
-            ballots_cast=counts[:end, 1],
-            invalid=counts[:end, 2],
-            machine_counted=machine_counted[:end],
-            votes=counts[:end, 3:],
-            tags=tags[:end],
+            ids, regions, territories, registered, ballots_cast, invalid, machine_counted, np.column_stack(votes),
+            tags=np.fromiter(map(_tags, cells[-1][:end]), dtype=object, count=end) if has_tags else no_tags(end),
         )
 
-    raise_first_fault(table, np.flatnonzero(bad_machine | masked.any(axis=1)).tolist(), check_row, columns)
-    data = columns(n)
+    data = columns(*read_columns(table, rules, columns=columns), len(table.rows))
     check_invariants(data)
     return ElectionDataset(election_id, roster, data, leader)
 

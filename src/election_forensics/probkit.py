@@ -28,15 +28,16 @@ def to_fraction(x: Rational) -> Fraction:
     """Convert a numeric input to an exact Fraction.
 
     Floats are read through ``str(x)`` so that 0.9 means 9/10, not the
-    nearest binary double.
+    nearest binary double.  An infinity or NaN is a NonPositiveInput.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(Decimal(str(x)))
-    return Fraction(Decimal(str(x).strip()))
+    value = Decimal(str(x).strip())
+    if not value.is_finite():
+        raise NonPositiveInput(f"{x!r} is not a finite number")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)

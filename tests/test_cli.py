@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +14,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from election_forensics import synth
+import election_forensics
+from election_forensics import anomaly, synth
+from election_forensics.anomaly import MAX_RESTARTS
 from election_forensics.cli import main
 from election_forensics.dataset import serialize_dataset
 from election_forensics.dynamics import serialize_intraday
@@ -37,6 +42,29 @@ def precincts_csv(tmp_path) -> Path:
 
 def _report(out_dir: Path) -> dict:
     return json.loads((out_dir / "report.json").read_text())
+
+
+# Modules a command must not import at start: each costs start-up time in
+# every ``ef`` process, and nothing on these paths needs them.
+NOT_AT_STARTUP = ("logging", "concurrent.futures", "numpy.ma")
+
+
+@pytest.mark.parametrize("command", [[], ["validate", "--leader", "A"]], ids=["import", "validate"])
+def test_startup_imports_no_logging_futures_or_masked_arrays(precincts_csv, tmp_path, command):
+    if command:
+        command += ["--in", str(precincts_csv), "--out", str(tmp_path / "o")]
+    script = (
+        "import sys\n"
+        "from election_forensics.cli import main\n"
+        "if sys.argv[1:]:\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        f"print(sorted(set({NOT_AT_STARTUP!r}) & set(sys.modules)))\n"
+    )
+    package_root = Path(election_forensics.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    ran = subprocess.run([sys.executable, "-c", script, *command], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert ran.stdout == "[]\n"
 
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -391,6 +419,18 @@ def test_prob_count_arguments_must_be_whole_numbers(capsys, values, name):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "values,shown",
+    [(["run", "inf", "3"], "inf"), (["odds", "inf", "1", "1", "1"], "inf"), (["run", "1e400", "2"], "inf")],
+    ids=["run-p-inf", "odds-inf", "run-p-overflow"],
+)
+def test_prob_non_finite_values_exit_one_without_a_traceback(capsys, values, shown):
+    assert main(["prob", *values]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"ERROR NON_POSITIVE_INPUT: {shown} is not a finite number"]
+    assert captured.out == ""
+
+
 def test_prob_run_with_huge_n_gives_a_decimal_only(tmp_path, capsys):
     assert main(["prob", "run", "0.5", "1e30", "--exact", "--out", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().out == "0.0\n"
@@ -517,6 +557,39 @@ def test_clusters_with_fewer_than_one_restart_exits_one(fixtures_dir, tmp_path, 
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [f"ERROR INVALID: restarts must be >= 1, got {restarts}"]
     assert not (tmp_path / "o").exists()
+
+
+def test_clusters_with_too_many_restarts_exits_one_before_any_fit(fixtures_dir, tmp_path, capsys, monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("an EM fit started")
+
+    monkeypatch.setattr(anomaly, "_em_two_spherical", no_fit)
+    rc = main(["clusters", "--in", str(fixtures_dir / "round_targets_precincts.csv"), "--leader", "UNITY",
+               "--seed", "1", "--restarts", "100000000", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"ERROR INVALID: restarts must be <= {MAX_RESTARTS}, got 100000000"
+    ]
+    assert not (tmp_path / "o").exists()
+
+
+def test_scatter_with_an_unknown_party_writes_no_file(fixtures_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["scatter", "--in", str(fixtures_dir / "round_targets_precincts.csv"), "--leader", "UNITY",
+               "--parties", "UNITY,NOPE", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("ERROR UNKNOWN_PARTY:")
+    assert not out.exists()
+
+
+def test_hist_with_nothing_to_draw_writes_no_file(tmp_path, capsys):
+    table = tmp_path / "precincts.csv"
+    rows = "".join(f"p{i},R,T,1000,0,0,0,0,0\n" for i in range(5))
+    table.write_text(PRECINCTS.splitlines(keepends=True)[0] + rows)
+    out = tmp_path / "o"
+    assert main(["hist", "--in", str(table), "--leader", "A", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["ERROR EMPTY_PLOT: no histogram mass to draw"]
+    assert not out.exists()
 
 
 # A 600-precinct election with four intraday reports and all four fraud

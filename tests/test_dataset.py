@@ -650,6 +650,40 @@ def test_protocol_files_read_alike_by_column_and_by_row(text):
 
 
 DELTA_HEADER = "unit,share_b,share_a,turnout_b,turnout_a"
+
+
+@st.composite
+def _delta_files(draw):
+    """Delta files with padded, zero-filled and quoted cells; half of them with faults as well."""
+    faulty = draw(st.booleans())  # bad percents, short rows, repeated units and cells spanning lines
+    units = draw(st.lists(st.sampled_from(("A", " B", "C,1", 'D"2', "E\n3")), max_size=5, unique_by=str.strip))
+    if faulty:
+        units += draw(st.lists(st.sampled_from(units or ["F"]), max_size=2))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(DELTA_HEADER.split(","))
+    for unit in draw(st.permutations(units)):
+        percents = [
+            draw(st.sampled_from(_PADS)) + "0" * draw(st.sampled_from((0, 0, 1, 15)))
+            + draw(st.sampled_from(("0", "7", "47", "47.25", "100.0"))) + draw(st.sampled_from(_PADS))
+            for _ in range(4)
+        ]
+        row = [unit, *percents]
+        if faulty and draw(st.integers(0, 4)) == 0:
+            row[draw(st.integers(1, 4))] = draw(st.sampled_from(("", "x", "-1", "1e3", "NaN", ".5", "5.", "4\n7")))
+        if faulty and draw(st.integers(0, 9)) == 0:
+            row = row[: draw(st.integers(1, 4))]
+        writer.writerow(row)
+    return out.getvalue()
+
+
+@given(_delta_files())
+@settings(max_examples=150, deadline=None)
+def test_delta_files_read_alike_by_column_and_by_row(text):
+    by_column, by_row = _by_column_and_by_row(parse_delta_table, reference.parse_delta_table, text)
+    assert by_column == by_row
+
+
 REFERENCE = {
     "precincts": lambda text: reference.parse_dataset(text, leader="A"),
     "protocols": lambda text: reference.parse_protocols(text, "A"),
