@@ -31,13 +31,19 @@ class _Parser(argparse.ArgumentParser):
         raise ForensicsError(message)
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _load(path: str, parse, *args) -> tuple:
+    """``parse(text, *args)`` of the file's text, and the file's digest, from one read of its bytes.
+
+    The bytes are decoded as UTF-8, a leading byte order mark dropped, with
+    ``\\r\\n`` and ``\\r`` line ends read as ``\\n``, as ``Path.read_text`` reads them.
+    """
+    data = Path(path).read_bytes()
+    text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+    return parse(text, *args), input_digest(path, data)
 
 
-def _load_dataset(args) -> "tuple":
-    text = _read(args.infile)
-    return parse_dataset(text, args.leader), input_digest(args.infile)
+def _load_dataset(args) -> tuple:
+    return _load(args.infile, parse_dataset, args.leader)
 
 
 def _config(args) -> dict:
@@ -254,17 +260,13 @@ def cmd_contrast(args) -> dict:
 
 
 def cmd_delta(args) -> dict:
-    text = _read(args.infile)
-    digest = input_digest(args.infile)
-    table_a, table_b = compare.parse_delta_table(text)
+    (table_a, table_b), digest = _load(args.infile, compare.parse_delta_table)
     rows = compare.cross_election_delta(table_a, table_b)
     return {"results": {"rows": [r.as_dict() for r in rows]}, "inputs": [digest]}
 
 
 def cmd_protocol_diff(args) -> dict:
-    text = _read(args.infile)
-    digest = input_digest(args.infile)
-    observer, official = compare.parse_protocols(text, args.leader)
+    (observer, official), digest = _load(args.infile, compare.parse_protocols, args.leader)
     diff = compare.protocol_displacements(observer, official)
     if not args.no_plots and len(diff.precinct_ids):
         atomic_write_text(
@@ -279,22 +281,20 @@ def cmd_protocol_diff(args) -> dict:
 
 
 def cmd_paired_scan(args) -> dict:
-    text_a = _read(args.in_a)
-    text_b = _read(args.in_b)
-    dataset_a = parse_dataset(text_a, args.leader)
-    dataset_b = parse_dataset(text_b, args.leader)
+    dataset_a, digest_a = _load(args.in_a, parse_dataset, args.leader)
+    dataset_b, digest_b = _load(args.in_b, parse_dataset, args.leader)
     result = compare.paired_contest_scan(
         dataset_a, dataset_b, threshold=args.threshold, party=args.party
     )
     return {
         "results": result.as_dict(),
-        "inputs": [input_digest(args.in_a), input_digest(args.in_b)],
+        "inputs": [digest_a, digest_b],
     }
 
 
 def cmd_hyperactive(args) -> dict:
     dataset, digest = _load_dataset(args)
-    series_map = dynamics.parse_intraday(_read(args.series))
+    series_map, series_digest = _load(args.series, dynamics.parse_intraday)
     report = dynamics.flag_hyperactive(dataset, series_map, threshold=args.threshold)
     if not args.no_plots and len(report.precinct_ids):
         xy = np.column_stack((report.turnout, report.leader_share_of_cast))
@@ -306,16 +306,16 @@ def cmd_hyperactive(args) -> dict:
                 y_label="leader share of cast",
             ),
         )
-    return {"results": report.as_dict(), "inputs": [digest, input_digest(args.series)]}
+    return {"results": report.as_dict(), "inputs": [digest, series_digest]}
 
 
 def cmd_synth(args) -> dict:
-    model = synth.model_from_json(_read(args.model))
-    inputs = [input_digest(args.model)]
+    model, model_digest = _load(args.model, synth.model_from_json)
+    inputs = [model_digest]
     scenario = None
     if args.scenario:
-        scenario = synth.scenario_from_json(_read(args.scenario))
-        inputs.append(input_digest(args.scenario))
+        scenario, scenario_digest = _load(args.scenario, synth.scenario_from_json)
+        inputs.append(scenario_digest)
     generated = synth.synthesize(model, scenario, args.seed)
     out = Path(args.out)
     atomic_write_text(out / "precincts.csv", serialize_dataset(generated.dataset))

@@ -25,10 +25,11 @@ import numpy as np
 
 from .dataset import (
     COUNT,
+    TEXT,
     DatasetArrays,
     ElectionDataset,
     Rule,
-    check_invariants,
+    Rules,
     read_columns,
     read_table,
     row_columns,
@@ -206,10 +207,10 @@ def _parse_percent(cell: str, line: int, column: str) -> Decimal:
     return Decimal(text)
 
 
-def _percent_column(cells: Sequence[str]) -> tuple[list, np.ndarray]:
+def _percent_column(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """The cells as Decimals, and a mask of the cells that are not percents, which hold None."""
     values = [Decimal(text) if _PERCENT.fullmatch(text) else None for text in map(str.strip, cells)]
-    return values, np.array([value is None for value in values], dtype=bool)
+    return np.array(values, dtype=object), np.array([value is None for value in values], dtype=bool)
 
 
 PERCENT: Rule = (_percent_column, _parse_percent)
@@ -220,10 +221,9 @@ def parse_delta_table(csv_text: str) -> tuple[list[UnitEntry], list[UnitEntry]]:
     table = read_table(csv_text)
     if tuple(table.header) != DELTA_COLUMNS:
         raise MalformedRow(1, f"header must be {','.join(DELTA_COLUMNS)}")
-    rules = dict.fromkeys(range(1, len(DELTA_COLUMNS)), PERCENT)
-    repeat = ((0,), "duplicate unit {!r}")
-    cells, (share_b, share_a, turnout_b, turnout_a) = read_columns(table, rules, repeat=repeat)
-    units = list(map(str.strip, cells[0]))
+    rules = {0: TEXT, **dict.fromkeys(range(1, len(DELTA_COLUMNS)), PERCENT)}
+    values = read_columns(table, rules, repeat=((0,), "duplicate unit {!r}"))
+    units, share_b, share_a, turnout_b, turnout_a = (v.tolist() for v in values)
     return list(zip(units, share_a, turnout_a)), list(zip(units, share_b, turnout_b))
 
 
@@ -303,21 +303,19 @@ def parse_protocols(csv_text: str, leader: str) -> tuple[ElectionDataset, Electi
     with source in {observer, official}; each precinct must appear once per
     source.  The two datasets share one roster and leader and hold the same
     precincts, sorted by id.  The error reported is the first one in file
-    order, as ``read_columns`` finds it; a repeated row is a MalformedRow.
+    order, as ``read_blocks`` finds it; a repeated row is a MalformedRow.
     """
     table = read_table(csv_text)
     roster = vote_roster(table.header, PROTOCOL_COLUMNS, leader, UnknownParty)
-    rules = {1: two_valued("observer", "official"), **dict.fromkeys(range(2, len(table.header)), COUNT)}
+    rules: Rules = {0: TEXT, 1: two_valued("observer", "official"), tuple(range(2, len(table.header))): COUNT}
 
-    def columns(cells: list, values: list, end: int) -> DatasetArrays:
-        counts = np.column_stack([v[:end] for v in values[1:]])
-        ids = list(map(str.strip, cells[0][:end]))
+    def columns(values: list, end: int) -> DatasetArrays:
+        ids, _, counts = (v[:end] for v in values)
         return row_columns(ids, [""] * end, [""] * end, counts, [False] * end, [()] * end, len(roster))
 
-    cells, values = read_columns(table, rules, repeat=((1, 0), "duplicate {} row for {!r}"), columns=columns)
-    data = columns(cells, values, len(table.rows))
-    check_invariants(data)
-    official = values[0]
+    values = read_columns(table, rules, repeat=((1, 0), "duplicate {} row for {!r}"), columns=columns)
+    data = columns(values, len(values[0]))
+    official = values[1]
 
     pids = data.precinct_ids
     observer_ids, official_ids = set(pids[~official].tolist()), set(pids[official].tolist())

@@ -30,9 +30,8 @@ import csv
 import io
 import re
 from dataclasses import dataclass, fields
-from functools import cached_property
-from itertools import chain
-from typing import Callable, Iterable, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +51,8 @@ TAGS_COLUMN = "tags"
 # Far above any real precinct, and low enough that a row's int64 sums of
 # counts (``check_invariants``, the percent bins) cannot overflow.
 MAX_COUNT = 10**12
+# Rows read at a time by ``read_blocks``, and written per ``%`` call by ``format_rows``.
+ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -228,57 +229,40 @@ def _start_lines(records: list[list[str]], first: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CsvTable:
-    """A CSV text read in one pass, up to its first structural fault.
+    """A CSV text's stripped header and the ``csv.reader`` of the rows after it.
 
-    ``rows`` are the non-empty rows after the stripped ``header``, each with
-    as many fields as the header.  ``fault`` is the MalformedRow of the
-    first row with another field count or one that ``csv`` rejects, such
-    as a cell longer than ``csv.field_size_limit()``; the rows stop before
-    it, and it is raised only if no earlier row has a fault of its own.
-    ``lines``, the physical line each row starts on, is worked out only
-    when some row is checked on its own.
+    ``max_rows``, the text's count of ``\\n``, bounds its rows, since each
+    takes at least one line.
     """
 
     header: list[str]
-    rows: list[list[str]]
-    fault: MalformedRow | None
-    records: list[list[str]]  # the rows and the empty records among them
-    first_line: int  # the physical line of records[0]
+    reader: Iterator[list[str]]
+    max_rows: int
 
-    @cached_property
-    def lines(self) -> np.ndarray:
-        """The physical line each row starts on."""
-        starts = _start_lines(self.records, self.first_line)[:-1]
-        return starts if len(self.rows) == len(self.records) else starts[list(map(bool, self.records))]
+
+def _line_slices(text: str) -> Iterator[io.StringIO]:
+    """The text in slices of ROW_BLOCK characters or more, each but the last ending at a line end.
+
+    Read in turn, the slices give the lines one ``io.StringIO`` of the
+    whole text gives, but only one slice is held as its 4-byte characters.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + ROW_BLOCK) + 1 or len(text)
+        yield io.StringIO(text[start:end])
+        start = end
 
 
 def read_table(csv_text: str) -> CsvTable:
-    """The text read by one ``csv.reader``; a missing or unreadable header is a MalformedRow."""
-    reader = csv.reader(io.StringIO(csv_text))
+    """The text's header and reader; a missing or unreadable header is a MalformedRow."""
+    reader = csv.reader(chain.from_iterable(_line_slices(csv_text)))
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise MalformedRow(1, "missing header row") from None
     except csv.Error as exc:
         raise MalformedRow(1, str(exc)) from None
-    first = reader.line_num + 1
-    records: list[list[str]] = []
-    error = None
-    try:
-        records.extend(reader)  # keeps the records read before a csv.Error
-    except csv.Error as exc:
-        error = str(exc)
-    widths = np.fromiter(map(len, records), dtype=np.int64, count=len(records))
-    misfits = np.flatnonzero((widths != 0) & (widths != len(header)))
-    fault = None
-    if misfits.size:
-        end = int(misfits[0])
-        error = f"expected {len(header)} fields, got {widths[end]}"
-        records, widths = records[:end], widths[:end]
-    if error is not None:
-        fault = MalformedRow(int(_start_lines(records, first)[-1]), error)
-    rows = records if widths.all() else list(filter(None, records))
-    return CsvTable(header, rows, fault, records, first)
+    return CsvTable(header, reader, csv_text.count("\n"))
 
 
 # A cell holding none of these is written as it is; csv.writer quotes only cells with one.
@@ -300,10 +284,6 @@ def csv_cells(cells: Sequence[str]) -> Sequence[str]:
             cell = out.getvalue()[: -len(",\n")]
         written.append(cell)
     return written
-
-
-# Rows written per ``%`` call by ``format_rows``.
-ROW_BLOCK = 4096
 
 
 def format_rows(row: str, columns: Sequence[Sequence | np.ndarray]) -> str:
@@ -404,10 +384,30 @@ def two_valued(a: str, b: str) -> Rule:
     return read_all, read_one
 
 
+def any_cell(read: Callable[[str], object]) -> Rule:
+    """The rule of a column that takes any cell, whose value is ``read(cell)`` in an object array."""
+
+    def read_all(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        return np.fromiter(map(read, cells), dtype=object, count=len(cells)), np.zeros(len(cells), dtype=bool)
+
+    return read_all, lambda cell, line, column: read(cell)
+
+
+def _tags(cell: str) -> tuple[str, ...]:
+    return tuple(t for t in cell.split(";") if t) if cell.strip() else ()
+
+
+TEXT: Rule = any_cell(str.strip)
+TAGS: Rule = any_cell(_tags)
+
+
 def first_repeats(keys: Sequence) -> np.ndarray:
     """A mask of the keys equal to an earlier key."""
     repeated = np.zeros(len(keys), dtype=bool)
-    if len(set(keys)) != len(keys):
+    # equal keys hash alike, so sorted hashes that all differ rule out a repeat in 8 bytes a key
+    hashes = np.fromiter(map(hash, keys), dtype=np.int64, count=len(keys))
+    hashes.sort()
+    if (hashes[1:] == hashes[:-1]).any():
         seen = set()
         for i, key in enumerate(keys):
             repeated[i] = key in seen
@@ -415,57 +415,125 @@ def first_repeats(keys: Sequence) -> np.ndarray:
     return repeated
 
 
-def read_columns(
-    table: CsvTable,
-    rules: dict[int, Rule],
-    repeat: tuple[tuple[int, ...], str] | None = None,
-    columns: Callable[[list, list, int], DatasetArrays] | None = None,
-) -> tuple[list, list]:
-    """The table's cells, one list per column, and the values ``rules`` read from them, in rule order.
+# Rules keyed by a column index, or by a tuple of them whose values form the
+# columns of one 2-d array.
+Rules = dict[int | tuple[int, ...], Rule]
 
-    ``rules`` maps column indices to rules in the order a row's cells are
-    checked.  Only rows with a cell left open, or whose stripped ``repeat``
+
+def read_blocks(
+    table: CsvTable,
+    rules: Rules,
+    repeat: tuple[tuple[int, ...], str] | None = None,
+    columns: Callable[[list, int], DatasetArrays] | None = None,
+) -> Iterator[list[np.ndarray]]:
+    """The values ``rules`` read from each block of ROW_BLOCK records, one array per rule in rule order.
+
+    ``rules`` gives the columns in the order a row's cells are checked (a
+    rule made by ``any_cell`` leaves no cell open).  Empty records are
+    skipped.  Only rows with a cell left open, or whose stripped ``repeat``
     key cells repeat an earlier row's, are read again, cell by cell; a
     repeat is reported after the row's cells, as its message formatted with
-    the key.  The first fault in file order is raised after
-    ``check_invariants(columns(cells, values, end))`` of the rows before it
-    (a repeated row's included).
+    the key.  A record with another field count than the header, or one
+    that ``csv`` rejects, such as a cell longer than
+    ``csv.field_size_limit()``, is a MalformedRow that ends the rows.  The
+    first fault in file order is raised after
+    ``check_invariants(columns(values, end))`` of the block's rows before
+    it (a repeated row's included); with ``columns``, every block yielded
+    has passed that check.  At least one block is yielded, an empty one
+    for a table without rows.
     """
-    rows, header = table.rows, table.header
-    # strided slices of the flattened rows: far faster than zip(*rows) for many rows of few cells
-    flat = list(chain.from_iterable(rows))
-    cells = [flat[j :: len(header)] for j in range(len(header))]
-    del flat  # before the column reads, whose scratch arrays set the reader's peak memory
-    values, open_masks = [], []
-    flagged = np.zeros(len(rows), dtype=bool)
-    for index, (read_all, _) in rules.items():
-        column_values, open_cells = read_all(cells[index])
-        values.append(column_values)
-        open_masks.append(open_cells)
-        flagged |= open_cells
-    if repeat is not None:
-        key_columns, message = repeat
-        keys = list(zip(*(map(str.strip, cells[j]) for j in key_columns)))
-        repeated = first_repeats(keys)
-        flagged |= repeated
-    end, fault = len(rows), table.fault
-    for i in np.flatnonzero(flagged).tolist():
-        line = int(table.lines[i])
-        try:
-            for k, (index, (_, read_one)) in enumerate(rules.items()):
-                if open_masks[k][i]:
-                    values[k][i] = read_one(rows[i][index], line, header[index])
-        except MalformedRow as exc:
-            end, fault = i, exc
-            break
-        if repeat is not None and repeated[i]:
-            end, fault = i + 1, MalformedRow(line, message.format(*keys[i]))
-            break
-    if fault is not None:
+    header, reader = table.header, table.reader
+    width = len(header)
+    # (column, rule) in the order a row's cells are checked
+    checks = [(index, rule) for key, rule in rules.items() for index in (key if isinstance(key, tuple) else (key,))]
+    seen: set = set()  # the repeat keys of the blocks before
+
+    def block(records: list[list[str]], first: int, error: str | None) -> list[np.ndarray]:
+        """The values of the records read from line ``first`` on, up to ``error``; raises their first fault."""
+        widths = np.fromiter(map(len, records), dtype=np.int64, count=len(records))
+        misfits = np.flatnonzero((widths != 0) & (widths != width))
+        if misfits.size:
+            end = int(misfits[0])
+            error = f"expected {width} fields, got {widths[end]}"
+            records, widths = records[:end], widths[:end]
+        fault = None if error is None else MalformedRow(int(_start_lines(records, first)[-1]), error)
+        rows = records if widths.all() else list(filter(None, records))
+        # strided slices of the flattened rows: far faster than zip(*rows) for many rows of few cells
+        flat = list(chain.from_iterable(rows))
+        cells = [flat[j::width] for j in range(width)]
+        del flat  # before the column reads add their scratch arrays
+        read = [read_all(cells[index]) for index, (read_all, _) in checks]
+        flagged = np.zeros(len(rows), dtype=bool)
+        for _, open_cells in read:
+            flagged |= open_cells
+        if repeat is not None:
+            key_columns, message = repeat
+            keys = list(zip(*(map(str.strip, cells[j]) for j in key_columns)))
+            repeated = first_repeats(keys)
+            if not seen.isdisjoint(keys):
+                repeated |= np.fromiter(map(seen.__contains__, keys), dtype=bool, count=len(keys))
+            seen.update(keys)
+            flagged |= repeated
+        end = len(rows)
+        if flagged.any():
+            lines = _start_lines(records, first)[:-1][widths != 0]
+        for i in np.flatnonzero(flagged).tolist():
+            line = int(lines[i])
+            try:
+                for (index, (_, read_one)), (column_values, open_cells) in zip(checks, read):
+                    if open_cells[i]:
+                        column_values[i] = read_one(rows[i][index], line, header[index])
+            except MalformedRow as exc:
+                end, fault = i, exc
+                break
+            if repeat is not None and repeated[i]:
+                end, fault = i + 1, MalformedRow(line, message.format(*keys[i]))
+                break
+        in_order = iter([column_values for column_values, _ in read])
+        values = [
+            np.column_stack([next(in_order) for _ in key]) if isinstance(key, tuple) else next(in_order)
+            for key in rules
+        ]
         if columns is not None:
-            check_invariants(columns(cells, values, end))  # an invariant broken earlier is reported first
-        raise fault
-    return cells, values
+            check_invariants(columns(values, end))  # an invariant broken earlier is reported first
+        if fault is not None:
+            raise fault
+        return values
+
+    while True:
+        first = reader.line_num + 1  # the physical line of the block's first record
+        records: list[list[str]] = []
+        error = None
+        try:
+            records.extend(islice(reader, ROW_BLOCK))  # keeps the records read before a csv.Error
+        except csv.Error as exc:
+            error = str(exc)
+        # the cells die with block()'s locals, so a block's cells are freed before the next one is read
+        yield block(records, first, error)
+        if len(records) < ROW_BLOCK:
+            return
+
+
+def read_columns(
+    table: CsvTable,
+    rules: Rules,
+    repeat: tuple[tuple[int, ...], str] | None = None,
+    columns: Callable[[list, int], DatasetArrays] | None = None,
+) -> list[np.ndarray]:
+    """Every row's values that ``rules`` read, one array per rule in rule order (see ``read_blocks``).
+
+    Each block's values are copied, as the block is read, into arrays of
+    ``table.max_rows`` rows, so only one block of cells is held at a time.
+    """
+    stored: list[np.ndarray] = []
+    n = 0
+    for values in read_blocks(table, rules, repeat, columns):
+        if not stored:
+            stored = [np.empty((table.max_rows, *v.shape[1:]), dtype=v.dtype) for v in values]
+        for out, block in zip(stored, values):
+            out[n : n + len(block)] = block
+        n += len(values[0])
+    return [out[:n] for out in stored]
 
 
 def vote_roster(
@@ -529,10 +597,6 @@ def make_dataset(
     return ElectionDataset(election_id, roster, columns, leader)
 
 
-def _tags(cell: str) -> tuple[str, ...]:
-    return tuple(t for t in cell.split(";") if t) if cell.strip() else ()
-
-
 def no_tags(n: int) -> np.ndarray:
     """A ``tags`` column of ``n`` empty tuples."""
     tags = np.empty(n, dtype=object)
@@ -546,25 +610,26 @@ def parse_dataset(csv_text: str, leader: str, election_id: str = "dataset") -> E
     Raises MalformedRow for structural problems, InvariantViolation for
     rows that fail count invariants, and UnknownLeader when ``leader`` is
     not among the vote columns.  The error reported is the first one in
-    file order, as ``read_columns`` finds it.
+    file order, as ``read_blocks`` finds it.
     """
     table = read_table(csv_text)
     has_tags = bool(table.header) and table.header[-1] == TAGS_COLUMN
     roster = vote_roster(table.header[:-1] if has_tags else table.header, FIXED_COLUMNS, leader, UnknownLeader)
-    # registered, ballots_cast, invalid and the votes, checked after machine_counted
-    rules = {6: two_valued("0", "1"), **dict.fromkeys((3, 4, 5, *range(7, 7 + len(roster))), COUNT)}
+    # registered, ballots_cast, invalid and the votes, checked after machine_counted, as one array
+    count_columns = (3, 4, 5, *range(7, 7 + len(roster)))
+    rules: Rules = {0: TEXT, 1: TEXT, 2: TEXT, 6: two_valued("0", "1"), count_columns: COUNT}
+    if has_tags:
+        rules[len(table.header) - 1] = TAGS
 
-    def columns(cells: list, values: list, end: int) -> DatasetArrays:
-        machine_counted, registered, ballots_cast, invalid, *votes = (v[:end] for v in values)
-        ids, regions, territories = (np.array(list(map(str.strip, c[:end])), dtype=object) for c in cells[:3])
+    def columns(values: list, end: int) -> DatasetArrays:
+        ids, regions, territories, machine_counted, counts, *tags = (v[:end] for v in values)
         return DatasetArrays(
-            ids, regions, territories, registered, ballots_cast, invalid, machine_counted, np.column_stack(votes),
-            tags=np.fromiter(map(_tags, cells[-1][:end]), dtype=object, count=end) if has_tags else no_tags(end),
+            ids, regions, territories, counts[:, 0], counts[:, 1], counts[:, 2], machine_counted, counts[:, 3:],
+            tags=tags[0] if has_tags else no_tags(end),
         )
 
-    data = columns(*read_columns(table, rules, columns=columns), len(table.rows))
-    check_invariants(data)
-    return ElectionDataset(election_id, roster, data, leader)
+    values = read_columns(table, rules, columns=columns)
+    return ElectionDataset(election_id, roster, columns(values, len(values[0])), leader)
 
 
 def serialize_dataset(dataset: ElectionDataset) -> str:

@@ -20,17 +20,19 @@ import numpy as np
 
 from .dataset import (
     COUNT,
+    TEXT,
     ElectionDataset,
     Rule,
     csv_cells,
     format_rows,
     parse_count,
-    read_columns,
+    read_blocks,
     read_table,
 )
 from .errors import EmptySeries, InvariantViolation, MalformedRow
 
 DEFAULT_HYPERACTIVE_THRESHOLD = 0.13
+MINUTES_PER_DAY = 24 * 60
 INTRADAY_HEADER = ["precinct_id", "time", "cumulative_voted"]
 
 
@@ -117,19 +119,21 @@ class IntradayTable(Mapping[str, IntradaySeries]):
         ballots, one per precinct) its last count may not exceed it.
         """
         n = len(self)
-        lengths = np.diff(self.starts)
-        owner = np.repeat(np.arange(n), lengths)
-        same = owner[1:] == owner[:-1]  # consecutive reports of one precinct
+        short = np.diff(self.starts) < 2
+        begins = np.zeros(len(self.minutes) + 1, dtype=bool)
+        begins[self.starts] = True  # the reports where a precinct's reports begin, and the end
+        same = ~begins[1:-1]  # report i + 1 belongs to the precinct of report i
 
-        def any_by_precinct(report_fault: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        def any_by_precinct(report_fault: np.ndarray, offset: int = 0) -> np.ndarray:
+            # a report belongs to the last precinct starting at or before it
+            reports = np.flatnonzero(report_fault) + offset
             found = np.zeros(n, dtype=bool)
-            found[owners[report_fault]] = True
+            found[np.searchsorted(self.starts, reports, side="right") - 1] = True
             return found
 
-        short = lengths < 2
-        unordered = any_by_precinct(same & (np.diff(self.minutes) <= 0), owner[1:])
-        falling = any_by_precinct(same & (np.diff(self.cumulative) < 0), owner[1:])
-        negative = any_by_precinct(self.cumulative < 0, owner)
+        unordered = any_by_precinct(same & (self.minutes[1:] <= self.minutes[:-1]), 1)
+        falling = any_by_precinct(same & (self.cumulative[1:] < self.cumulative[:-1]), 1)
+        negative = any_by_precinct(self.cumulative < 0)
         over = np.zeros(n, dtype=bool)
         if official is not None:
             over[~short] = self.cumulative[self.starts[1:][~short] - 1] > official[~short]
@@ -182,44 +186,60 @@ def format_time(minutes: int) -> str:
     return f"{minutes // 60:02d}:{minutes % 60:02d}"
 
 
-def _first_seen(ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ids in the order of their first row, and each row's index among them."""
-    column = np.array(ids, dtype=object)
-    new = np.ones(len(column), dtype=bool)
-    np.not_equal(column[1:], column[:-1], out=new[1:])
-    heads = column[new]
-    if len(set(heads.tolist())) == len(heads):  # each id's rows are consecutive
-        return heads, np.cumsum(new, dtype=np.int64) - 1
-    index = {pid: k for k, pid in enumerate(dict.fromkeys(ids))}
-    owners = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
-    return np.array(list(index), dtype=object), owners
-
-
 def parse_intraday(csv_text: str) -> IntradayTable:
     """Parse ``intraday.csv`` (precinct_id,time,cumulative_voted) into a checked table.
 
     Precincts keep the order of their first row, and each one's reports
-    are sorted by time.  The first malformed row (see ``read_columns``)
+    are sorted by time.  The first malformed row (see ``read_blocks``)
     is reported first; then the first faulty series, in precinct order.
+    The rows are read ROW_BLOCK at a time; a row keeps its precinct and
+    time as one sort key, not its id cell.
     """
     table = read_table(csv_text)
     if table.header != INTRADAY_HEADER:
         raise MalformedRow(1, "header must be precinct_id,time,cumulative_voted")
-    cells, (minutes, counts) = read_columns(table, {1: TIME, 2: COUNT})
-    return _reports_table(list(map(str.strip, cells[0])), minutes, counts)
+    index: dict[str, int] = {}
+    keys = np.empty(table.max_rows, dtype=np.int64)
+    counts = np.empty(table.max_rows, dtype=np.int64)
+    n = 0
+    for ids, minutes, cumulative in read_blocks(table, {0: TEXT, 1: TIME, 2: COUNT}):
+        end = n + len(ids)
+        keys[n:end] = _sort_keys(index, ids, minutes)
+        counts[n:end] = cumulative
+        n = end
+    return _table(index, keys[:n], counts[:n])
+
+
+def _sort_keys(index: dict[str, int], ids: Sequence[str], minutes: np.ndarray) -> np.ndarray:
+    """Each report's precinct times MINUTES_PER_DAY plus its minutes; ``index`` numbers new ids in turn."""
+    ids = np.asarray(ids, dtype=object)
+    starts_run = np.ones(len(ids), dtype=bool)  # each run of one id is looked up once
+    starts_run[1:] = ids[1:] != ids[:-1]
+    runs = np.flatnonzero(starts_run)
+    numbers = np.fromiter((index.setdefault(pid, len(index)) for pid in ids[runs].tolist()), dtype=np.int64,
+                          count=len(runs))
+    return np.repeat(numbers, np.diff(runs, append=len(ids))) * MINUTES_PER_DAY + minutes
 
 
 def _reports_table(ids: list[str], times: np.ndarray, counts: np.ndarray) -> IntradayTable:
     """The checked table of the reports (id, minutes, count), one per row in file order."""
-    precinct_ids, owners = _first_seen(ids)
-    step_owner, step_time = np.diff(owners), np.diff(times)
+    index: dict[str, int] = {}
+    return _table(index, _sort_keys(index, ids, times), counts)
+
+
+def _table(index: dict[str, int], keys: np.ndarray, counts: np.ndarray) -> IntradayTable:
+    """The checked table of the reports with these sort keys and counts; ``index`` numbers the ids.
+
+    ``keys`` becomes the table's minutes in place.
+    """
     # rows grouped by precinct and timed in order, as serialize_intraday writes them, need no sort
-    if not np.all((step_owner > 0) | ((step_owner == 0) & (step_time > 0))):
-        order = np.lexsort((counts, times, owners))
-        times, counts = times[order], counts[order]
-    starts = np.zeros(len(precinct_ids) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owners, minlength=len(precinct_ids)), out=starts[1:])
-    table = IntradayTable(precinct_ids, starts, times, counts)
+    if not (keys[1:] > keys[:-1]).all():
+        order = np.lexsort((counts, keys))
+        keys, counts = keys[order], counts[order]
+    starts = np.searchsorted(keys, np.arange(len(index) + 1) * MINUTES_PER_DAY)
+    minutes = np.remainder(keys, MINUTES_PER_DAY, out=keys)
+    table = IntradayTable(np.fromiter(index, dtype=object, count=len(index)), starts, minutes, counts)
+    table.__dict__["_index"] = index  # the ids numbered in order are the table's id index
     table.check()
     return table
 

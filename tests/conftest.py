@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import election_forensics
 from election_forensics.dataset import ElectionDataset, PartyRoster, PrecinctRecord, make_dataset
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -66,3 +70,34 @@ def naive_smooth_neighbor_flags(bins, targets, alpha: float = 0.01) -> list[int]
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+# Run in a child: prints VmHWM (MB) after importing the CLI, VmHWM after the command, and its exit code.
+_PEAK_SCRIPT = """
+import sys
+def high_water_mb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+from election_forensics.cli import main
+baseline = high_water_mb()
+code = main(sys.argv[1:])
+print(baseline, high_water_mb(), code)
+"""
+
+
+def child_peak_mb(argv: list[str]) -> tuple[float, float]:
+    """(after import, after the command) resident high-water marks, in MB, of ``ef argv`` run in a child.
+
+    The child reads its own ``/proc/self/status``: the ``ru_maxrss`` that
+    ``os.wait4`` reports for a child starts from its parent's high-water
+    mark, so a large parent hides the child's own peak.  Skips the test
+    where ``/proc`` is absent.
+    """
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    env = dict(os.environ, PYTHONPATH=str(Path(election_forensics.__file__).parents[1]))
+    ran = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, *argv], env=env, capture_output=True, text=True,
+                         timeout=300, check=True)
+    baseline, peak, code = ran.stdout.split()
+    assert code == "0", ran.stderr
+    return float(baseline), float(peak)

@@ -23,7 +23,7 @@ from election_forensics.dynamics import serialize_intraday
 from election_forensics.peaks import MAX_REPLICATES, MIN_REPLICATES
 from election_forensics.report import CAVEAT
 
-from conftest import REPORT_SCHEMA
+from conftest import REPORT_SCHEMA, child_peak_mb
 
 PRECINCTS = (
     "precinct_id,region,territory,registered,ballots_cast,invalid,machine_counted,votes_A,votes_B\n"
@@ -787,3 +787,59 @@ def test_protocol_diff_and_hyperactive_outputs_match_recorded_digests(tmp_path, 
     assert _report(tmp_path / "hyperactive")["results"]["flagged"]
     for (command, name), digest in FORENSICS_DIGESTS.items():
         assert hashlib.sha256((tmp_path / command / name).read_bytes()).hexdigest() == digest, (command, name)
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_crlf_file_with_a_cell_spanning_lines_reads_as_its_lf_copy(tmp_path, capsys):
+    lf = PRECINCTS.replace("p2,R,", 'p2,"R\nX",')
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+        for suffix, text in (("", lf), ("_bad", lf + "p4,R,T2,1000,5x0,0,0,1,2\n")):
+            (tmp_path / f"{name}{suffix}.csv").write_bytes(text.replace("\n", newline).encode())
+            code = main(["validate", "--in", str(tmp_path / f"{name}{suffix}.csv"), "--leader", "A",
+                         "--out", str(tmp_path / f"{name}{suffix}")])
+            assert code == (1 if suffix else 0)
+    lf_report, crlf_report = _report(tmp_path / "lf"), _report(tmp_path / "crlf")
+    assert crlf_report["results"] == lf_report["results"]
+    assert crlf_report["inputs"][0]["sha256"] == _digest(tmp_path / "crlf.csv")
+    # the quoted cell takes lines 3 and 4, so the bad row is on line 6 either way
+    bad_cell = "ERROR MALFORMED_ROW: line 6: column 'ballots_cast': '5x0' is not a non-negative integer"
+    assert capsys.readouterr().err.splitlines() == [bad_cell, bad_cell]
+
+
+INTRADAY = "precinct_id,time,cumulative_voted\np1,10:00,100\np1,15:00,300\np2,10:00,50\np2,15:00,350\n"
+TINY_MODEL = json.dumps({"precincts": 20, "parties": ["A", "B"], "baseline_shares": [0.6, 0.3], "leader": "A"})
+
+
+@pytest.mark.parametrize("kind", ["precincts", "intraday", "model"])
+def test_a_leading_utf8_bom_reads_as_the_file_without_it(tmp_path, kind):
+    (tmp_path / "precincts.csv").write_text(PRECINCTS)
+    content = {"precincts": PRECINCTS, "intraday": INTRADAY, "model": TINY_MODEL}[kind].encode()
+    reports = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path = tmp_path / f"{kind}{len(bom)}"
+        path.write_bytes(bom + content)
+        out = tmp_path / f"out{len(bom)}"
+        argv = {
+            "precincts": ["validate", "--in", str(path), "--leader", "A"],
+            "intraday": ["hyperactive", "--in", str(tmp_path / "precincts.csv"), "--leader", "A", "--series", str(path)],
+            "model": ["synth", "--model", str(path), "--seed", "1"],
+        }[kind]
+        assert main([*argv, "--out", str(out)]) == 0
+        reports.append(_report(out))
+        assert reports[-1]["inputs"][-1]["sha256"] == _digest(path)
+    plain, with_bom = reports
+    assert with_bom["results"] == plain["results"]
+
+
+def test_hyperactive_child_peaks_within_25_mb_of_its_imports(tmp_path):
+    model = synth.model_from_json(json.dumps(dict(SYNTH_MODEL, precincts=16_000)))
+    generated = synth.synthesize(model, synth.scenario_from_json(json.dumps(SYNTH_SCENARIO)), 41)
+    (tmp_path / "precincts.csv").write_text(serialize_dataset(generated.dataset))
+    (tmp_path / "intraday.csv").write_text(serialize_intraday(generated.intraday))
+    baseline, peak = child_peak_mb(["hyperactive", "--in", str(tmp_path / "precincts.csv"), "--leader", "LEAD",
+                                    "--series", str(tmp_path / "intraday.csv"), "--out", str(tmp_path / "o")])
+    # whole-file readers and a joined list of JSON pieces took it about 37 MB above the baseline
+    assert peak - baseline < 25, (baseline, peak)

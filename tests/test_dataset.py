@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import gc
 import io
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from election_forensics import synth
 from election_forensics.compare import parse_delta_table, parse_protocols
 from election_forensics.dataset import (
     MAX_COUNT,
@@ -24,7 +27,7 @@ from election_forensics.dataset import (
     partition,
     serialize_dataset,
 )
-from election_forensics.dynamics import parse_intraday
+from election_forensics.dynamics import parse_intraday, serialize_intraday
 from election_forensics.errors import (
     EmptySeries,
     ForensicsError,
@@ -735,3 +738,117 @@ def test_serialize_dataset_writes_as_csv_writer_does():
                          int(r.machine_counted), *r.votes, ";".join(r.tags)])
     assert serialize_dataset(ds) == out.getvalue()
     assert parse_dataset(out.getvalue(), leader="A", election_id="test") == ds
+
+
+# ---- faults at the edge of a ROW_BLOCK block, against the reference readers
+
+# (header, row i's cells, a count cell's index, a text cell's index, a row edit that breaks an invariant)
+BLOCK_FORMATS = {
+    "precincts": (HEADER, lambda i: [f"p{i}", "R", "T", "1000", "500", "0", "0", "300", "200"], 4, 1,
+                  lambda row: row.__setitem__(4, "1500")),
+    "protocols": (PROTOCOLS_HEADER,
+                  lambda i: [f"u{i // 2}", ("observer", "official")[i % 2], "1000", "500", "0", "300", "200"], 3, 0,
+                  lambda row: row.__setitem__(3, "1500")),
+    "intraday": (INTRADAY_HEADER, lambda i: [f"p{i // 2}", ("10:00", "15:00")[i % 2], str(100 * (1 + i % 2))], 2, 0,
+                 lambda row: row.__setitem__(2, "0" if row[1] == "15:00" else "999")),
+    "delta": (DELTA_HEADER, lambda i: [f"U{i}", "50", "40", "60", "55"], 1, 0, None),
+}
+BLOCK_FAULTS = ("none", "bad-count", "wrong-field-count", "oversize-cell", "repeated-key", "broken-invariant")
+
+
+@st.composite
+def _block_edge_files(draw, kind, block):
+    """A file of three blocks of ``block`` rows with a fault in the row before, at or after a block's start.
+
+    Before the fault there may also be a quoted cell spanning lines, a
+    broken invariant and blank lines, each within a few rows of it.
+    """
+    header, make_row, count_cell, text_cell, break_invariant = BLOCK_FORMATS[kind]
+    rows = [make_row(i) for i in range(3 * block)]
+    at = draw(st.sampled_from((block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1)))
+    fault = draw(st.sampled_from(BLOCK_FAULTS if break_invariant else BLOCK_FAULTS[:-1]))
+    if fault == "bad-count":
+        rows[at][count_cell] = "5x0"
+    elif fault == "wrong-field-count":
+        rows[at] = rows[at][:2]
+    elif fault == "oversize-cell":
+        rows[at][text_cell] = "x" * (csv.field_size_limit() + 1)
+    elif fault == "repeated-key":
+        rows[at] = list(rows[at - 2])
+    elif fault == "broken-invariant":
+        break_invariant(rows[at])
+    before = st.integers(max(0, at - 3), at - 1)
+    if draw(st.booleans()):
+        rows[draw(before)][text_cell] += "\nspans"
+    if break_invariant and draw(st.booleans()):
+        break_invariant(rows[draw(before)])
+    for blank in sorted(draw(st.lists(st.integers(max(0, at - 3), at + 1), max_size=3)), reverse=True):
+        rows.insert(blank, [])
+    out = io.StringIO()
+    out.write(header + "\n")
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _read_alike_in_blocks_of(kind, block, text):
+    with mock.patch("election_forensics.dataset.ROW_BLOCK", block):
+        by_block, by_row = _by_column_and_by_row(READERS.get(kind, parse_delta_table), REFERENCE[kind], text)
+    assert by_block == by_row
+
+
+@pytest.mark.parametrize("kind", list(BLOCK_FORMATS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_faults_at_a_block_edge_read_as_the_reference_reads_them(kind, data):
+    """Small blocks put each fault next to a block's edge, and text slices of a few characters."""
+    block = data.draw(st.sampled_from((3, 4, 5, 8)))
+    _read_alike_in_blocks_of(kind, block, data.draw(_block_edge_files(kind, block)))
+
+
+@pytest.mark.parametrize("kind", list(BLOCK_FORMATS))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_faults_at_the_edge_of_a_full_block_read_as_the_reference_reads_them(kind, data):
+    text = data.draw(_block_edge_files(kind, ROW_BLOCK))
+    _read_alike_in_blocks_of(kind, ROW_BLOCK, text)
+
+
+def _national_texts(precincts: int) -> tuple[str, str]:
+    """precincts.csv and intraday.csv of a four-party election with four intraday reports per precinct."""
+    model = synth.HonestModel(
+        precincts=precincts,
+        parties=("A", "B", "C", "D"),
+        baseline_shares=(0.52, 0.22, 0.13, 0.08),
+        leader="A",
+        machine_fraction=0.3,
+        territories=8,
+        report_times=(600, 720, 900, 1080),
+    )
+    generated = synth.generate_honest(model, 0)
+    return serialize_dataset(generated.dataset), serialize_intraday(generated.intraday)
+
+
+def _transient_bytes(parse, text) -> int:
+    """The parse's tracemalloc peak less what its result keeps, with the cyclic collector off."""
+    collecting = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        result = parse(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if collecting:
+            gc.enable()
+    assert len(result)
+    return peak - kept
+
+
+def test_readers_hold_one_block_of_cells_whatever_the_file_size():
+    small, large = _national_texts(16_000), _national_texts(64_000)
+    # the whole-file readers held 10.1 MB and 19.6 MB beyond their results at 16k precincts
+    for parse, text_of, whole_file in ((READERS["precincts"], 0, 10.1e6), (parse_intraday, 1, 19.6e6)):
+        at_16k = _transient_bytes(parse, small[text_of])
+        at_64k = _transient_bytes(parse, large[text_of])
+        assert at_16k < whole_file / 2, (parse, at_16k)
+        assert at_64k - at_16k < 1e6, (parse, at_16k, at_64k)

@@ -21,7 +21,7 @@ def _sample(tmp_path: Path) -> dict:
     return build_report(
         command="validate",
         config={"seed": 3, "alpha": 0.01},
-        inputs=[input_digest(source)],
+        inputs=[input_digest(source, source.read_bytes())],
         results={"records": 1},
     )
 
@@ -59,4 +59,4 @@ def test_input_digest_matches_manual_hash(tmp_path):
 
     f = tmp_path / "data.bin"
     f.write_bytes(b"abc123")
-    assert input_digest(f)["sha256"] == hashlib.sha256(b"abc123").hexdigest()
+    assert input_digest(f, f.read_bytes()) == {"path": str(f), "sha256": hashlib.sha256(b"abc123").hexdigest()}
