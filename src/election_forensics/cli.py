@@ -317,11 +317,6 @@ def cmd_synth(args) -> dict:
         scenario, scenario_digest = _load(args.scenario, synth.scenario_from_json)
         inputs.append(scenario_digest)
     generated = synth.synthesize(model, scenario, args.seed)
-    out = Path(args.out)
-    atomic_write_text(out / "precincts.csv", serialize_dataset(generated.dataset))
-    atomic_write_text(out / "ground_truth.csv", generated.truth.to_csv())
-    if generated.intraday:
-        atomic_write_text(out / "intraday.csv", dynamics.serialize_intraday(generated.intraday))
     results = {
         "precincts": len(generated.dataset),
         "parties": list(generated.dataset.roster.ids),
@@ -333,6 +328,14 @@ def cmd_synth(args) -> dict:
         "files": ["precincts.csv", "ground_truth.csv"]
         + (["intraday.csv"] if generated.intraday else []),
     }
+    out = Path(args.out)
+    atomic_write_text(out / "precincts.csv", serialize_dataset(generated.dataset))
+    atomic_write_text(out / "ground_truth.csv", generated.truth.to_csv())
+    # the largest file is written last, once the dataset and ground truth can be freed
+    intraday = generated.intraday
+    del generated
+    if intraday:
+        atomic_write_text(out / "intraday.csv", dynamics.serialize_intraday(intraday))
     return {"results": results, "inputs": inputs}
 
 

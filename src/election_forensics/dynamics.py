@@ -20,6 +20,7 @@ import numpy as np
 
 from .dataset import (
     COUNT,
+    ROW_BLOCK,
     TEXT,
     ElectionDataset,
     Rule,
@@ -245,17 +246,34 @@ def _table(index: dict[str, int], keys: np.ndarray, counts: np.ndarray) -> Intra
 
 
 def serialize_intraday(series_map: Mapping[str, IntradaySeries]) -> str:
-    """``intraday.csv`` text: precincts sorted by id, each one's reports in its order."""
+    """``intraday.csv`` text: precincts sorted by id, each one's reports in its order.
+
+    The rows are formatted ROW_BLOCK precincts at a time from slices of
+    the table's arrays, so no temporary spans the whole table; the block
+    strings are joined once.
+    """
     table = IntradayTable.from_series(series_map)
     ids = table.precinct_ids
     if not (ids[1:] > ids[:-1]).all():  # a generated table is already in order
         order = sorted(range(len(ids)), key=ids.tolist().__getitem__)
         table = table.take(np.array(order, dtype=np.int64))
-    quoted = np.asarray(csv_cells(table.precinct_ids), dtype=object)
-    distinct, which = np.unique(table.minutes, return_inverse=True)
+    blocks = [",".join(INTRADAY_HEADER) + "\n"]
+    blocks.extend(_intraday_rows(table, first) for first in range(0, len(table), ROW_BLOCK))
+    return "".join(blocks)
+
+
+def _intraday_rows(table: IntradayTable, first: int) -> str:
+    """The rows of the ROW_BLOCK precincts from ``first``.
+
+    The block's temporaries die on return, so none is alive while the
+    blocks are joined.
+    """
+    starts = table.starts[first : first + ROW_BLOCK + 1]
+    rows = slice(starts[0], starts[-1])
+    quoted = np.asarray(csv_cells(table.precinct_ids[first : first + ROW_BLOCK].tolist()), dtype=object)
+    distinct, which = np.unique(table.minutes[rows], return_inverse=True)  # a day has 1,440 minutes
     labels = np.array([format_time(m) for m in distinct.tolist()], dtype=object)
-    columns = [np.repeat(quoted, np.diff(table.starts)), labels[which], table.cumulative]
-    return ",".join(INTRADAY_HEADER) + "\n" + format_rows("%s,%s,%s\n", columns)
+    return format_rows("%s,%s,%s\n", [np.repeat(quoted, np.diff(starts)), labels[which], table.cumulative[rows]])
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,6 +31,13 @@ CAVEAT = (
 REPORT_FILENAME = "report.json"
 META_FILENAME = "report.meta.json"
 
+# The mode a plain open() gives a new file.  The umask can only be read by
+# setting it, so it is read once at import rather than on each write, where
+# another thread could create a file while it is briefly changed.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+_FILE_MODE = 0o666 & ~_UMASK
+
 
 def input_digest(path: str | Path, data: bytes) -> dict:
     """The report's record of an input file: its path and the sha256 of ``data``, the bytes read from it."""
@@ -49,10 +56,16 @@ def build_report(command: str, config: dict, inputs: list[dict], results: dict) 
 
 
 def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in its directory, renamed over it when complete.
+
+    The file gets the mode ``open()`` would create it with, not
+    ``mkstemp``'s 0600.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            os.fchmod(handle.fileno(), _FILE_MODE)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -65,6 +66,17 @@ def naive_smooth_neighbor_flags(bins, targets, alpha: float = 0.01) -> list[int]
         if expected > 0 and (bins[t] - expected) / math.sqrt(expected) > z_crit:
             flagged.append(t)
     return flagged
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: the call's result and the tracemalloc peak, in bytes, while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -23,7 +22,7 @@ from election_forensics.dynamics import serialize_intraday
 from election_forensics.peaks import MAX_REPLICATES, MIN_REPLICATES
 from election_forensics.report import CAVEAT
 
-from conftest import REPORT_SCHEMA, child_peak_mb
+from conftest import REPORT_SCHEMA, child_peak_mb, traced_peak
 
 PRECINCTS = (
     "precinct_id,region,territory,registered,ballots_cast,invalid,machine_counted,votes_A,votes_B\n"
@@ -641,23 +640,36 @@ def test_synth_files_match_recorded_digests(tmp_path):
 def test_synth_writers_peak_below_five_times_their_output():
     model = synth.model_from_json(json.dumps(dict(SYNTH_MODEL, precincts=20_000)))
     generated = synth.synthesize(model, synth.scenario_from_json(json.dumps(SYNTH_SCENARIO)), 11)
+    # the blocks and their join are two copies of the text; whole-column cell lists took 9-10 times it,
+    # and the intraday writer's whole-table id, label and inverse columns 3.5 times it
     writers = {
-        "serialize_dataset": lambda: serialize_dataset(generated.dataset),
-        "GroundTruth.to_csv": generated.truth.to_csv,
-        "serialize_intraday": lambda: serialize_intraday(generated.intraday),
+        "serialize_dataset": (lambda: serialize_dataset(generated.dataset), 5),
+        "GroundTruth.to_csv": (generated.truth.to_csv, 5),
+        "serialize_intraday": (lambda: serialize_intraday(generated.intraday), 2.5),
     }
-    for name, write in writers.items():
-        tracemalloc.start()
-        try:
-            text = write()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the blocks and their join are two copies of the text; whole-column cell lists took 9-10 times it
-        assert peak < 5 * len(text), (name, peak / len(text))
+    for name, (write, bound) in writers.items():
+        text, peak = traced_peak(write)
+        assert peak < bound * len(text), (name, peak / len(text))
     table = generated.intraday
     shuffled = table.take(np.random.default_rng(0).permutation(len(table)))
     assert serialize_intraday(shuffled) == serialize_intraday(table)
+
+
+def test_synth_writes_its_files_within_half_a_mb_of_the_generation_peak(tmp_path):
+    model = tmp_path / "model.json"
+    scenario = tmp_path / "scenario.json"
+    model.write_text(json.dumps(dict(SYNTH_MODEL, precincts=20_000)))
+    scenario.write_text(json.dumps(SYNTH_SCENARIO))
+    _, generation = traced_peak(
+        lambda: synth.synthesize(synth.model_from_json(model.read_text()),
+                                 synth.scenario_from_json(scenario.read_text()), 11)
+    )
+    argv = ["synth", "--model", str(model), "--scenario", str(scenario), "--seed", "11", "--out", str(tmp_path / "o")]
+    rc, whole = traced_peak(lambda: main(argv))
+    assert rc == 0
+    # intraday.csv, the largest file, is written once the dataset and ground truth are freed:
+    # written while they were held, it took the run 1.7 MB above the generation peak
+    assert whole <= generation + 500_000, (whole, generation)
 
 
 @pytest.mark.parametrize("times", [["10:00", "10:00", "15:00"], ["10:00"], ["10:00", "24:00"]])
@@ -674,12 +686,7 @@ def test_synth_with_bad_report_times_exits_one(tmp_path, capsys, times):
 def test_synth_builds_names_only_for_territories_in_use(tmp_path):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(dict(SYNTH_MODEL, precincts=3, territories=2_000_000)))
-    tracemalloc.start()
-    try:
-        rc = main(["synth", "--model", str(model), "--seed", "1", "--out", str(tmp_path / "o")])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rc, peak = traced_peak(lambda: main(["synth", "--model", str(model), "--seed", "1", "--out", str(tmp_path / "o")]))
     assert rc == 0
     # names for all 2,000,000 territories would take over 100 MB
     assert peak < 10_000_000

@@ -38,7 +38,7 @@ from election_forensics.errors import (
 )
 from election_forensics.scatter import build_points
 import reference_readers as reference
-from conftest import quick_dataset, record
+from conftest import quick_dataset, record, traced_peak
 
 HEADER = "precinct_id,region,territory,registered,ballots_cast,invalid,machine_counted,votes_A,votes_B"
 
@@ -830,14 +830,15 @@ def _national_texts(precincts: int) -> tuple[str, str]:
 
 def _transient_bytes(parse, text) -> int:
     """The parse's tracemalloc peak less what its result keeps, with the cyclic collector off."""
+    def parse_and_kept():
+        result = parse(text)
+        return result, tracemalloc.get_traced_memory()[0]
+
     collecting = gc.isenabled()
     gc.disable()
-    tracemalloc.start()
     try:
-        result = parse(text)
-        kept, peak = tracemalloc.get_traced_memory()
+        (result, kept), peak = traced_peak(parse_and_kept)
     finally:
-        tracemalloc.stop()
         if collecting:
             gc.enable()
     assert len(result)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from election_forensics import synth
+from election_forensics.dataset import ROW_BLOCK
 from election_forensics.dynamics import (
     IntradaySeries,
     IntradayTable,
@@ -228,6 +229,20 @@ def test_intraday_reader_and_writer_property(table, data):
         parse_intraday(mutated)
     except (MalformedRow, EmptySeries, InvariantViolation):
         pass
+
+
+def test_intraday_writer_matches_reference_across_block_edges():
+    rng = np.random.default_rng(5)
+    n = 3 * ROW_BLOCK + 77
+    ids = [f"p{k:05d}" for k in rng.permutation(n)]
+    ids[0] = f'p{2 * ROW_BLOCK:05d},"b'  # one id that needs quoting, in the third block once sorted
+    series = {}
+    for pid, reports in zip(ids, rng.integers(0, 6, size=n)):  # ragged: 0 to 5 reports per precinct
+        times = np.sort(rng.choice(24 * 60, size=reports, replace=False)).tolist()
+        counts = np.sort(rng.integers(0, 3000, size=reports)).tolist()
+        series[pid] = IntradaySeries(pid, tuple(zip(times, counts)))
+    table = IntradayTable.from_series(series)
+    assert serialize_intraday(table) == _reference_intraday_csv(table)
 
 
 def test_first_faulty_precinct_in_file_order_is_reported():

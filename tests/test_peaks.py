@@ -1,7 +1,6 @@
 import hashlib
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from election_forensics.peaks import (
 )
 from election_forensics.errors import EmptySelection
 from election_forensics.histograms import percent_bins, weights_for
-from conftest import quick_dataset, record
+from conftest import quick_dataset, record, traced_peak
 
 
 def test_two_ballot_precincts_null_mass_only_at_0_50_100():
@@ -409,10 +408,5 @@ def test_null_memory_stays_small(monkeypatch):
     monkeypatch.setattr(peaks, "_cores", lambda: 2)
     # a first call caches the count arrays and makes the imports, which are not the null's memory
     simulate_null(ds, "turnout", 100, 2)
-    tracemalloc.start()
-    try:
-        simulate_null(ds, "turnout", 1000, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: simulate_null(ds, "turnout", 1000, 1))
     assert peak < 1_500_000

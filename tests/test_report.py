@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import election_forensics
 from election_forensics.report import (
     CAVEAT,
     build_report,
@@ -60,3 +64,25 @@ def test_input_digest_matches_manual_hash(tmp_path):
     f = tmp_path / "data.bin"
     f.write_bytes(b"abc123")
     assert input_digest(f, f.read_bytes()) == {"path": str(f), "sha256": hashlib.sha256(b"abc123").hexdigest()}
+
+
+# Run in a child that sets its umask before the report module reads it: prints the octal modes
+# of a file written by atomic_write_text and of one written by Path.write_text.
+_MODE_SCRIPT = """
+import os, sys
+from pathlib import Path
+os.umask(int(sys.argv[1], 8))
+from election_forensics.report import atomic_write_text
+out = Path(sys.argv[2])
+atomic_write_text(out / "atomic.txt", "x")
+(out / "plain.txt").write_text("x")
+print(*(oct((out / name).stat().st_mode & 0o777) for name in ("atomic.txt", "plain.txt")))
+"""
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+def test_atomic_write_text_creates_files_with_the_umask_mode(tmp_path, umask, mode):
+    env = dict(os.environ, PYTHONPATH=str(Path(election_forensics.__file__).parents[1]))
+    ran = subprocess.run([sys.executable, "-c", _MODE_SCRIPT, oct(umask), str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert ran.stdout.split() == [oct(mode), oct(mode)]
