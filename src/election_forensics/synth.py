@@ -35,12 +35,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .dataset import (
     MAX_COUNT,
+    ROW_BLOCK,
     DatasetArrays,
     ElectionDataset,
     PartyRoster,
@@ -429,13 +429,18 @@ def generate_honest(model: HonestModel, seed: int) -> SyntheticElection:
         votes[b_start:b_end] = v
 
     pad = max(5, len(str(max(n - 1, 0))))
+    precinct_ids = np.empty(n, dtype=object)
+    id_row = f"p%0{pad}d\n"
+    for start in range(0, n, ROW_BLOCK):  # a block at a time keeps the text and its split small
+        stop = min(start + ROW_BLOCK, n)
+        precinct_ids[start:stop] = ((id_row * (stop - start)) % tuple(range(start, stop))).split()
     # precinct i lies in territory i mod territories, so at most n names are used
     used = min(model.territories, max(n, 1))
     territory_names = np.array([f"T{t + 1}" for t in range(used)], dtype=object)
     region = np.empty(n, dtype=object)
     region.fill("R1")  # one shared str; np.full would make one per precinct
     columns = DatasetArrays(
-        precinct_ids=np.array([f"p{i:0{pad}d}" for i in range(n)], dtype=object),
+        precinct_ids=precinct_ids,
         region=region,
         territory=territory_names[np.arange(n) % used],
         registered=registered,
@@ -462,32 +467,89 @@ def generate_honest(model: HonestModel, seed: int) -> SyntheticElection:
     return SyntheticElection(dataset=dataset, truth=truth, intraday=intraday)
 
 
-def _half_up(numer: int, denom: int) -> int:
-    """round-half-up of numer/denom for positive denom, in exact integers."""
-    return (2 * numer + denom) // (2 * denom)
+_INT64_MAX = np.iinfo(np.int64).max
 
 
-def _distribute(amount: int, weights: Sequence[int]) -> list[int]:
-    """Split ``amount`` over non-negative integer weights, proportionally,
-    largest-remainder, deterministic.  A negative amount is split as its
-    magnitude and each share negated.  No share's magnitude exceeds its
-    weight when ``abs(amount) <= sum(weights)``."""
-    sign = -1 if amount < 0 else 1
-    amount *= sign
-    total = sum(weights)
-    if total == 0 or amount == 0:
-        return [0] * len(weights)
-    shares = [amount * w // total for w in weights]
-    leftover = amount - sum(shares)
-    order = sorted(range(len(weights)), key=lambda j: (-(amount * weights[j] % total), j))
-    for j in order:
-        if leftover == 0:
-            break
-        if weights[j] > shares[j]:
-            shares[j] += 1
-            leftover -= 1
-    # any residue (all weights saturated) stays unassigned; callers cap amount first
-    return [sign * share for share in shares]
+def _apportion(amount: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Split each row's ``amount`` >= 0 over its row of non-negative ``weights``, largest remainder.
+
+    A row's shares are floor(amount * weight / total), then one more each,
+    in order of the remainders amount * weight mod total (ties by column),
+    to the columns whose share is still below its weight, until the amount
+    is spent; any residue once every share has reached its weight stays
+    unassigned.  A row of zero weights gets nothing.  The same expressions
+    run on int64 rows, whose amount * total is below 2**63, and on object
+    rows of Python integers.
+    """
+    total = weights.sum(axis=1)
+    divisor = np.maximum(total, 1)[:, None]
+    scaled = amount[:, None] * weights
+    shares = scaled // divisor
+    order = np.argsort(-(scaled % divisor), axis=1, kind="stable")
+    open_by_rank = np.take_along_axis(weights > shares, order, axis=1)
+    leftover = amount - shares.sum(axis=1)
+    one_more = np.zeros(weights.shape, dtype=bool)
+    np.put_along_axis(one_more, order, open_by_rank & (open_by_rank.cumsum(axis=1) <= leftover[:, None]), axis=1)
+    return shares + one_more
+
+
+def _first_feasible(candidates: np.ndarray, feasible: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first candidate where ``feasible`` holds, or 0 where it holds nowhere; and whether it holds."""
+    found = feasible.any(axis=1)
+    first = np.take_along_axis(candidates, feasible.argmax(axis=1)[:, None], axis=1)[:, 0]
+    return np.where(found, first, 0), found
+
+
+def _round_to_targets(
+    spec: RoundingSpec,
+    rows: np.ndarray,
+    registered: np.ndarray,
+    cast: np.ndarray,
+    votes: np.ndarray,
+    leader_idx: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Move each of ``rows`` to the nearest percent target reachable within the cap, in place.
+
+    Returns the leader votes added to each row (negative when the leader
+    loses votes) and whether each row was rounded.  Each row's targets form
+    one row of a candidate matrix, in the order they are tried: by
+    (distance, target) from the current leader share, or ascending for
+    turnout, which only stuffing can move; a row takes its first feasible
+    candidate.  A target percent t of a count n is round-half-up(n * t / 100).
+    Leader share moves at fixed turnout: the votes it takes from the other
+    parties, or gives to them, zero-vote parties too, are apportioned in
+    proportion to their votes (plus one each when giving).
+    """
+    targets = np.sort(np.asarray(spec.targets, dtype=np.int64))
+    cap = spec.max_adjustment + 1e-12
+    c = cast[rows][:, None]
+    if spec.quantity == QUANTITY_TURNOUT:
+        reg = registered[rows][:, None]
+        delta = (2 * reg * targets + 100) // 200 - c
+        added, rounded = _first_feasible(delta, (0 <= delta) & (delta / reg <= cap) & (c + delta <= reg))
+        cast[rows] += added
+        votes[rows, leader_idx] += added
+        return added, rounded
+    v = votes[rows, leader_idx][:, None]
+    others = np.delete(votes[rows], leader_idx, axis=1)
+    counted = np.maximum(c, 1)  # a row with no ballots cast is never rounded
+    candidates = targets[np.argsort(np.abs(targets - 100.0 * v / counted), axis=1, kind="stable")]
+    delta = (2 * c * candidates + 100) // 200 - v
+    delta, rounded = _first_feasible(
+        delta, (c > 0) & (np.abs(delta) / counted <= cap) & (delta <= others.sum(axis=1, keepdims=True))
+    )
+    # taken from the others, or given to them with one extra vote of weight each
+    weights = np.where(delta[:, None] > 0, others, others + 1)
+    amount = np.abs(delta)
+    exact = amount > _INT64_MAX // np.maximum(weights.sum(axis=1), 1)  # amount * total would pass int64
+    moved = np.empty_like(weights)
+    moved[~exact] = _apportion(amount[~exact], weights[~exact])
+    moved[exact] = _apportion(amount[exact].astype(object), weights[exact].astype(object))
+    moved *= np.sign(delta)[:, None]
+    added = moved.sum(axis=1)
+    votes[rows[:, None], np.delete(np.arange(votes.shape[1]), leader_idx)] -= moved
+    votes[rows, leader_idx] += added
+    return added, rounded
 
 
 def apply_fraud(
@@ -578,44 +640,9 @@ def apply_fraud(
 
     spec = scenario.target_rounding
     if spec.fraction > 0 and spec.targets:
-        targets = sorted(spec.targets)
-        cap = spec.max_adjustment + 1e-12
-        other_idx = [j for j in range(votes.shape[1]) if j != leader_idx]
-        # Python ints and scalar writes: int64 amount * weight overflows near MAX_COUNT; fancy writes are slower
-        for i in affected_set(spec.fraction):
-            c = int(cast[i])
-            if spec.quantity == QUANTITY_LEADER_SHARE:
-                if c == 0:
-                    skipped.append(pids[i])
-                    continue
-                v = int(votes[i, leader_idx])
-                others = [int(votes[i, j]) for j in other_idx]
-                current = 100.0 * v / c
-                for t in sorted(targets, key=lambda t: (abs(t - current), t)):
-                    delta = _half_up(c * t, 100) - v
-                    if abs(delta) / c <= cap and delta <= sum(others):
-                        break
-                else:
-                    skipped.append(pids[i])
-                    continue
-                # signed: taken from the others, or given to them (zero-vote parties too)
-                moved = _distribute(delta, others if delta > 0 else [o + 1 for o in others])
-                for j, m in zip(other_idx, moved):
-                    votes[i, j] -= m
-                votes[i, leader_idx] += sum(moved)
-                rounding_delta[i] = sum(moved)
-            else:  # turnout: stuff up to the nearest reachable target at or above
-                reg = int(registered[i])
-                for t in targets:
-                    delta = _half_up(reg * t, 100) - c
-                    if 0 <= delta and delta / reg <= cap and c + delta <= reg:
-                        break
-                else:
-                    skipped.append(pids[i])
-                    continue
-                cast[i] += delta
-                votes[i, leader_idx] += delta
-                rounding_delta[i] = delta
+        affected = affected_set(spec.fraction)
+        rounding_delta[affected], rounded = _round_to_targets(spec, affected, registered, cast, votes, leader_idx)
+        skipped = pids[affected[~rounded]].tolist()
 
     spec = scenario.intraday_jump
     if spec.fraction > 0 and spec.size > 0:

@@ -16,6 +16,7 @@ from election_forensics.anomaly import (
 from election_forensics.errors import EmptyReferenceWindow
 from election_forensics.histograms import TurnoutBinTable, turnout_bin_table
 from election_forensics.scatter import ScatterPoint
+import reference_loops as reference
 from conftest import quick_dataset, record
 
 
@@ -331,6 +332,51 @@ def test_split_two_clusters_is_bit_identical_to_recorded_values(case):
     assert tuple(tuple(c.hex() for c in centroid) for centroid in split.centroids) == centroids
     assert tuple(w.hex() for w in split.weights) == weights
     assert hashlib.sha256(bytes(split.assignments)).hexdigest() == digest
+
+
+def _split_with(monkeypatch, em_batch, points, seed, restarts):
+    """The split, the sizes of the batches its restarts ran in, and every restart's fit, when ``em_batch`` fits them."""
+    sizes, fits = [], []
+
+    def recorded(xy, coords, seed, batch, tol):
+        sizes.append(len(batch))
+        fits.extend(em_batch(xy, coords, seed, batch, tol))
+        return fits[-len(batch):]
+
+    monkeypatch.setattr(anomaly, "_em_batch", recorded)
+    return split_two_clusters(points, seed=seed, restarts=restarts), sizes, fits
+
+
+def _assert_same_split(monkeypatch, points, seed, restarts, sizes):
+    """The batched restarts give the split, and every restart the fit, of each restart fitted alone, bit for bit."""
+    batched, batch_sizes, fits = _split_with(monkeypatch, anomaly._em_batch, points, seed, restarts)
+    alone, _, alone_fits = _split_with(monkeypatch, reference.em_batch_by_restart, points, seed, restarts)
+    assert batch_sizes == sizes
+    assert batched == alone
+    assert len(fits) == len(alone_fits) == restarts
+    for fit, expected in zip(fits, alone_fits):
+        assert (fit.ll, fit.iterations, fit.delta_ll) == (expected.ll, expected.iterations, expected.delta_ll)
+        for got, want in ((fit.mu, expected.mu), (fit.resp, expected.resp)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return batched
+
+
+# (points, restarts, batch sizes): each restart count passes a batch edge,
+# at 2**14 // (2 * points) restarts per batch.
+@pytest.mark.parametrize(
+    "n,restarts,sizes", [(20, 3, [3]), (777, 11, [10, 1]), (1000, 9, [8, 1]), (1000, 17, [8, 8, 1]), (16_000, 2, [1, 1])]
+)
+def test_batched_em_restarts_match_each_restart_fitted_alone(monkeypatch, n, restarts, sizes):
+    rng = np.random.default_rng(n)
+    points = _blob_points(rng, (0.45, 0.30), 0.03, n // 2) + _blob_points(rng, (0.75, 0.65), 0.03, n - n // 2, n // 2)
+    _assert_same_split(monkeypatch, points, 5, restarts, sizes)
+
+
+def test_batched_em_keeps_a_restart_that_hits_the_iteration_cap(monkeypatch):
+    """c10's single blob at seed 4: restarts 4 and 5 stop at the cap while the rest of their batch converges, and 8 alone."""
+    _, one = _c10_inputs(4)
+    split = _assert_same_split(monkeypatch, one, 4, 9, [8, 1])
+    assert [r for r, it in enumerate(split.em_iterations) if it == anomaly._MAX_EM_ITER] == [4, 5, 8]
 
 
 def test_stuffing_then_transfer_scenarios_behave_as_expected_end_to_end():

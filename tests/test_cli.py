@@ -562,7 +562,7 @@ def test_clusters_with_too_many_restarts_exits_one_before_any_fit(fixtures_dir, 
     def no_fit(*args):
         raise AssertionError("an EM fit started")
 
-    monkeypatch.setattr(anomaly, "_em_two_spherical", no_fit)
+    monkeypatch.setattr(anomaly, "_em_batch", no_fit)
     rc = main(["clusters", "--in", str(fixtures_dir / "round_targets_precincts.csv"), "--leader", "UNITY",
                "--seed", "1", "--restarts", "100000000", "--out", str(tmp_path / "o")])
     assert rc == 1

@@ -87,6 +87,31 @@ def test_split_two_clusters_16k_points(benchmark):
     assert split.converged
 
 
+def test_split_two_clusters_1k_calibration_points(benchmark):
+    """The split of a calibration trial: the first 1,000 precincts of a 1,500-precinct election with fraud."""
+    component = synth.TurnoutComponent
+    model = synth.HonestModel(
+        precincts=1500,
+        parties=("LEAD", "OPA", "OPB", "OPC"),
+        baseline_shares=(0.60, 0.20, 0.10, 0.05),
+        leader="LEAD",
+        registered_median=1200,
+        registered_min=200,
+        registered_max=5000,
+        turnout_components=(component(0.30, 0.06, 0.35), component(0.55, 0.07, 0.65)),
+    )
+    scenario = synth.FraudScenario(
+        stuffing=synth.StuffingSpec(fraction=0.15, intensity=0.15),
+        transfer=synth.TransferSpec(fraction=0.15, amount=0.30),
+        target_rounding=synth.RoundingSpec(fraction=0.30, targets=(70, 75, 80, 85), max_adjustment=0.05),
+    )
+    ds = synth.synthesize(model, scenario, seed=0).dataset
+    points = build_points(ds, "LEAD", y_mode="share_of_cast").take(np.arange(1000))
+    split = benchmark.pedantic(split_two_clusters, args=(points,), kwargs={"seed": 0}, rounds=5)
+    assert len(split.assignments) == 1000
+    assert len(split.em_iterations) == 20
+
+
 def test_simulate_null_3k_precincts(benchmark):
     model = synth.HonestModel(
         precincts=3000, parties=("A", "B", "C"), baseline_shares=(0.55, 0.3, 0.1), leader="A"
@@ -150,6 +175,38 @@ def _national_100k():
         transfer=synth.TransferSpec(fraction=0.08, amount=0.50),
     )
     return synth.synthesize(model, scenario, seed=0)
+
+
+def test_apply_fraud_100k_precincts_national_scenario(benchmark):
+    """All four mechanisms, 5% of precincts rounded to a leader share of 75, 80 or 85%."""
+    model = synth.HonestModel(
+        precincts=100_000,
+        parties=("A", "B", "C", "D"),
+        baseline_shares=(0.52, 0.22, 0.13, 0.08),
+        leader="A",
+        registered_median=1200,
+        registered_sigma=0.45,
+        registered_min=150,
+        registered_max=5000,
+        turnout_components=(
+            synth.TurnoutComponent(0.25, 0.05, 0.25),
+            synth.TurnoutComponent(0.50, 0.08, 0.55),
+            synth.TurnoutComponent(0.68, 0.06, 0.20),
+        ),
+        machine_fraction=0.3,
+        territories=8,
+    )
+    scenario = synth.FraudScenario(
+        stuffing=synth.StuffingSpec(fraction=0.08, intensity=0.10),
+        transfer=synth.TransferSpec(fraction=0.08, amount=0.50),
+        target_rounding=synth.RoundingSpec(fraction=0.05, targets=(75, 80, 85), max_adjustment=0.05),
+        intraday_jump=synth.JumpSpec(fraction=0.01, size=0.20),
+        seed=0,
+    )
+    honest = synth.generate_honest(model, 0)
+    _, truth = benchmark.pedantic(synth.apply_fraud, args=(honest.dataset, scenario), rounds=3)
+    assert np.count_nonzero(truth.rounding_delta) > 4000
+    assert len(truth.rounding_skipped) < 100
 
 
 def test_serialize_dataset_100k_precincts(benchmark):

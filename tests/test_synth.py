@@ -4,11 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from election_forensics import synth
 from election_forensics.dataset import MAX_COUNT, check_invariants, parse_dataset, serialize_dataset
 from election_forensics.errors import InvalidModel
 from election_forensics.peaks import detect_round_peaks
+import reference_loops as reference
 from conftest import quick_dataset, record
 
 
@@ -214,6 +217,56 @@ def test_turnout_rounding_stuffs_upward_only():
         assert min(abs(pct - 60), abs(pct - 65)) <= 0.5 + 1e-9
         hits += 1
     assert hits > 400
+
+
+@st.composite
+def _rounding_rows(draw):
+    """Precinct counts, the order their rows are rounded in, a leader column, targets and a cap.
+
+    Small counts put many leader shares midway between two targets; some
+    parties get no votes; counts up to MAX_COUNT pass int64 in amount * total.
+    """
+    parties = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([12, 2_000, MAX_COUNT]))
+    registered, cast, votes = [], [], []
+    for _ in range(draw(st.integers(0, 8))):
+        registered.append(draw(st.integers(1, scale)))
+        cast.append(draw(st.integers(0, registered[-1])))
+        row, left = [], cast[-1]
+        for _ in range(parties):
+            row.append(draw(st.one_of(st.just(0), st.integers(0, left))))
+            left -= row[-1]
+        votes.append(draw(st.permutations(row)))
+    order = draw(st.permutations(range(len(cast))))
+    leader = draw(st.integers(0, parties - 1))
+    targets = tuple(draw(st.lists(st.sampled_from([0, 25, 50, 60, 70, 75, 80, 100]), min_size=1, max_size=5)))
+    cap = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    return registered, cast, np.array(votes, dtype=np.int64).reshape(-1, parties), order, leader, targets, cap
+
+
+@pytest.mark.parametrize("quantity", ["leader_share", "turnout"])
+@given(case=_rounding_rows())
+# a leader share of 75% between the targets 70 and 80, with a zero-vote party
+@example(case=([40, 40], [20, 0], np.array([[15, 5, 0], [0, 0, 0]]), [1, 0], 0, (80, 70), 1.0))
+# counts near MAX_COUNT: amount * total reaches ~5e21, taken from the others and given to them
+@example(case=(
+    [MAX_COUNT, MAX_COUNT],
+    [MAX_COUNT, MAX_COUNT - 7],
+    np.array([[730_000_000_000, 100_000_000_000, 0, 90_000_000_003], [769_999_999_999, 0, 229_999_999_994, 0]]),
+    [0, 1], 0, (75, 85), 0.05,
+))
+@settings(max_examples=150, deadline=None)
+def test_rounding_matches_the_row_by_row_loop(quantity, case):
+    registered, cast, votes, order, leader, targets, cap = case
+    spec = synth.RoundingSpec(fraction=1.0, targets=targets, quantity=quantity, max_adjustment=cap)
+    rows = np.array(order, dtype=np.int64)
+    counts = (np.array(registered, dtype=np.int64), np.array(cast, dtype=np.int64), votes)
+    got_counts = tuple(c.copy() for c in counts)
+    want_counts = tuple(c.copy() for c in counts)
+    got = synth._round_to_targets(spec, rows, *got_counts, leader)
+    want = reference.round_to_targets_by_row(spec, rows, *want_counts, leader)
+    for g, w in zip(got + got_counts, want + want_counts):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_fraud_is_deterministic_and_nested_by_propensity():
