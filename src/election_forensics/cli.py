@@ -316,24 +316,26 @@ def cmd_synth(args) -> dict:
     if args.scenario:
         scenario, scenario_digest = _load(args.scenario, synth.scenario_from_json)
         inputs.append(scenario_digest)
-    generated = synth.synthesize(model, scenario, args.seed)
+    election = synth.synthesize(model, scenario, args.seed)
+    dataset, truth, intraday = election.dataset, election.truth, election.intraday
+    del election
     results = {
-        "precincts": len(generated.dataset),
-        "parties": list(generated.dataset.roster.ids),
-        "total_stuffed": int(generated.truth.stuffed.sum()),
-        "total_transferred": int(generated.truth.transferred.sum()),
-        "total_rounding_delta": int(generated.truth.rounding_delta.sum()),
-        "total_jump": int(generated.truth.jump.sum()),
-        "rounding_skipped": list(generated.truth.rounding_skipped),
-        "files": ["precincts.csv", "ground_truth.csv"]
-        + (["intraday.csv"] if generated.intraday else []),
+        "precincts": len(dataset),
+        "parties": list(dataset.roster.ids),
+        "total_stuffed": int(truth.stuffed.sum()),
+        "total_transferred": int(truth.transferred.sum()),
+        "total_rounding_delta": int(truth.rounding_delta.sum()),
+        "total_jump": int(truth.jump.sum()),
+        "rounding_skipped": list(truth.rounding_skipped),
+        "files": ["precincts.csv", "ground_truth.csv"] + (["intraday.csv"] if intraday else []),
     }
     out = Path(args.out)
-    atomic_write_text(out / "precincts.csv", serialize_dataset(generated.dataset))
-    atomic_write_text(out / "ground_truth.csv", generated.truth.to_csv())
-    # the largest file is written last, once the dataset and ground truth can be freed
-    intraday = generated.intraday
-    del generated
+    # Each file is written, and what only it needs freed, before the next:
+    # the ground truth, the dataset, and last the largest, intraday.csv.
+    atomic_write_text(out / "ground_truth.csv", truth.to_csv())
+    del truth
+    atomic_write_text(out / "precincts.csv", serialize_dataset(dataset))
+    del dataset
     if intraday:
         atomic_write_text(out / "intraday.csv", dynamics.serialize_intraday(intraday))
     return {"results": results, "inputs": inputs}

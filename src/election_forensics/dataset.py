@@ -184,9 +184,11 @@ class ElectionDataset:
 
 def check_invariants(columns: DatasetArrays) -> None:
     """Raise InvariantViolation for the first row, in order, that breaks a count invariant."""
-    scalars = np.column_stack((columns.registered, columns.ballots_cast, columns.invalid))
-    negative = (scalars < 0).any(axis=1) | (columns.votes < 0).any(axis=1)
-    too_large = (scalars > MAX_COUNT).any(axis=1) | (columns.votes > MAX_COUNT).any(axis=1)
+    negative = (columns.votes < 0).any(axis=1)
+    too_large = (columns.votes > MAX_COUNT).any(axis=1)
+    for count in (columns.registered, columns.ballots_cast, columns.invalid):
+        negative |= count < 0
+        too_large |= count > MAX_COUNT
     # exact for rows within MAX_COUNT; rows outside it are reported above
     vote_sum = columns.votes.sum(axis=1)
     no_voters = columns.registered == 0

@@ -560,16 +560,18 @@ def simulate_null(
             at += shift
             total += bincount_percent(at.ravel(), block_weights, total.size)
 
-    # Imported here, not at the top: it loads logging, which no command that
-    # skips the null needs.  An executor starts no thread until a task is
-    # submitted, so one core means no thread at all.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-        others = [pool.submit(run, w) for w in range(1, workers)]
+    if workers == 1:
         run(0)
-        for future in others:
-            future.result()
+    else:
+        # Imported here, not at the top: it loads logging and threading,
+        # which no one-worker null needs.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            others = [pool.submit(run, w) for w in range(1, workers)]
+            run(0)
+            for future in others:
+                future.result()
     weights = counts.reshape(blocks * BLOCK, width)[:replicates, column]
     return NullDistribution(quantity, weight_mode, tuple(targets), weights, seed)
 

@@ -37,6 +37,7 @@ META_FILENAME = "report.meta.json"
 _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 _FILE_MODE = 0o666 & ~_UMASK
+WRITE_SLICE = 1 << 20  # characters of text encoded and written at a time
 
 
 def input_digest(path: str | Path, data: bytes) -> dict:
@@ -59,14 +60,16 @@ def atomic_write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file in its directory, renamed over it when complete.
 
     The file gets the mode ``open()`` would create it with, not
-    ``mkstemp``'s 0600.
+    ``mkstemp``'s 0600.  The text is written ``WRITE_SLICE`` characters at
+    a time, so only one slice's encoded copy is held at once.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             os.fchmod(handle.fileno(), _FILE_MODE)
-            handle.write(text)
+            for start in range(0, len(text), WRITE_SLICE):
+                handle.write(text[start : start + WRITE_SLICE])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -348,18 +348,23 @@ class GroundTruth:
 def _pre_fraud_truth(
     columns: DatasetArrays, leader_idx: int, component: np.ndarray, turnout_prob: np.ndarray
 ) -> GroundTruth:
-    """Ground truth of a dataset no fraud has touched: its counts are the honest ones."""
+    """Ground truth of a dataset no fraud has touched: its counts are the honest ones.
+
+    The four fraud columns are one shared, read-only column of zeros, and
+    ``honest_ballots_cast`` is the dataset's own read-only column.
+    """
     zeros = np.zeros(len(columns), dtype=np.int64)
+    zeros.flags.writeable = False
     return GroundTruth(
         precinct_ids=tuple(columns.precinct_ids.tolist()),
         component=component,
         turnout_prob=turnout_prob,
-        honest_ballots_cast=columns.ballots_cast.copy(),
+        honest_ballots_cast=columns.ballots_cast,
         honest_leader_votes=columns.votes[:, leader_idx].copy(),
         stuffed=zeros,
-        transferred=zeros.copy(),
-        rounding_delta=zeros.copy(),
-        jump=zeros.copy(),
+        transferred=zeros,
+        rounding_delta=zeros,
+        jump=zeros,
     )
 
 
@@ -391,9 +396,8 @@ def generate_honest(model: HonestModel, seed: int) -> SyntheticElection:
     cast = np.empty(n, dtype=np.int64)
     votes = np.empty((n, k), dtype=np.int64)
     machine = np.zeros(n, dtype=bool)
-    tail = np.empty(n, dtype=np.float64)
-    mid = np.empty(n, dtype=np.float64)
-    width = np.empty(n, dtype=np.float64)
+    times = np.asarray(sorted(model.report_times), dtype=np.int64)
+    cum = np.empty((n, times.size), dtype=np.int64)  # cumulative voters at each report time
 
     for b_start in range(0, n, BLOCK):
         b_end = min(b_start + BLOCK, n)
@@ -418,9 +422,14 @@ def generate_honest(model: HonestModel, seed: int) -> SyntheticElection:
             remaining -= v[:, j]
             used_p += probs[:, j]
         machine[b_start:b_end] = rng.random(m) < model.machine_fraction
-        tail[b_start:b_end] = rng.uniform(0.02, 0.06, m)
-        mid[b_start:b_end] = rng.uniform(13 * 60, 15 * 60, m)
-        width[b_start:b_end] = rng.uniform(150, 210, m)
+        tail = rng.uniform(0.02, 0.06, m)
+        mid = rng.uniform(13 * 60, 15 * 60, m)
+        width = rng.uniform(150, 210, m)
+        if times.size:  # logistic curves, scaled so that a tail of the ballots comes after the last report
+            f = 1.0 / (1.0 + np.exp(-(times[None, :] - mid[:, None]) / width[:, None]))
+            scale = (1.0 - tail)[:, None] / f[:, -1][:, None]
+            block_cum = np.floor(c[:, None] * f * scale).astype(np.int64)
+            np.maximum.accumulate(block_cum, axis=1, out=cum[b_start:b_end])  # guard against float non-monotonicity
 
         registered[b_start:b_end] = reg
         component[b_start:b_end] = comp
@@ -453,14 +462,9 @@ def generate_honest(model: HonestModel, seed: int) -> SyntheticElection:
     dataset = ElectionDataset(f"synthetic-{seed}", PartyRoster(model.parties), columns, model.leader)
 
     intraday = IntradayTable.from_series({})
-    if model.report_times and n:
-        times = np.asarray(sorted(model.report_times), dtype=np.int64)
-        f = 1.0 / (1.0 + np.exp(-(times[None, :] - mid[:, None]) / width[:, None]))
-        scale = (1.0 - tail)[:, None] / f[:, -1][:, None]
-        cum = np.floor(cast[:, None] * f * scale).astype(np.int64)
-        cum = np.maximum.accumulate(cum, axis=1)  # guard against float non-monotonicity
+    if times.size and n:
         intraday = IntradayTable(
-            columns.precinct_ids, np.arange(0, cum.size + 1, len(times)), np.tile(times, n), cum.ravel()
+            columns.precinct_ids, np.arange(0, cum.size + 1, times.size), np.tile(times, n), cum.ravel()
         )
 
     truth = _pre_fraud_truth(columns, dataset.leader_index, component, turnout_prob)
@@ -599,6 +603,7 @@ def apply_fraud(
         eligible &= ~arrays.machine_counted
     eligible_idx = np.flatnonzero(eligible)
     by_propensity = eligible_idx[np.argsort(propensity[eligible_idx], kind="stable")]
+    del propensity, eligible, eligible_idx
 
     def affected_set(fraction: float) -> np.ndarray:
         return by_propensity[: round(fraction * by_propensity.size)]
@@ -654,12 +659,16 @@ def apply_fraud(
     new_dataset = ElectionDataset(
         dataset.election_id, dataset.roster, columns, dataset.designated_leader
     )
+    stuffed += truth.stuffed
+    transferred += truth.transferred
+    rounding_delta += truth.rounding_delta
+    jump += truth.jump
     new_truth = replace(
         truth,
-        stuffed=truth.stuffed + stuffed,
-        transferred=truth.transferred + transferred,
-        rounding_delta=truth.rounding_delta + rounding_delta,
-        jump=truth.jump + jump,
+        stuffed=stuffed,
+        transferred=transferred,
+        rounding_delta=rounding_delta,
+        jump=jump,
         rounding_skipped=truth.rounding_skipped + tuple(skipped),
     )
     return new_dataset, new_truth

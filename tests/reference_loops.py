@@ -1,11 +1,14 @@
-"""One-at-a-time forms of two array computations, kept as a test reference.
+"""Earlier forms of three array computations, kept as a test reference.
 
 ``em_batch_by_restart`` fits a split's EM restarts one after another, each
 on its own (2, n) rows, where the library fits a batch of them together
 as (r, 2, n) arrays.  ``round_to_targets_by_row`` walks the rounded
 precincts one at a time in exact Python integers, where the library lays
-their candidate targets out as a matrix.  The tests in ``test_anomaly.py``
-and ``test_synth.py`` require both forms to give the same bits.
+their candidate targets out as a matrix.  ``generate_honest_whole_election``
+draws the intraday curves' parameters into whole-election arrays and
+computes every curve at once, where the library computes each block's
+curves inside its draw loop.  The tests in ``test_anomaly.py`` and
+``test_synth.py`` require both forms to give the same bits.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from election_forensics import anomaly
+from election_forensics.dataset import DatasetArrays, ElectionDataset, PartyRoster, no_tags
+from election_forensics.dynamics import IntradayTable
 from election_forensics.histograms import QUANTITY_LEADER_SHARE
-from election_forensics.synth import RoundingSpec
+from election_forensics.synth import BLOCK, GroundTruth, HonestModel, RoundingSpec, SyntheticElection, _block_rng
 
 
 def em_two_spherical(xy: np.ndarray, rng: np.random.Generator, tol: float) -> anomaly._EMFit:
@@ -132,3 +137,96 @@ def round_to_targets_by_row(
             added[row] = delta
         rounded[row] = True
     return added, rounded
+
+
+def generate_honest_whole_election(model: HonestModel, seed: int) -> SyntheticElection:
+    """``synth.generate_honest`` with the intraday curves computed for the whole election at once."""
+    n = model.precincts
+    k = len(model.parties)
+    s_base = float(sum(model.baseline_shares))
+    base = np.asarray(model.baseline_shares, dtype=np.float64)
+    comp_means = np.array([c.mean for c in model.turnout_components])
+    comp_sds = np.array([c.sd for c in model.turnout_components])
+    comp_weights = np.array([c.weight for c in model.turnout_components])
+
+    registered = np.empty(n, dtype=np.int64)
+    component = np.empty(n, dtype=np.int64)
+    turnout_prob = np.empty(n, dtype=np.float64)
+    cast = np.empty(n, dtype=np.int64)
+    votes = np.empty((n, k), dtype=np.int64)
+    machine = np.zeros(n, dtype=bool)
+    tail = np.empty(n, dtype=np.float64)
+    mid = np.empty(n, dtype=np.float64)
+    width = np.empty(n, dtype=np.float64)
+
+    for b_start in range(0, n, BLOCK):
+        b_end = min(b_start + BLOCK, n)
+        m = b_end - b_start
+        rng = _block_rng(seed, b_start // BLOCK)
+        reg = rng.lognormal(math.log(model.registered_median), model.registered_sigma, m)
+        reg = np.clip(np.rint(reg), model.registered_min, model.registered_max).astype(np.int64)
+        comp = rng.choice(len(comp_weights), size=m, p=comp_weights)
+        t = np.clip(rng.normal(comp_means[comp], comp_sds[comp]), 0.0, 1.0)
+        c = rng.binomial(reg, t)
+        eps = rng.normal(0.0, model.share_noise_sd, (m, k))
+        raw = np.maximum(base[None, :] + eps, 1e-9)
+        probs = raw * (s_base / raw.sum(axis=1))[:, None]
+        v = np.zeros((m, k), dtype=np.int64)
+        remaining = c.copy()
+        used_p = np.zeros(m)
+        for j in range(k):
+            denom = np.maximum(1.0 - used_p, 1e-12)
+            q = np.clip(probs[:, j] / denom, 0.0, 1.0)
+            v[:, j] = rng.binomial(remaining, q)
+            remaining -= v[:, j]
+            used_p += probs[:, j]
+        machine[b_start:b_end] = rng.random(m) < model.machine_fraction
+        tail[b_start:b_end] = rng.uniform(0.02, 0.06, m)
+        mid[b_start:b_end] = rng.uniform(13 * 60, 15 * 60, m)
+        width[b_start:b_end] = rng.uniform(150, 210, m)
+
+        registered[b_start:b_end] = reg
+        component[b_start:b_end] = comp
+        turnout_prob[b_start:b_end] = t
+        cast[b_start:b_end] = c
+        votes[b_start:b_end] = v
+
+    pad = max(5, len(str(max(n - 1, 0))))
+    precinct_ids = np.array([f"p{i:0{pad}d}" for i in range(n)], dtype=object)
+    used = min(model.territories, max(n, 1))
+    columns = DatasetArrays(
+        precinct_ids=precinct_ids,
+        region=np.full(n, "R1", dtype=object),
+        territory=np.array([f"T{i % used + 1}" for i in range(n)], dtype=object),
+        registered=registered,
+        ballots_cast=cast,
+        invalid=cast - votes.sum(axis=1),
+        machine_counted=machine,
+        votes=votes,
+        tags=no_tags(n),
+    )
+    dataset = ElectionDataset(f"synthetic-{seed}", PartyRoster(model.parties), columns, model.leader)
+
+    intraday = IntradayTable.from_series({})
+    if model.report_times and n:
+        times = np.asarray(sorted(model.report_times), dtype=np.int64)
+        f = 1.0 / (1.0 + np.exp(-(times[None, :] - mid[:, None]) / width[:, None]))
+        scale = (1.0 - tail)[:, None] / f[:, -1][:, None]
+        cum = np.floor(cast[:, None] * f * scale).astype(np.int64)
+        cum = np.maximum.accumulate(cum, axis=1)  # guard against float non-monotonicity
+        intraday = IntradayTable(
+            columns.precinct_ids, np.arange(0, cum.size + 1, len(times)), np.tile(times, n), cum.ravel()
+        )
+
+    truth = GroundTruth(
+        precinct_ids=tuple(precinct_ids.tolist()),
+        component=component,
+        turnout_prob=turnout_prob,
+        honest_ballots_cast=cast.copy(),
+        honest_leader_votes=votes[:, dataset.leader_index].copy(),
+        stuffed=np.zeros(n, dtype=np.int64),
+        transferred=np.zeros(n, dtype=np.int64),
+        rounding_delta=np.zeros(n, dtype=np.int64),
+        jump=np.zeros(n, dtype=np.int64),
+    )
+    return SyntheticElection(dataset=dataset, truth=truth, intraday=intraday)

@@ -10,13 +10,15 @@ import pytest
 import election_forensics
 from election_forensics.report import (
     CAVEAT,
+    WRITE_SLICE,
+    atomic_write_text,
     build_report,
     input_digest,
     render_report,
     write_report,
 )
 
-from conftest import REPORT_SCHEMA
+from conftest import REPORT_SCHEMA, traced_peak
 
 
 def _sample(tmp_path: Path) -> dict:
@@ -86,3 +88,15 @@ def test_atomic_write_text_creates_files_with_the_umask_mode(tmp_path, umask, mo
     ran = subprocess.run([sys.executable, "-c", _MODE_SCRIPT, oct(umask), str(tmp_path)], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
     assert ran.stdout.split() == [oct(mode), oct(mode)]
+
+
+def test_atomic_write_text_encodes_one_slice_at_a_time(tmp_path):
+    # multi-byte characters on both sides of each slice boundary
+    text = ("ж" + "a" * (WRITE_SLICE - 2) + "й") * 3 + "ё\n"
+    atomic_write_text(tmp_path / "wide.txt", text)
+    assert (tmp_path / "wide.txt").read_bytes() == text.encode("utf-8")
+    long = "0123456789abcde\n" * (WRITE_SLICE // 2)  # 8 MiB
+    _, peak = traced_peak(lambda: atomic_write_text(tmp_path / "long.txt", long))
+    # a slice and its encoding, 2 MiB; encoded whole, the text took 8 MiB more
+    assert peak < 3 * WRITE_SLICE, peak
+    assert (tmp_path / "long.txt").read_text() == long

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -29,6 +30,50 @@ def small_model(**overrides):
 def test_zero_precincts_gives_empty_dataset():
     gen = synth.generate_honest(small_model(precincts=0), seed=1)
     assert len(gen.dataset) == 0
+
+
+@pytest.mark.parametrize("times", [(600, 720, 900, 1080), ()], ids=["intraday", "no_intraday"])
+@pytest.mark.parametrize("n", [1, synth.BLOCK - 1, synth.BLOCK, synth.BLOCK + 1, 2 * synth.BLOCK + 17])
+def test_blockwise_curves_match_the_whole_election_formula_bit_for_bit(n, times):
+    model = small_model(precincts=n, report_times=times, machine_fraction=0.3, territories=7)
+    got = synth.generate_honest(model, seed=31)
+    want = reference.generate_honest_whole_election(model, seed=31)
+    for column in ("precinct_ids", "starts", "minutes", "cumulative"):
+        assert np.array_equal(getattr(got.intraday, column), getattr(want.intraday, column)), column
+    assert len(got.intraday) == (n if times else 0)
+    assert got.dataset == want.dataset
+    for f in fields(synth.GroundTruth):
+        mine, theirs = getattr(got.truth, f.name), getattr(want.truth, f.name)
+        if isinstance(theirs, np.ndarray):
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), f.name
+        else:
+            assert mine == theirs, f.name
+
+
+def test_pre_fraud_truth_shares_one_read_only_zero_column_that_fraud_leaves_at_zero():
+    gen = synth.generate_honest(small_model(precincts=300), seed=4)
+    truth = gen.truth
+    zeros = truth.stuffed
+    assert all(getattr(truth, name) is zeros for name in ("transferred", "rounding_delta", "jump"))
+    assert not zeros.flags.writeable and not np.any(zeros)
+    with pytest.raises(ValueError):
+        zeros[0] = 1
+    assert truth.honest_ballots_cast is gen.dataset.counts().ballots_cast
+    scenario = synth.FraudScenario(
+        stuffing=synth.StuffingSpec(0.2, 0.1),
+        transfer=synth.TransferSpec(0.2, 0.5),
+        target_rounding=synth.RoundingSpec(0.1, targets=(60, 70)),
+        intraday_jump=synth.JumpSpec(0.05, 0.1),
+    )
+    _, after = synth.apply_fraud(gen.dataset, scenario, seed=4, truth=truth)
+    mechanisms = [getattr(after, name) for name in ("stuffed", "transferred", "rounding_delta", "jump")]
+    assert all(column is not zeros for column in mechanisms)
+    assert len({id(column) for column in mechanisms}) == 4
+    assert all(np.any(column) for column in mechanisms)
+    assert not np.any(zeros)
+    # a second round adds to the first round's counts
+    _, again = synth.apply_fraud(gen.dataset, scenario, seed=4, truth=after)
+    assert all(np.array_equal(getattr(again, name), 2 * getattr(after, name)) for name in ("stuffed", "jump"))
 
 
 def test_generation_is_deterministic_bytes():
