@@ -11,8 +11,7 @@ restated in every report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,8 +29,7 @@ PROXY_ASSUMPTION = (
 )
 
 
-@dataclass(frozen=True)
-class StuffingEstimate:
+class StuffingEstimate(NamedTuple):
     reference_ratio: float
     reference_window: tuple[float, float]
     anomalous_by_bin: tuple[float, ...]
@@ -100,8 +98,7 @@ def estimate_stuffing(
     )
 
 
-@dataclass(frozen=True)
-class SuperlinearityResult:
+class SuperlinearityResult(NamedTuple):
     verdict: str  # "linear" | "superlinear"
     lower_fit: TrendFit
     upper_fit: TrendFit
@@ -152,8 +149,7 @@ def superlinearity_check(points: PointCloud | Sequence[ScatterPoint]) -> Superli
     return SuperlinearityResult(verdict, lower_fit, upper_fit, lower_se, upper_se, split_x)
 
 
-@dataclass(frozen=True)
-class ClusterSplit:
+class ClusterSplit(NamedTuple):
     assignments: tuple[int, ...]
     centroids: tuple[tuple[float, float], tuple[float, float]]
     weights: tuple[float, float]
@@ -239,8 +235,7 @@ def _e_step(logdens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lse, np.where((diff >= 0)[..., None, :], larger_first, larger_first[..., ::-1, :])
 
 
-@dataclass(frozen=True)
-class _EMFit:
+class _EMFit(NamedTuple):
     ll: float
     mu: np.ndarray  # (2, 2): one (x, y) mean per component
     resp: np.ndarray  # (2, n): each component's responsibilities

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -552,5 +553,29 @@ def _run(argv: list[str]) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry (the ``ef`` script, ``python -m election_forensics.cli``): ``main()``, then exit at once.
+
+    The standard streams are flushed and the process ends with
+    ``os._exit``, skipping the interpreter's teardown of every module and
+    object, which takes longer than many commands.  So atexit handlers and
+    finalizers do not run.  A flush that fails makes a run that succeeded
+    exit 2 with one ``ERROR IO`` line; a run that failed keeps its code and
+    its one error line.  In-process callers use ``main``.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError as exc:
+            if code == 0:
+                code = 2
+                try:
+                    print(f"ERROR IO: {exc}", file=sys.stderr, flush=True)
+                except OSError:
+                    pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,8 +63,7 @@ def ks_statistic(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(np.abs(fx - fy).max())
 
 
-@dataclass(frozen=True)
-class SubsetContrast:
+class SubsetContrast(NamedTuple):
     label_a: str
     label_b: str
     parties: tuple[str, ...]
@@ -124,8 +123,7 @@ def subset_contrast(
     )
 
 
-@dataclass(frozen=True)
-class DeltaRow:
+class DeltaRow(NamedTuple):
     """Share/turnout change for one unit between elections A (older) and B (newer)."""
 
     unit: str
@@ -331,8 +329,7 @@ def parse_protocols(csv_text: str, leader: str) -> tuple[ElectionDataset, Electi
     )
 
 
-@dataclass(frozen=True)
-class PairedScanResult:
+class PairedScanResult(NamedTuple):
     party: str
     threshold: int
     a_over_b: tuple[tuple[str, int], ...]  # (precinct_id, gap)

@@ -31,7 +31,7 @@ import io
 import re
 from dataclasses import dataclass, fields
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,8 +81,7 @@ class PartyRoster:
             raise UnknownParty(f"party {party!r} not in roster {self.ids}") from None
 
 
-@dataclass(frozen=True)
-class PrecinctRecord:
+class PrecinctRecord(NamedTuple):
     """One polling station's protocol line, as a row (see ``make_dataset``)."""
 
     precinct_id: str

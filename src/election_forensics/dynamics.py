@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,8 +37,7 @@ MINUTES_PER_DAY = 24 * 60
 INTRADAY_HEADER = ["precinct_id", "time", "cumulative_voted"]
 
 
-@dataclass(frozen=True)
-class IntradaySeries:
+class IntradaySeries(NamedTuple):
     """One precinct's intraday reports, in order."""
 
     precinct_id: str

@@ -9,7 +9,7 @@ and used identically by the observed histogram and the Monte-Carlo null.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ def resolve_quantity(dataset: ElectionDataset, quantity: str) -> tuple[np.ndarra
     return arrays.votes[:, party_idx], denom, mask
 
 
-@dataclass(frozen=True)
-class IntegerPercentHistogram:
+class IntegerPercentHistogram(NamedTuple):
     quantity: str
     weight_mode: str
     bins: tuple[int, ...]  # length 101, index = integer percent
@@ -113,8 +112,7 @@ def integer_percent_histogram(
     return IntegerPercentHistogram(quantity, weight_mode, tuple(int(c) for c in counts))
 
 
-@dataclass(frozen=True)
-class TurnoutBinTable:
+class TurnoutBinTable(NamedTuple):
     """Per-party vote totals aggregated in fixed-width turnout bins.
 
     All the votes of a precinct land in the single bin containing its

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,8 +105,7 @@ DIAGNOSTIC_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class NullDistribution:
+class NullDistribution(NamedTuple):
     quantity: str
     weight_mode: str
     targets: tuple[int, ...]
@@ -118,8 +117,7 @@ class NullDistribution:
         return self.weights.shape[0]
 
 
-@dataclass(frozen=True)
-class PeakReport:
+class PeakReport(NamedTuple):
     quantity: str
     weight_mode: str
     targets: tuple[int, ...]

@@ -11,10 +11,9 @@ log-space float with ~1e-12 relative accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import BadCounts, NonPositiveInput
 
@@ -40,8 +39,7 @@ def to_fraction(x: Rational) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class OddsResult:
+class OddsResult(NamedTuple):
     """Posterior odds of hypothesis B against hypothesis A."""
 
     odds: Fraction
@@ -88,8 +86,7 @@ def run_probability(p: Rational, n: int) -> Fraction | float:
     return math.exp(n * math.log(pf)) if pf else 0.0
 
 
-@dataclass(frozen=True)
-class CoincidenceResult:
+class CoincidenceResult(NamedTuple):
     probability: Fraction | None  # exact value when total <= EXACT_COMB_LIMIT
     decimal: float
     total: int

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import repeat
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,8 +23,7 @@ OTHERS = "others"
 Y_MODES = ("share_of_registered", "share_of_cast")
 
 
-@dataclass(frozen=True)
-class ScatterPoint:
+class ScatterPoint(NamedTuple):
     precinct_id: str
     x: float
     y: float
@@ -79,8 +79,7 @@ class PointCloud:
         return np.column_stack((self.x, self.y))
 
 
-@dataclass(frozen=True)
-class TrendFit:
+class TrendFit(NamedTuple):
     slope: float
     intercept: float
     residual_rms: float
@@ -115,13 +114,32 @@ def build_points(
     return PointCloud(c.precinct_ids, x, y, c.registered)
 
 
+def _pow2(d: np.ndarray) -> np.ndarray:
+    """Each element's ``math.pow(d, 2.0)``: libm ``pow``, as Python's ``d ** 2`` computes it.
+
+    numpy's ``d ** 2`` and ``d * d`` differ from libm in the last bit of
+    some elements.
+    """
+    return np.fromiter(map(math.pow, d.tolist(), repeat(2.0)), dtype=np.float64, count=len(d))
+
+
+def _sum(a: np.ndarray) -> float:
+    """Python's ``sum`` of the elements as floats: added one by one, left to right, from 0.
+
+    A sequential ``cumsum``; adding 0.0 turns its -0.0 into the 0.0 that
+    ``0 + -0.0`` gives.
+    """
+    return float(np.cumsum(a)[-1]) + 0.0 if len(a) else 0.0
+
+
 def fit_trend(points: PointCloud | Sequence[ScatterPoint], weighting: str = "uniform") -> TrendFit:
     """Least-squares line y = slope*x + intercept over the cloud.
 
     weighting="by_registered" weights each point by its registered count,
-    so large precincts dominate the fit.  The sums run left to right over
-    Python floats: ``d ** 2`` is libm ``pow``, which numpy's ``d * d`` does
-    not match in every last bit.
+    so large precincts dominate the fit.  The results are bit for bit those
+    of the sums over Python floats (``tests/reference_loops.py``): products
+    and differences elementwise, squares by libm ``pow`` and sums left to
+    right (``_pow2``, ``_sum``).
     """
     if weighting not in ("uniform", "by_registered"):
         raise ValueError(f"unknown weighting {weighting!r}")
@@ -129,21 +147,19 @@ def fit_trend(points: PointCloud | Sequence[ScatterPoint], weighting: str = "uni
     if n < 2:
         raise DegenerateX("need at least 2 points to fit a trend")
     cloud = PointCloud.of(points)
-    xs, ys = cloud.x.tolist(), cloud.y.tolist()
-    if weighting == "uniform":
-        w = [1.0] * n
-    else:
-        w = cloud.weight.astype(np.float64).tolist()
-    sw = sum(w)
-    mx = sum([wi * x for wi, x in zip(w, xs)]) / sw
-    my = sum([wi * y for wi, y in zip(w, ys)]) / sw
-    sxx = sum([wi * (x - mx) ** 2 for wi, x in zip(w, xs)])
+    x, y = cloud.x, cloud.y
+    w = np.ones(n) if weighting == "uniform" else cloud.weight.astype(np.float64)
+    sw = _sum(w)
+    mx = _sum(w * x) / sw
+    my = _sum(w * y) / sw
+    dx = x - mx
+    sxx = _sum(w * _pow2(dx))
     if sxx == 0.0:
         raise DegenerateX("all x values identical; slope undefined")
-    sxy = sum([wi * (x - mx) * (y - my) for wi, x, y in zip(w, xs, ys)])
+    sxy = _sum(w * dx * (y - my))
     slope = sxy / sxx
     intercept = my - slope * mx
-    rss = sum([wi * (y - (slope * x + intercept)) ** 2 for wi, x, y in zip(w, xs, ys)])
+    rss = _sum(w * _pow2(y - (slope * x + intercept)))
     return TrendFit(slope, intercept, math.sqrt(rss / sw), n)
 
 
@@ -153,8 +169,7 @@ def slope_standard_error(points: PointCloud | Sequence[ScatterPoint], fit: Trend
     if n <= 2:
         return float("inf")
     cloud = PointCloud.of(points)
-    xs, ys = cloud.x.tolist(), cloud.y.tolist()
-    mx = sum(xs) / n
-    sxx = sum([(x - mx) ** 2 for x in xs])
-    rss = sum([(y - (fit.slope * x + fit.intercept)) ** 2 for x, y in zip(xs, ys)])
+    x, y = cloud.x, cloud.y
+    sxx = _sum(_pow2(x - _sum(x) / n))
+    rss = _sum(_pow2(y - (fit.slope * x + fit.intercept)))
     return math.sqrt(rss / (n - 2) / sxx)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +59,7 @@ MAX_PRECINCTS = 10_000_000  # the generator holds several arrays of this length
 _FRAUD_STREAM = 1_000_003  # offset keeping fraud draws disjoint from generation blocks
 
 
-@dataclass(frozen=True)
-class TurnoutComponent:
+class TurnoutComponent(NamedTuple):
     mean: float
     sd: float
     weight: float
@@ -226,29 +226,25 @@ def model_from_json(text: str) -> HonestModel:
     return model
 
 
-@dataclass(frozen=True)
-class StuffingSpec:
+class StuffingSpec(NamedTuple):
     fraction: float = 0.0
     intensity: float = 0.0  # mean stuffed ballots as a fraction of registered
     jitter: float = 1 / 3  # relative sd of per-precinct intensity
 
 
-@dataclass(frozen=True)
-class TransferSpec:
+class TransferSpec(NamedTuple):
     fraction: float = 0.0
     amount: float = 0.0  # fraction of each other party's votes moved to the leader
 
 
-@dataclass(frozen=True)
-class RoundingSpec:
+class RoundingSpec(NamedTuple):
     fraction: float = 0.0
     targets: tuple[int, ...] = (70, 75, 80, 85)
     quantity: str = QUANTITY_LEADER_SHARE  # or "turnout"
     max_adjustment: float = 0.05  # cap on the share/turnout change, as a fraction
 
 
-@dataclass(frozen=True)
-class JumpSpec:
+class JumpSpec(NamedTuple):
     fraction: float = 0.0
     size: float = 0.0  # end-of-day stuffed ballots as a fraction of registered
 
@@ -256,8 +252,7 @@ class JumpSpec:
 MECHANISMS = ("stuffing", "transfer", "target_rounding", "intraday_jump")  # FraudScenario fields and JSON keys
 
 
-@dataclass(frozen=True)
-class FraudScenario:
+class FraudScenario(NamedTuple):
     stuffing: StuffingSpec = StuffingSpec()
     transfer: TransferSpec = TransferSpec()
     target_rounding: RoundingSpec = RoundingSpec()
@@ -286,9 +281,9 @@ class FraudScenario:
 
 def _spec(cls, raw: dict, key: str, **convert):
     """``cls`` from the JSON object ``raw[key]``: each field ``name`` is
-    ``convert[name]`` of its value, or ``cls.name`` when absent or null."""
+    ``convert[name]`` of its value, or the field's default when absent or null."""
     where = f"{key}."
-    return cls(**{name: _field(raw[key], name, read, where, getattr(cls, name)) for name, read in convert.items()})
+    return cls(**{name: _field(raw[key], name, read, where, cls._field_defaults[name]) for name, read in convert.items()})
 
 
 def scenario_from_json(text: str) -> FraudScenario:
@@ -296,6 +291,7 @@ def scenario_from_json(text: str) -> FraudScenario:
     raw = _document(text, "scenario")
     # each mechanism is checked to be an object before any mechanism's fields are read
     specs = {key: _field(raw, key, _object, default={}) for key in MECHANISMS}
+    defaults = FraudScenario._field_defaults
     scenario = FraudScenario(
         stuffing=_spec(StuffingSpec, specs, "stuffing", fraction=_number, intensity=_number, jitter=_number),
         transfer=_spec(TransferSpec, specs, "transfer", fraction=_number, amount=_number),
@@ -304,8 +300,8 @@ def scenario_from_json(text: str) -> FraudScenario:
             fraction=_number, targets=_list_of(_integer), quantity=_string, max_adjustment=_number,
         ),
         intraday_jump=_spec(JumpSpec, specs, "intraday_jump", fraction=_number, size=_number),
-        exempt_machine_counted=_field(raw, "exempt_machine_counted", _flag, default=FraudScenario.exempt_machine_counted),
-        seed=_field(raw, "seed", _seed, default=FraudScenario.seed),
+        exempt_machine_counted=_field(raw, "exempt_machine_counted", _flag, default=defaults["exempt_machine_counted"]),
+        seed=_field(raw, "seed", _seed, default=defaults["seed"]),
     )
     scenario.validate()
     return scenario
@@ -368,8 +364,7 @@ def _pre_fraud_truth(
     )
 
 
-@dataclass(frozen=True)
-class SyntheticElection:
+class SyntheticElection(NamedTuple):
     dataset: ElectionDataset  # after fraud (the honest draw when there is no scenario)
     truth: GroundTruth
     intraday: IntradayTable  # honest series; empty when the model has no report times
@@ -681,4 +676,4 @@ def synthesize(model: HonestModel, scenario: FraudScenario | None, seed: int) ->
         return honest
     fraud_seed = scenario.seed if scenario.seed is not None else seed
     dataset, truth = apply_fraud(honest.dataset, scenario, seed=fraud_seed, truth=honest.truth)
-    return replace(honest, dataset=dataset, truth=truth)
+    return honest._replace(dataset=dataset, truth=truth)

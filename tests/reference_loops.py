@@ -1,4 +1,4 @@
-"""Earlier forms of three array computations, kept as a test reference.
+"""Earlier forms of four array computations, kept as a test reference.
 
 ``em_batch_by_restart`` fits a split's EM restarts one after another, each
 on its own (2, n) rows, where the library fits a batch of them together
@@ -7,8 +7,11 @@ precincts one at a time in exact Python integers, where the library lays
 their candidate targets out as a matrix.  ``generate_honest_whole_election``
 draws the intraday curves' parameters into whole-election arrays and
 computes every curve at once, where the library computes each block's
-curves inside its draw loop.  The tests in ``test_anomaly.py`` and
-``test_synth.py`` require both forms to give the same bits.
+curves inside its draw loop.  ``fit_trend_by_point`` and
+``slope_standard_error_by_point`` sum over the points as Python floats,
+where the library sums arrays.  The tests in ``test_anomaly.py``,
+``test_synth.py`` and ``test_scatter.py`` require both forms to give the
+same bits.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ from typing import Sequence
 import numpy as np
 
 from election_forensics import anomaly
+from election_forensics.errors import DegenerateX
 from election_forensics.dataset import DatasetArrays, ElectionDataset, PartyRoster, no_tags
 from election_forensics.dynamics import IntradayTable
 from election_forensics.histograms import QUANTITY_LEADER_SHARE
+from election_forensics.scatter import PointCloud, ScatterPoint, TrendFit
 from election_forensics.synth import BLOCK, GroundTruth, HonestModel, RoundingSpec, SyntheticElection, _block_rng
 
 
@@ -230,3 +235,40 @@ def generate_honest_whole_election(model: HonestModel, seed: int) -> SyntheticEl
         jump=np.zeros(n, dtype=np.int64),
     )
     return SyntheticElection(dataset=dataset, truth=truth, intraday=intraday)
+
+
+def fit_trend_by_point(points: PointCloud | Sequence[ScatterPoint], weighting: str = "uniform") -> TrendFit:
+    """``scatter.fit_trend`` as sums over Python floats, left to right; ``d ** 2`` is libm ``pow``."""
+    n = len(points)
+    if n < 2:
+        raise DegenerateX("need at least 2 points to fit a trend")
+    cloud = PointCloud.of(points)
+    xs, ys = cloud.x.tolist(), cloud.y.tolist()
+    if weighting == "uniform":
+        w = [1.0] * n
+    else:
+        w = cloud.weight.astype(np.float64).tolist()
+    sw = sum(w)
+    mx = sum([wi * x for wi, x in zip(w, xs)]) / sw
+    my = sum([wi * y for wi, y in zip(w, ys)]) / sw
+    sxx = sum([wi * (x - mx) ** 2 for wi, x in zip(w, xs)])
+    if sxx == 0.0:
+        raise DegenerateX("all x values identical; slope undefined")
+    sxy = sum([wi * (x - mx) * (y - my) for wi, x, y in zip(w, xs, ys)])
+    slope = sxy / sxx
+    intercept = my - slope * mx
+    rss = sum([wi * (y - (slope * x + intercept)) ** 2 for wi, x, y in zip(w, xs, ys)])
+    return TrendFit(slope, intercept, math.sqrt(rss / sw), n)
+
+
+def slope_standard_error_by_point(points: PointCloud | Sequence[ScatterPoint], fit: TrendFit) -> float:
+    """``scatter.slope_standard_error`` as sums over Python floats."""
+    n = len(points)
+    if n <= 2:
+        return float("inf")
+    cloud = PointCloud.of(points)
+    xs, ys = cloud.x.tolist(), cloud.y.tolist()
+    mx = sum(xs) / n
+    sxx = sum([(x - mx) ** 2 for x in xs])
+    rss = sum([(y - (fit.slope * x + fit.intercept)) ** 2 for x, y in zip(xs, ys)])
+    return math.sqrt(rss / (n - 2) / sxx)

@@ -76,6 +76,74 @@ def test_startup_imports_no_logging_futures_or_masked_arrays(precincts_csv, fixt
     assert ran.stdout == "[]\n"
 
 
+def _ef_process(argv: list[str], buffered: bool = False, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m election_forensics.cli argv`` in a child; ``buffered`` clears PYTHONUNBUFFERED."""
+    env = dict(os.environ, PYTHONPATH=str(Path(election_forensics.__file__).parents[1]))
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "election_forensics.cli", *argv], env=env, text=True,
+                          timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["prob", "run", "0.5", "10"], 0),
+        (["prob", "run", "2", "10"], 1),
+        (["frobnicate"], 1),
+        (["validate", "--in", "{missing}", "--leader", "A", "--out", "{out}"], 2),
+    ],
+    ids=["ok", "bad-value", "usage", "io"],
+)
+def test_process_exits_with_mains_code(tmp_path, argv, code):
+    argv = [arg.format(missing=tmp_path / "missing.csv", out=tmp_path / "o") for arg in argv]
+    ran = _ef_process(argv, capture_output=True)
+    assert ran.returncode == code == main(argv)
+    assert "Traceback" not in ran.stderr
+    assert len([line for line in ran.stderr.splitlines() if line.startswith("ERROR ")]) == (code != 0)
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_piped_stdout_arrives_complete(buffered):
+    ran = _ef_process(["prob", "run", "0.5", "10", "--exact"], buffered=buffered, capture_output=True)
+    assert (ran.returncode, ran.stdout, ran.stderr) == (0, "0.0009765625 = 1/1024\n", "")
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_stdout_into_a_closed_pipe_exits_two_with_one_error_line(buffered):
+    """``ef prob run 0.5 10 | true`` once ``true`` has exited: exit 2, one ERROR IO line, no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        ran = _ef_process(["prob", "run", "0.5", "10"], buffered=buffered, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert ran.returncode == 2
+    assert ran.stderr.startswith("ERROR IO: ") and ran.stderr.count("\n") == 1, ran.stderr
+
+
+def test_process_exit_skips_atexit_handlers():
+    script = (
+        "import atexit, sys\n"
+        "atexit.register(print, 'atexit ran')\n"
+        "sys.argv = ['ef', 'prob', 'run', '0.5', '10']\n"
+        "from election_forensics.cli import run\n"
+        "run()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(election_forensics.__file__).parents[1]))
+    ran = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert (ran.returncode, ran.stdout) == (0, "0.0009765625\n")
+
+
+def test_ef_script_runs_the_hard_exit_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"ef": "election_forensics.cli:run"}
+
+
 def test_unknown_subcommand_exits_one(capsys):
     assert main(["frobnicate"]) == 1
     assert "usage" in capsys.readouterr().err

@@ -7,6 +7,7 @@ verifies.  Save a record with ``pytest tests/test_microbench.py
 """
 
 import gc
+import json
 
 import numpy as np
 import pytest
@@ -17,10 +18,13 @@ from election_forensics import synth  # noqa: E402
 from election_forensics.anomaly import split_two_clusters  # noqa: E402
 from election_forensics.compare import parse_protocols  # noqa: E402
 from election_forensics.dataset import format_rows, parse_dataset, serialize_dataset  # noqa: E402
-from election_forensics.dynamics import parse_intraday, serialize_intraday  # noqa: E402
+from election_forensics.dynamics import flag_hyperactive, parse_intraday, serialize_intraday  # noqa: E402
 from election_forensics.peaks import simulate_null  # noqa: E402
+from election_forensics.report import build_report, render_report  # noqa: E402
 from election_forensics.scatter import ScatterPoint, build_points, fit_trend  # noqa: E402
 from election_forensics.svgplot import svg_scatter  # noqa: E402
+
+import reference_loops as reference  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -276,3 +280,21 @@ def test_scatter_path_16k_precincts(benchmark):
 
     svg = benchmark.pedantic(scatter_path, rounds=3)
     assert svg.count("<circle") == 5 * 16_000
+
+
+def test_render_report_hyperactive_16k_rows(benchmark):
+    """The ``report.json`` of ``ef hyperactive`` on 16k precincts: one row dict per precinct."""
+    generated = _national_16k()
+    flags = flag_hyperactive(generated.dataset, generated.intraday)
+    report = build_report("hyperactive", {"threshold": flags.threshold}, [], flags.as_dict())
+    text = benchmark.pedantic(render_report, args=(report,), rounds=3)
+    assert len(report["results"]["rows"]) == 16_000
+    assert text == json.dumps(report, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def test_fit_trend_16k_points(benchmark):
+    """The five trend fits of ``ef scatter`` on 16k precincts."""
+    ds = _national_16k().dataset
+    clouds = [build_points(ds, party) for party in ("A", "B", "C", "D", "others")]
+    fits = benchmark.pedantic(lambda: [fit_trend(cloud) for cloud in clouds], rounds=3)
+    assert fits == [reference.fit_trend_by_point(cloud) for cloud in clouds]

@@ -5,9 +5,13 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import election_forensics
+from election_forensics.dataset import ROW_BLOCK
 from election_forensics.report import (
     CAVEAT,
     WRITE_SLICE,
@@ -100,3 +104,85 @@ def test_atomic_write_text_encodes_one_slice_at_a_time(tmp_path):
     # a slice and its encoding, 2 MiB; encoded whole, the text took 8 MiB more
     assert peak < 3 * WRITE_SLICE, peak
     assert (tmp_path / "long.txt").read_text() == long
+
+
+def _json(report) -> str:
+    return json.dumps(report, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+_texts = st.one_of(st.text(max_size=8), st.sampled_from(["%", "%s", "%%d", "é\u2028", "\x00\x1f\"\\", "\ud800"]))
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats().map(np.float64),
+    _texts,
+)
+
+
+@st.composite
+def _row_lists(draw, values):
+    """Lists of dicts over one key set, some rows with a key dropped or added."""
+    keys = draw(st.lists(_texts, max_size=4, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        row = {key: draw(values) for key in keys}
+        change = draw(st.integers(0, 9))
+        if change == 0 and row:
+            row.pop(next(iter(row)))
+        elif change == 1:
+            row[draw(_texts)] = draw(values)
+        rows.append(row)
+    return rows
+
+
+_reports = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_texts, children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=3),
+        st.dictionaries(st.floats(), children, max_size=3),
+        _row_lists(st.one_of(_scalars, _scalars, children)),
+    ),
+    max_leaves=30,
+)
+
+
+@given(st.dictionaries(_texts, _reports, max_size=5))
+@settings(max_examples=400, deadline=None)
+def test_render_report_is_json_dumps_with_indent_and_sorted_keys(report):
+    assert render_report(report) == _json(report)
+
+
+def test_render_report_templated_rows_across_blocks_match_json_dumps():
+    """Rows past one ROW_BLOCK, with columns whose kinds change between blocks, are rendered as json renders them."""
+    n = 2 * ROW_BLOCK + 3
+    rows = [
+        {
+            "id": f"p{i}",
+            "share": i / 7 if i != ROW_BLOCK + 1 else float("nan"),
+            "count": i if i < ROW_BLOCK else float(i),
+            "flag": i % 3 == 0,
+            "note": None if i % 5 else "é%s",
+        }
+        for i in range(n)
+    ]
+    report = {"rows": rows, "one": rows[:1], "infinite": [{"v": float("inf")}, {"v": -float("inf")}]}
+    assert render_report(report) == _json(report)
+
+
+def test_render_report_leaves_other_values_to_json():
+    deep: list = []
+    for _ in range(100):
+        deep = [deep]
+    assert render_report({"deep": deep}) == _json({"deep": deep})
+    circular: list = []
+    circular.append(circular)
+    with pytest.raises(ValueError, match="Circular reference"):
+        render_report({"c": circular})
+    with pytest.raises(TypeError, match="int64"):
+        render_report({"rows": [{"a": 1}, {"a": np.int64(2)}]})
+    with pytest.raises(TypeError):
+        render_report({"keys": {1: 1, "a": 2}})

@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from election_forensics.errors import DegenerateX, UnknownParty
 from election_forensics.anomaly import split_two_clusters, superlinearity_check
@@ -12,6 +15,7 @@ from election_forensics.scatter import (
     fit_trend,
     slope_standard_error,
 )
+import reference_loops as reference
 from conftest import quick_dataset, record
 
 
@@ -178,3 +182,70 @@ def test_superlinearity_halves_follow_x_then_precinct_id():
     assert result.split_x == upper[0].x
     assert result.lower_fit == fit_trend(lower)
     assert result.upper_fit == fit_trend(upper)
+
+
+def _bits(*values: float) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def _assert_fits_match_the_loops(points, weighting: str) -> None:
+    """``fit_trend`` and ``slope_standard_error`` give the reference loops' bits, or raise DegenerateX as they do."""
+    try:
+        expected = reference.fit_trend_by_point(points, weighting)
+    except DegenerateX:
+        with pytest.raises(DegenerateX):
+            fit_trend(points, weighting=weighting)
+        return
+    fit = fit_trend(points, weighting=weighting)
+    assert fit.point_count == expected.point_count
+    assert _bits(*fit[:3]) == _bits(*expected[:3])
+    try:  # x values all equal, for a fit by weight that did not see them as equal
+        se = reference.slope_standard_error_by_point(points, expected)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            slope_standard_error(points, fit)
+        return
+    assert _bits(slope_standard_error(points, fit)) == _bits(se)
+
+
+def _seeded_cloud(seed: int, n: int, scale: float) -> PointCloud:
+    rng = np.random.default_rng(seed)
+    x = rng.random(n) * scale
+    y = np.clip(0.3 * x / scale + rng.normal(0.4, 0.1, n), 0.0, 1.0)
+    if seed % 3 == 0:
+        x[: n // 4] = -0.0  # repeated and signed zeros
+    ids = np.array([f"p{i}" for i in range(n)], dtype=object)
+    return PointCloud(ids, x, y, rng.integers(1, 6000, n))
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "by_registered"])
+@pytest.mark.parametrize("seed,n,scale", [(0, 2, 1.0), (1, 3, 1.0), (2, 57, 1e-6), (3, 1000, 1.0), (4, 16_000, 1.0),
+                                          (5, 4097, 1e6), (6, 333, 1.0)])
+def test_fit_trend_gives_the_point_loops_bits_on_seeded_clouds(weighting, seed, n, scale):
+    cloud = _seeded_cloud(seed, n, scale)
+    _assert_fits_match_the_loops(cloud, weighting)
+    _assert_fits_match_the_loops(list(cloud), weighting)
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "by_registered"])
+def test_fit_trend_raises_degenerate_x_as_the_point_loops_do(weighting):
+    for points in ([ScatterPoint("a", 0.5, 0.1, 3)],
+                   [ScatterPoint(str(i), 0.5, y, 9) for i, y in enumerate((0.1, 0.2, 0.3))],
+                   [ScatterPoint(str(i), -0.0, y, 9) for i, y in enumerate((0.1, 0.2))]):
+        _assert_fits_match_the_loops(points, weighting)
+        with pytest.raises(DegenerateX):
+            fit_trend(points, weighting=weighting)
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@given(
+    st.lists(st.tuples(_unit, _unit, st.integers(1, 10**6)), min_size=2, max_size=60),
+    st.sampled_from(["uniform", "by_registered"]),
+)
+@example([(0.6763800723825303, 0.0, 1), (0.6763800723825303, 0.0, 1), (0.6763800723825303, 0.0, 31)], "by_registered")
+@settings(max_examples=200, deadline=None)
+def test_fit_trend_gives_the_point_loops_bits_on_any_cloud(cells, weighting):
+    points = [ScatterPoint(f"p{i}", x, y, w) for i, (x, y, w) in enumerate(cells)]
+    _assert_fits_match_the_loops(points, weighting)
