@@ -561,19 +561,23 @@ def run() -> None:
     object, which takes longer than many commands.  So atexit handlers and
     finalizers do not run.  A flush that fails makes a run that succeeded
     exit 2 with one ``ERROR IO`` line; a run that failed keeps its code and
-    its one error line.  In-process callers use ``main``.
+    its one error line.  A stream that is None (the process started with
+    that descriptor closed) is skipped.  In-process callers use ``main``.
     """
     code = main()
     for stream in (sys.stdout, sys.stderr):
+        if stream is None:
+            continue
         try:
             stream.flush()
         except OSError as exc:
             if code == 0:
                 code = 2
-                try:
-                    print(f"ERROR IO: {exc}", file=sys.stderr, flush=True)
-                except OSError:
-                    pass
+                if sys.stderr is not None:
+                    try:
+                        print(f"ERROR IO: {exc}", file=sys.stderr, flush=True)
+                    except OSError:
+                        pass
     os._exit(code)
 
 

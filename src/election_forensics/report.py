@@ -180,19 +180,10 @@ def _render_list(items: list | tuple, level: int, out: list[str]) -> None:
     sep = "," + inner
     out.append("[" + inner)
     if not _render_rows(items, level + 1, sep, out):
-        for start in range(0, len(items), ROW_BLOCK):
-            if start:
+        for i, item in enumerate(items):
+            if i:
                 out.append(sep)
-            block = items[start : start + ROW_BLOCK]
-            scalars = _column(block)
-            if scalars is not None:
-                conversion, cells = scalars
-                out.append(sep.join([conversion] * len(block)) % tuple(cells))
-                continue
-            for i, item in enumerate(block):
-                if i:
-                    out.append(sep)
-                _render(item, level + 1, out)
+            _render(item, level + 1, out)
     out.append("\n" + INDENT * level + "]")
 
 

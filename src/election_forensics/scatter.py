@@ -124,10 +124,12 @@ def _pow2(d: np.ndarray) -> np.ndarray:
 
 
 def _sum(a: np.ndarray) -> float:
-    """Python's ``sum`` of the elements as floats: added one by one, left to right, from 0.
+    """The elements added one by one, left to right, from 0.0.
 
     A sequential ``cumsum``; adding 0.0 turns its -0.0 into the 0.0 that
-    ``0 + -0.0`` gives.
+    ``0.0 + -0.0`` gives.  This is how the builtin ``sum`` adds floats up
+    to Python 3.11; from 3.12 on ``sum`` compensates its rounding, and
+    ``_sum`` does not.
     """
     return float(np.cumsum(a)[-1]) + 0.0 if len(a) else 0.0
 
@@ -137,9 +139,9 @@ def fit_trend(points: PointCloud | Sequence[ScatterPoint], weighting: str = "uni
 
     weighting="by_registered" weights each point by its registered count,
     so large precincts dominate the fit.  The results are bit for bit those
-    of the sums over Python floats (``tests/reference_loops.py``): products
-    and differences elementwise, squares by libm ``pow`` and sums left to
-    right (``_pow2``, ``_sum``).
+    of loops over Python floats (``tests/reference_loops.py``): products
+    and differences elementwise, squares by libm ``pow`` and sums added
+    left to right (``_pow2``, ``_sum``), on every Python version.
     """
     if weighting not in ("uniform", "by_registered"):
         raise ValueError(f"unknown weighting {weighting!r}")

@@ -17,6 +17,8 @@ same bits.
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -237,6 +239,15 @@ def generate_honest_whole_election(model: HonestModel, seed: int) -> SyntheticEl
     return SyntheticElection(dataset=dataset, truth=truth, intraday=intraday)
 
 
+def _sum_left_to_right(terms: Sequence[float]) -> float:
+    """The terms added one by one, left to right, from 0.0.
+
+    Not the builtin ``sum``: from Python 3.12 on it adds floats with
+    Neumaier compensation, which is not the rule ``scatter`` follows.
+    """
+    return reduce(operator.add, terms, 0.0)
+
+
 def fit_trend_by_point(points: PointCloud | Sequence[ScatterPoint], weighting: str = "uniform") -> TrendFit:
     """``scatter.fit_trend`` as sums over Python floats, left to right; ``d ** 2`` is libm ``pow``."""
     n = len(points)
@@ -248,27 +259,27 @@ def fit_trend_by_point(points: PointCloud | Sequence[ScatterPoint], weighting: s
         w = [1.0] * n
     else:
         w = cloud.weight.astype(np.float64).tolist()
-    sw = sum(w)
-    mx = sum([wi * x for wi, x in zip(w, xs)]) / sw
-    my = sum([wi * y for wi, y in zip(w, ys)]) / sw
-    sxx = sum([wi * (x - mx) ** 2 for wi, x in zip(w, xs)])
+    sw = _sum_left_to_right(w)
+    mx = _sum_left_to_right([wi * x for wi, x in zip(w, xs)]) / sw
+    my = _sum_left_to_right([wi * y for wi, y in zip(w, ys)]) / sw
+    sxx = _sum_left_to_right([wi * (x - mx) ** 2 for wi, x in zip(w, xs)])
     if sxx == 0.0:
         raise DegenerateX("all x values identical; slope undefined")
-    sxy = sum([wi * (x - mx) * (y - my) for wi, x, y in zip(w, xs, ys)])
+    sxy = _sum_left_to_right([wi * (x - mx) * (y - my) for wi, x, y in zip(w, xs, ys)])
     slope = sxy / sxx
     intercept = my - slope * mx
-    rss = sum([wi * (y - (slope * x + intercept)) ** 2 for wi, x, y in zip(w, xs, ys)])
+    rss = _sum_left_to_right([wi * (y - (slope * x + intercept)) ** 2 for wi, x, y in zip(w, xs, ys)])
     return TrendFit(slope, intercept, math.sqrt(rss / sw), n)
 
 
 def slope_standard_error_by_point(points: PointCloud | Sequence[ScatterPoint], fit: TrendFit) -> float:
-    """``scatter.slope_standard_error`` as sums over Python floats."""
+    """``scatter.slope_standard_error`` as sums over Python floats, left to right."""
     n = len(points)
     if n <= 2:
         return float("inf")
     cloud = PointCloud.of(points)
     xs, ys = cloud.x.tolist(), cloud.y.tolist()
-    mx = sum(xs) / n
-    sxx = sum([(x - mx) ** 2 for x in xs])
-    rss = sum([(y - (fit.slope * x + fit.intercept)) ** 2 for x, y in zip(xs, ys)])
+    mx = _sum_left_to_right(xs) / n
+    sxx = _sum_left_to_right([(x - mx) ** 2 for x in xs])
+    rss = _sum_left_to_right([(y - (fit.slope * x + fit.intercept)) ** 2 for x, y in zip(xs, ys)])
     return math.sqrt(rss / (n - 2) / sxx)

@@ -87,7 +87,7 @@ def _ef_process(argv: list[str], buffered: bool = False, **kwargs) -> subprocess
                           timeout=60, **kwargs)
 
 
-@pytest.mark.parametrize(
+MAINS_CODES = pytest.mark.parametrize(
     "argv,code",
     [
         (["prob", "run", "0.5", "10"], 0),
@@ -97,6 +97,9 @@ def _ef_process(argv: list[str], buffered: bool = False, **kwargs) -> subprocess
     ],
     ids=["ok", "bad-value", "usage", "io"],
 )
+
+
+@MAINS_CODES
 def test_process_exits_with_mains_code(tmp_path, argv, code):
     argv = [arg.format(missing=tmp_path / "missing.csv", out=tmp_path / "o") for arg in argv]
     ran = _ef_process(argv, capture_output=True)
@@ -122,6 +125,27 @@ def test_stdout_into_a_closed_pipe_exits_two_with_one_error_line(buffered):
         os.close(write_end)
     assert ran.returncode == 2
     assert ran.stderr.startswith("ERROR IO: ") and ran.stderr.count("\n") == 1, ran.stderr
+
+
+@MAINS_CODES
+def test_process_started_with_stdout_closed_exits_with_mains_code(tmp_path, argv, code):
+    """``ef ... >&-``: Python sets ``sys.stdout`` to None; the exit code is still ``main``'s."""
+    argv = [arg.format(missing=tmp_path / "missing.csv", out=tmp_path / "o") for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(election_forensics.__file__).parents[1]))
+    command = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "election_forensics.cli", *argv]
+    ran = subprocess.run(command, env=env, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert ran.returncode == code == main(argv)
+    assert "Traceback" not in ran.stderr
+
+
+def test_process_started_with_stdout_closed_writes_its_outputs(precincts_csv, tmp_path):
+    out = tmp_path / "o"
+    argv = ["validate", "--leader", "A", "--in", str(precincts_csv), "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(Path(election_forensics.__file__).parents[1]))
+    command = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "election_forensics.cli", *argv]
+    ran = subprocess.run(command, env=env, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (ran.returncode, ran.stderr) == (0, "")
+    assert _report(out)["command"] == "validate"
 
 
 def test_process_exit_skips_atexit_handlers():
