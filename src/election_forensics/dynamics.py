@@ -221,12 +221,6 @@ def _sort_keys(index: dict[str, int], ids: Sequence[str], minutes: np.ndarray) -
     return np.repeat(numbers, np.diff(runs, append=len(ids))) * MINUTES_PER_DAY + minutes
 
 
-def _reports_table(ids: list[str], times: np.ndarray, counts: np.ndarray) -> IntradayTable:
-    """The checked table of the reports (id, minutes, count), one per row in file order."""
-    index: dict[str, int] = {}
-    return _table(index, _sort_keys(index, ids, times), counts)
-
-
 def _table(index: dict[str, int], keys: np.ndarray, counts: np.ndarray) -> IntradayTable:
     """The checked table of the reports with these sort keys and counts; ``index`` numbers the ids.
 

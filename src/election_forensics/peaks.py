@@ -54,23 +54,11 @@ uniforms: turnout weighted by ballots, where the weight is the draw
 itself, and precincts whose count window is wider than ``WINDOW_CAP``
 counts (n around 1.8e5 at p = 1/2), which no workload comes near.
 Weighted counts sum exactly in int64.
-
-Blocks with binomial precincts run on every core the process may use: the
-binomial draws release the GIL, and each block writes only its own rows.
-The table's draws are short numpy steps, which would only contend for the
-GIL, so they run on one thread, block after block for each run of rows.
-Either way the null is bit-identical on any number of cores.  The stream
-layout is that of the binomial blocks it replaced, but a uniform maps to a
-different count than a binomial draw did, so nulls, p-values and null
-moments differ from earlier versions by Monte-Carlo noise; observed counts
-do not.  Each target set has its own tables, so a null for some targets is
-no longer the matching columns of the null for all 101 bins.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import NamedTuple
 
 import numpy as np
@@ -165,13 +153,6 @@ class PeakReport(NamedTuple):
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, block])))
-
-
-def _cores() -> int:
-    """Number of cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def shrunken_proportions(numer: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -504,10 +485,7 @@ def simulate_null(
     (m', BLOCK) matrix of binomial counts for the m' precincts drawn as
     binomials.  The precincts in neither never land in a requested bin.
     Column j of either is replicate k * BLOCK + j.  Weighted modes sum
-    exactly in int64.  With binomial precincts the blocks are strided over
-    one thread per available core (at most one per block): worker w runs
-    blocks w, w + workers, ..., and the calling thread is worker 0.  A
-    worker's error is raised here once every worker has stopped.
+    exactly in int64.
 
     Raises EmptySelection when the quantity includes no precinct, and
     ValueError unless replicates is in MIN_REPLICATES..MAX_REPLICATES and
@@ -540,36 +518,17 @@ def simulate_null(
 
     blocks = -(-replicates // BLOCK)
     counts = np.zeros((blocks, BLOCK * width), dtype=np.int64)
-    # The table's draws are many short numpy steps, which only contend for
-    # the interpreter lock when run on several threads; binomials release it.
-    workers = min(_cores(), blocks) if wide_n.size else 1
-
-    def run(first: int) -> None:
-        streams = [_block_rng(seed, k) for k in range(first, blocks, workers)]
-        mine = counts[first::workers]  # a view: one row per block
-        if table.rows:
-            table.draw(streams, mine, table_weights, shift)
-        for rng, total in zip(streams, mine) if wide_n.size else ():
-            sim = rng.binomial(wide_n, wide_p, size=(wide_n.size, BLOCK))
-            if own_ballots:
-                at, block_weights = column_of_bin[percent_bins(sim, wide_n)], sim.ravel()
-            else:
-                at, block_weights = column_of_bin[percent_bins(sim, wide_n, out=sim)], wide_weights
-            at += shift
-            total += bincount_percent(at.ravel(), block_weights, total.size)
-
-    if workers == 1:
-        run(0)
-    else:
-        # Imported here, not at the top: it loads logging and threading,
-        # which no one-worker null needs.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            others = [pool.submit(run, w) for w in range(1, workers)]
-            run(0)
-            for future in others:
-                future.result()
+    streams = [_block_rng(seed, k) for k in range(blocks)]
+    if table.rows:
+        table.draw(streams, counts, table_weights, shift)
+    for rng, total in zip(streams, counts) if wide_n.size else ():
+        sim = rng.binomial(wide_n, wide_p, size=(wide_n.size, BLOCK))
+        if own_ballots:
+            at, block_weights = column_of_bin[percent_bins(sim, wide_n)], sim.ravel()
+        else:
+            at, block_weights = column_of_bin[percent_bins(sim, wide_n, out=sim)], wide_weights
+        at += shift
+        total += bincount_percent(at.ravel(), block_weights, total.size)
     weights = counts.reshape(blocks * BLOCK, width)[:replicates, column]
     return NullDistribution(quantity, weight_mode, tuple(targets), weights, seed)
 

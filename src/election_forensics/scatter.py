@@ -166,12 +166,18 @@ def fit_trend(points: PointCloud | Sequence[ScatterPoint], weighting: str = "uni
 
 
 def slope_standard_error(points: PointCloud | Sequence[ScatterPoint], fit: TrendFit) -> float:
-    """Classical OLS standard error of the slope (uniform weights)."""
+    """Classical OLS standard error of the slope (uniform weights).
+
+    Raises DegenerateX when the x values' uniform spread sxx is 0, which a
+    fit by registered weight can miss.
+    """
     n = len(points)
     if n <= 2:
         return float("inf")
     cloud = PointCloud.of(points)
     x, y = cloud.x, cloud.y
     sxx = _sum(_pow2(x - _sum(x) / n))
+    if sxx == 0.0:
+        raise DegenerateX("all x values identical; slope undefined")
     rss = _sum(_pow2(y - (fit.slope * x + fit.intercept)))
     return math.sqrt(rss / (n - 2) / sxx)

@@ -28,7 +28,7 @@ from election_forensics.dataset import (
     parse_count,
     row_columns,
 )
-from election_forensics.dynamics import IntradayTable, _reports_table, parse_time
+from election_forensics.dynamics import IntradayTable, _sort_keys, _table, parse_time
 from election_forensics.errors import MalformedRow, PairMismatch, UnknownLeader, UnknownParty
 
 
@@ -151,7 +151,9 @@ def parse_intraday(csv_text: str) -> IntradayTable:
     if header != ["precinct_id", "time", "cumulative_voted"]:
         raise MalformedRow(1, "header must be precinct_id,time,cumulative_voted")
     ids, minutes, cumulative = _reports_by_row(csv_text)
-    return _reports_table(ids, np.array(minutes, dtype=np.int64), np.array(cumulative, dtype=np.int64))
+    index: dict[str, int] = {}
+    keys = _sort_keys(index, ids, np.array(minutes, dtype=np.int64))
+    return _table(index, keys, np.array(cumulative, dtype=np.int64))
 
 
 PROTOCOL_SOURCES = ("observer", "official")

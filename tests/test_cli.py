@@ -53,10 +53,13 @@ NOT_AT_STARTUP = ("logging", "concurrent.futures", "numpy.ma")
     [
         [],
         ["validate", "--leader", "A", "--in", "{precincts}"],
-        # a one-worker precinct-weighted null, as every tabled null is
+        # a precinct-weighted null, which inverts uniforms through the bin tables
         ["peaks", "--leader", "UNITY", "--seed", "7", "--no-plots", "--in", "{fixtures}/round_targets_precincts.csv"],
+        # turnout weighted by ballots, whose null draws every precinct as a binomial
+        ["peaks", "--leader", "UNITY", "--seed", "7", "--quantity", "turnout", "--weight-mode", "ballots",
+         "--no-plots", "--in", "{fixtures}/round_targets_precincts.csv"],
     ],
-    ids=["import", "validate", "peaks"],
+    ids=["import", "validate", "peaks", "peaks-ballots"],
 )
 def test_startup_imports_no_logging_futures_or_masked_arrays(precincts_csv, fixtures_dir, tmp_path, command):
     if command:

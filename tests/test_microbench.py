@@ -136,6 +136,19 @@ def test_simulate_null_16k_precincts(benchmark):
     assert null.weights.sum() > 0
 
 
+def test_simulate_null_16k_turnout_ballots(benchmark):
+    """Turnout weighted by ballots: every precinct drawn as a binomial, on the calling thread."""
+    model = synth.HonestModel(
+        precincts=16_000, parties=("A", "B", "C"), baseline_shares=(0.55, 0.3, 0.1), leader="A"
+    )
+    ds = synth.generate_honest(model, 0).dataset
+    null = benchmark.pedantic(
+        simulate_null, args=(ds, "turnout", 200, 1), kwargs={"weight_mode": "ballots"}, rounds=3
+    )
+    assert null.weights.shape == (200, 11)
+    assert null.weights.sum() > 0
+
+
 @pytest.mark.parametrize("replicates", [200, 1000])
 def test_simulate_null_16k_precincts_101_bins(benchmark, replicates):
     """The plot null: every integer percent, as ``ef peaks`` draws it for its envelope (1000 replicates by default)."""

@@ -133,24 +133,6 @@ def _null_dataset():
     return synth.generate_honest(model, 3).dataset
 
 
-@pytest.mark.parametrize("workers", [2, 3, 7])
-def test_null_weights_do_not_depend_on_worker_count(monkeypatch, workers):
-    # 101 replicates make 11 blocks, which stride unevenly over every worker
-    # count; a short switch interval interleaves the workers as often as the
-    # interpreter allows
-    ds = _null_dataset()
-    monkeypatch.setattr(peaks, "_cores", lambda: 1)
-    serial = simulate_null(ds, "leader_share", replicates=101, seed=8, targets=tuple(range(101)))
-    monkeypatch.setattr(peaks, "_cores", lambda: workers)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = simulate_null(ds, "leader_share", replicates=101, seed=8, targets=tuple(range(101)))
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(threaded.weights, serial.weights)
-
-
 def test_null_is_a_prefix_of_any_longer_null():
     # the last block is drawn in full and trimmed, so replicate r depends on (seed, r) alone
     ds = _null_dataset()
@@ -188,7 +170,7 @@ def test_block_null_matches_per_replicate_null_in_distribution(quantity, weight_
     assert np.all(gap <= 5 * se), np.flatnonzero(gap > 5 * se)
 
 
-# sha256 of the null weights' bytes, recorded with one worker from the (seed, block) streams.
+# sha256 of the null weights' bytes, drawn from the (seed, block) streams.
 # ("turnout", "ballots") draws binomials; the others invert uniforms through the bin tables.
 NULL_DIGESTS = {
     ("turnout", "precincts"): "38c7167b0a4cc2264e8ed4efd96ebdacc11fa1e1385ef644c0c935726be47ffc",
@@ -209,19 +191,19 @@ def test_null_weights_match_recorded_digest(quantity, weight_mode):
     assert hashlib.sha256(null.weights.tobytes()).hexdigest() == NULL_DIGESTS[quantity, weight_mode]
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_null_worker_error_reaches_caller(monkeypatch, workers):
+@pytest.mark.parametrize("failing", [1, 3])
+def test_null_worker_error_reaches_caller(monkeypatch, failing):
+    # a block's error leaves simulate_null as it was raised, and no thread is left behind
     real_rng = peaks._block_rng
 
     def failing_rng(seed, block):
-        if block == 5:
-            raise RuntimeError("block 5 failed")
+        if block == failing:
+            raise RuntimeError(f"block {block} failed")
         return real_rng(seed, block)
 
     monkeypatch.setattr(peaks, "_block_rng", failing_rng)
-    monkeypatch.setattr(peaks, "_cores", lambda: workers)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="block 5 failed"):
+    with pytest.raises(RuntimeError, match=f"block {failing} failed"):
         simulate_null(_null_dataset(), "leader_share", replicates=101, seed=1)
     assert threading.active_count() == before
 
@@ -366,21 +348,41 @@ def test_null_adds_binomial_and_table_draws(quantity, bin_of_big, weight_mode):
     _assert_moments(weights.astype(float), (wf * q).sum(axis=0), var, var_of_var, float(w[:-1].max()))
 
 
+# sha256 of the mixed null's weights: 300 tabled precincts and one drawn as a binomial, one stream per block.
+MIXED_NULL_DIGEST = "e7e7ec914695b138807247b36c0eb35d5e3732ad29ab9596bda3136790d1fa7d"
+
+
+def test_mixed_null_matches_recorded_digest():
+    null = simulate_null(_mixed_dataset(), "turnout", 101, 8, tuple(range(101)), "registered")
+    assert null.weights.dtype == np.int64 and null.weights.shape == (101, 101)
+    assert hashlib.sha256(null.weights.tobytes()).hexdigest() == MIXED_NULL_DIGEST
+
+
 @pytest.mark.parametrize("workers", [2, 3])
-def test_mixed_null_does_not_depend_on_worker_count(monkeypatch, workers):
-    # with a binomial precinct the blocks run on every core
+def test_mixed_null_does_not_depend_on_worker_count(workers):
+    # callers may run nulls on one dataset from several threads at once; a
+    # short switch interval interleaves them as often as the interpreter
+    # allows, and each still gets the recorded bits
     ds = _mixed_dataset()
     args = (ds, "turnout", 101, 8, tuple(range(101)), "registered")
-    monkeypatch.setattr(peaks, "_cores", lambda: 1)
-    serial = simulate_null(*args)
-    monkeypatch.setattr(peaks, "_cores", lambda: workers)
+    results = [None] * workers
+
+    def run(i):
+        results[i] = simulate_null(*args).weights
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = simulate_null(*args)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(threaded.weights, serial.weights)
+    for weights in results:
+        assert weights is not None
+        assert hashlib.sha256(weights.tobytes()).hexdigest() == MIXED_NULL_DIGEST
 
 
 def test_repeated_and_unsorted_targets_get_their_own_columns():
@@ -390,7 +392,7 @@ def test_repeated_and_unsorted_targets_get_their_own_columns():
     assert np.array_equal(picked.weights, ordered.weights[:, [2, 1, 2, 0]])
 
 
-def test_null_memory_stays_small(monkeypatch):
+def test_null_memory_stays_small():
     # a calibration-sized election: 3000 precincts, registered ~1200
     model = synth.HonestModel(
         precincts=3000,
@@ -405,7 +407,6 @@ def test_null_memory_stays_small(monkeypatch):
         share_noise_sd=0.04,
     )
     ds = synth.generate_honest(model, 0).dataset
-    monkeypatch.setattr(peaks, "_cores", lambda: 2)
     # a first call caches the count arrays and makes the imports, which are not the null's memory
     simulate_null(ds, "turnout", 100, 2)
     _, peak = traced_peak(lambda: simulate_null(ds, "turnout", 1000, 1))

@@ -126,6 +126,15 @@ def test_fit_degenerate_x_raises():
         fit_trend(points[:1])
 
 
+def test_slope_standard_error_of_identical_x_raises_degenerate_x():
+    # the weighted mean of these x values is off by an ulp, so the fit by registered weight succeeds
+    x = 0.6763800723825303
+    points = [ScatterPoint(str(i), x, 0.0, w) for i, w in enumerate((1, 1, 31))]
+    fit = fit_trend(points, weighting="by_registered")
+    with pytest.raises(DegenerateX, match="all x values identical"):
+        slope_standard_error(points, fit)
+
+
 def _cloud_dataset(precincts=400, seed=5):
     from election_forensics import synth
 
@@ -202,7 +211,7 @@ def _assert_fits_match_the_loops(points, weighting: str) -> None:
     try:  # x values all equal, for a fit by weight that did not see them as equal
         se = reference.slope_standard_error_by_point(points, expected)
     except ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(DegenerateX):
             slope_standard_error(points, fit)
         return
     assert _bits(slope_standard_error(points, fit)) == _bits(se)
