@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateX, EmptyReferenceWindow
+from .errors import EmptyReferenceWindow
 from .histograms import TurnoutBinTable
 from .scatter import PointCloud, ScatterPoint, TrendFit, fit_trend, slope_standard_error
 

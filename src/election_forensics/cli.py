@@ -101,12 +101,7 @@ def cmd_scatter(args) -> dict:
         try:
             fit = scatter.fit_trend(points, weighting=args.weighting)
             trend = (fit.slope, fit.intercept)
-            fits[party] = {
-                "slope": fit.slope,
-                "intercept": fit.intercept,
-                "residual_rms": fit.residual_rms,
-                "point_count": fit.point_count,
-            }
+            fits[party] = fit._asdict()
         except ForensicsError as exc:
             fits[party] = {"error": exc.message}
         series.append((party, points, trend))

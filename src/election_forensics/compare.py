@@ -43,7 +43,7 @@ from .errors import (
     UnitMismatch,
     UnknownParty,
 )
-from .scatter import build_points
+from .scatter import build_points, sum_left_to_right
 
 
 def ks_statistic(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -87,15 +87,14 @@ class SubsetContrast(NamedTuple):
         }
 
 
-def _aggregate(dataset: ElectionDataset) -> tuple[tuple[float, ...], float, list[float]]:
+def _aggregate(dataset: ElectionDataset) -> tuple[tuple[float, ...], float, np.ndarray]:
     arrays = dataset.counts()
     total_cast = int(arrays.ballots_cast.sum())
     total_reg = int(arrays.registered.sum())
     votes = arrays.votes.sum(axis=0)
     shares = tuple((int(v) / total_cast if total_cast else 0.0) for v in votes)
     turnout = total_cast / total_reg if total_reg else 0.0
-    per_precinct_turnout = (arrays.ballots_cast / arrays.registered).tolist()
-    return shares, turnout, per_precinct_turnout
+    return shares, turnout, arrays.ballots_cast / arrays.registered
 
 
 def subset_contrast(
@@ -109,7 +108,7 @@ def subset_contrast(
         raise RosterMismatch(f"rosters differ: {a.roster.ids} vs {b.roster.ids}")
     shares_a, turnout_a, turnouts_a = _aggregate(a)
     shares_b, turnout_b, turnouts_b = _aggregate(b)
-    ks = ks_statistic(turnouts_a, turnouts_b) if turnouts_a and turnouts_b else 0.0
+    ks = ks_statistic(turnouts_a, turnouts_b) if len(turnouts_a) and len(turnouts_b) else 0.0
     return SubsetContrast(
         label_a=label_a,
         label_b=label_b,
@@ -135,15 +134,7 @@ class DeltaRow(NamedTuple):
     d_turnout: Decimal
 
     def as_dict(self) -> dict:
-        return {
-            "unit": self.unit,
-            "share_b": str(self.share_b),
-            "share_a": str(self.share_a),
-            "turnout_b": str(self.turnout_b),
-            "turnout_a": str(self.turnout_a),
-            "d_share": str(self.d_share),
-            "d_turnout": str(self.d_turnout),
-        }
+        return {name: str(value) for name, value in self._asdict().items()}
 
 
 UnitEntry = tuple[str, Decimal | str | float, Decimal | str | float]
@@ -230,8 +221,8 @@ class ProtocolDisplacements:
     """Official-minus-observer displacement in the (turnout, leader share of cast) plane.
 
     Row k of each read-only ``(precincts, 2)`` array belongs to precinct
-    ``precinct_ids[k]``.  The means are Python ``sum``s over the rows in
-    order, divided by their count (0.0 with no rows).
+    ``precinct_ids[k]``.  The means are the rows added in order
+    (``sum_left_to_right``), divided by their count (0.0 with no rows).
     """
 
     precinct_ids: np.ndarray  # object array of str
@@ -286,8 +277,8 @@ def protocol_displacements(observer: ElectionDataset, official: ElectionDataset)
     # (turnout, leader share of cast), the share 0.0 where no ballot was cast
     src, dst = (build_points(d, d.designated_leader, "share_of_cast").xy() for d in (observer, official))
     displacement = dst - src
-    # Python's sum of the rows in order: numpy's pairwise sum rounds differently
-    d_turnout, d_share = (sum(column.tolist()) / n if n else 0.0 for column in displacement.T)
+    # the rows added in order: numpy's pairwise sum rounds differently
+    d_turnout, d_share = (sum_left_to_right(column) / n if n else 0.0 for column in displacement.T)
     return ProtocolDisplacements(a.precinct_ids, src, dst, displacement, d_turnout, d_share)
 
 

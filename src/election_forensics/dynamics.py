@@ -31,6 +31,7 @@ from .dataset import (
     read_table,
 )
 from .errors import EmptySeries, InvariantViolation, MalformedRow
+from .scatter import build_points
 
 DEFAULT_HYPERACTIVE_THRESHOLD = 0.13
 MINUTES_PER_DAY = 24 * 60
@@ -340,13 +341,14 @@ def flag_hyperactive(
     joined.check(official=cast)  # raises the first faulty series' error, in dataset order
     last = joined.cumulative[joined.starts[1:] - 1]  # every checked series has 2+ reports
     increment = (cast - last) / registered
-    share = np.divide(c.votes[has, dataset.leader_index], cast, out=np.zeros(len(cast)), where=cast > 0)
+    # (turnout, leader share of cast), the share 0.0 where no ballot was cast
+    points = build_points(dataset, dataset.designated_leader, "share_of_cast")
     return HyperactiveReport(
         threshold=threshold,
         skipped_missing_series=tuple(c.precinct_ids[~has].tolist()),
         precinct_ids=c.precinct_ids[has],
         increment=increment,
-        turnout=cast / registered,
-        leader_share_of_cast=share,
+        turnout=points.x[has],
+        leader_share_of_cast=points.y[has],
         hot=increment > threshold,
     )

@@ -28,16 +28,11 @@ QUANTITY_LEADER_SHARE = "leader_share"
 SHARE_PREFIX = "share:"
 
 
-def percent_bins(numer: np.ndarray, denom: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Integer percent bin of numer/denom, rounded half-up, exact.
-
-    ``out``, an int64 array of numer's shape, receives the bins; it may be
-    ``numer`` itself, which then bins in place.  ``denom`` broadcasts
-    against ``numer``.
-    """
+def percent_bins(numer: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """Integer percent bin of numer/denom, rounded half-up, exact; ``denom`` broadcasts against ``numer``."""
     numer = np.asarray(numer, dtype=np.int64)
     denom = np.asarray(denom, dtype=np.int64)
-    bins = np.multiply(numer, 200, out=out)
+    bins = numer * 200
     bins += denom
     bins //= 2 * denom
     return bins

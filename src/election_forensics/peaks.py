@@ -523,20 +523,17 @@ def simulate_null(
         table.draw(streams, counts, table_weights, shift)
     for rng, total in zip(streams, counts) if wide_n.size else ():
         sim = rng.binomial(wide_n, wide_p, size=(wide_n.size, BLOCK))
-        if own_ballots:
-            at, block_weights = column_of_bin[percent_bins(sim, wide_n)], sim.ravel()
-        else:
-            at, block_weights = column_of_bin[percent_bins(sim, wide_n, out=sim)], wide_weights
+        at = column_of_bin[percent_bins(sim, wide_n)]
         at += shift
-        total += bincount_percent(at.ravel(), block_weights, total.size)
+        total += bincount_percent(at.ravel(), sim.ravel() if own_ballots else wide_weights, total.size)
     weights = counts.reshape(blocks * BLOCK, width)[:replicates, column]
     return NullDistribution(quantity, weight_mode, tuple(targets), weights, seed)
 
 
-def mc_p_value(null_weights: np.ndarray, observed: int) -> float:
-    """One-sided add-one Monte-Carlo p-value for an observed bin weight."""
+def mc_p_value(null_weights: np.ndarray, observed: np.ndarray | int) -> np.ndarray:
+    """One-sided add-one Monte-Carlo p-value of each column's observed bin weight, one null row per replicate."""
     r = null_weights.shape[0]
-    return (1 + int(np.count_nonzero(null_weights >= observed))) / (r + 1)
+    return (1 + np.count_nonzero(null_weights >= observed, axis=0)) / (r + 1)
 
 
 def detect_round_peaks(
@@ -562,7 +559,7 @@ def detect_round_peaks(
     sd = null.weights.std(axis=0, ddof=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(sd > 0, (observed - mean) / sd, np.where(observed > mean, np.inf, 0.0))
-    p = np.array([mc_p_value(null.weights[:, j], int(observed[j])) for j in range(len(targets))])
+    p = mc_p_value(null.weights, observed)
     flagged = tuple(int(t) for t, pj in zip(targets, p) if pj < alpha)
     return PeakReport(
         quantity=quantity,

@@ -21,7 +21,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
-from .dataset import ROW_BLOCK
+from .dataset import format_rows
 
 CAVEAT = (
     "Caveat: statistical screening cannot deliver final answers. These "
@@ -92,9 +92,9 @@ def render_report(report: dict) -> str:
     """``json.dumps(report, indent=2, ensure_ascii=False, sort_keys=True)`` and a newline.
 
     A list of two or more flat dicts with one key set, such as a report's
-    per-precinct rows, is formatted ROW_BLOCK rows per ``%`` template;
-    everything else is rendered piece by piece the way ``json`` renders
-    it.  Every piece goes into one list, joined once.  A report holding a
+    per-precinct rows, goes through ``dataset.format_rows`` with one row
+    template; everything else is rendered piece by piece the way ``json``
+    renders it.  Every piece goes into one list, joined once.  A report holding a
     value this renderer does not know is rendered, or refused, by ``json``
     itself.
     """
@@ -188,12 +188,12 @@ def _render_list(items: list | tuple, level: int, out: list[str]) -> None:
 
 
 def _render_rows(rows: list | tuple, level: int, sep: str, out: list[str]) -> bool:
-    """Render ``rows`` ROW_BLOCK at a time through ``%`` templates, if they are two or more flat dicts with one key set.
+    """Render ``rows``, if two or more flat dicts with one key set, through ``format_rows`` with one row template.
 
-    Flat means str keys and scalar values.  Each block gets its own
-    template, with one conversion per column: ``%r`` for a column of
-    finite floats, ``%d`` for one of ints, and ``%s`` of each cell's text
-    otherwise.  Returns False, having written nothing, for any other list.
+    Flat means str keys and scalar values.  The template has one
+    conversion per column: ``%r`` for a column of finite floats, ``%d``
+    for one of ints, and ``%s`` of each cell's text otherwise.  Returns
+    False, having written nothing, for any other list.
     """
     first = rows[0]
     if len(rows) < 2 or type(first) is not dict or not first or set(map(type, first)) != {str}:
@@ -203,28 +203,18 @@ def _render_rows(rows: list | tuple, level: int, sep: str, out: list[str]) -> bo
         return False
     keys = sorted(first)  # a row of ``width`` keys that holds all of these has this key set
     inner = "\n" + INDENT * (level + 1)
-    labels = [inner + encode_basestring(key).replace("%", "%%") + ": " for key in keys]
-    blocks = []
-    for start in range(0, len(rows), ROW_BLOCK):
-        block = rows[start : start + ROW_BLOCK]
-        cells: list = [None] * (len(block) * width)
-        conversions = []
-        for j, key in enumerate(keys):
-            try:
-                column = list(map(itemgetter(key), block))
-            except KeyError:
-                return False
-            converted = _column(column)
-            if converted is None:
-                return False
-            conversions.append(converted[0])
-            cells[j::width] = converted[1]
-        template = "{" + ",".join(label + c for label, c in zip(labels, conversions)) + "\n" + INDENT * level + "}"
-        blocks.append(sep.join([template] * len(block)) % tuple(cells))
-    for i, block in enumerate(blocks):
-        if i:
-            out.append(sep)
-        out.append(block)
+    fields, columns = [], []
+    for key in keys:
+        try:
+            converted = _column(list(map(itemgetter(key), rows)))
+        except KeyError:
+            return False
+        if converted is None:
+            return False
+        fields.append(inner + encode_basestring(key).replace("%", "%%") + ": " + converted[0])
+        columns.append(converted[1])
+    row = sep + "{" + ",".join(fields) + "\n" + INDENT * level + "}"
+    out.append(format_rows(row, columns)[len(sep) :])  # the first row loses its leading separator
     return True
 
 

@@ -123,13 +123,13 @@ def _pow2(d: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.pow, d.tolist(), repeat(2.0)), dtype=np.float64, count=len(d))
 
 
-def _sum(a: np.ndarray) -> float:
-    """The elements added one by one, left to right, from 0.0.
+def sum_left_to_right(a: np.ndarray) -> float:
+    """The elements added one by one, left to right, from 0.0: the library's one rule for a float total.
 
     A sequential ``cumsum``; adding 0.0 turns its -0.0 into the 0.0 that
     ``0.0 + -0.0`` gives.  This is how the builtin ``sum`` adds floats up
-    to Python 3.11; from 3.12 on ``sum`` compensates its rounding, and
-    ``_sum`` does not.
+    to Python 3.11; from 3.12 on ``sum`` compensates its rounding, so its
+    totals would change with the Python version, and these do not.
     """
     return float(np.cumsum(a)[-1]) + 0.0 if len(a) else 0.0
 
@@ -141,7 +141,7 @@ def fit_trend(points: PointCloud | Sequence[ScatterPoint], weighting: str = "uni
     so large precincts dominate the fit.  The results are bit for bit those
     of loops over Python floats (``tests/reference_loops.py``): products
     and differences elementwise, squares by libm ``pow`` and sums added
-    left to right (``_pow2``, ``_sum``), on every Python version.
+    left to right (``_pow2``, ``sum_left_to_right``), on every Python version.
     """
     if weighting not in ("uniform", "by_registered"):
         raise ValueError(f"unknown weighting {weighting!r}")
@@ -151,17 +151,17 @@ def fit_trend(points: PointCloud | Sequence[ScatterPoint], weighting: str = "uni
     cloud = PointCloud.of(points)
     x, y = cloud.x, cloud.y
     w = np.ones(n) if weighting == "uniform" else cloud.weight.astype(np.float64)
-    sw = _sum(w)
-    mx = _sum(w * x) / sw
-    my = _sum(w * y) / sw
+    sw = sum_left_to_right(w)
+    mx = sum_left_to_right(w * x) / sw
+    my = sum_left_to_right(w * y) / sw
     dx = x - mx
-    sxx = _sum(w * _pow2(dx))
+    sxx = sum_left_to_right(w * _pow2(dx))
     if sxx == 0.0:
         raise DegenerateX("all x values identical; slope undefined")
-    sxy = _sum(w * dx * (y - my))
+    sxy = sum_left_to_right(w * dx * (y - my))
     slope = sxy / sxx
     intercept = my - slope * mx
-    rss = _sum(w * _pow2(y - (slope * x + intercept)))
+    rss = sum_left_to_right(w * _pow2(y - (slope * x + intercept)))
     return TrendFit(slope, intercept, math.sqrt(rss / sw), n)
 
 
@@ -176,8 +176,8 @@ def slope_standard_error(points: PointCloud | Sequence[ScatterPoint], fit: Trend
         return float("inf")
     cloud = PointCloud.of(points)
     x, y = cloud.x, cloud.y
-    sxx = _sum(_pow2(x - _sum(x) / n))
+    sxx = sum_left_to_right(_pow2(x - sum_left_to_right(x) / n))
     if sxx == 0.0:
         raise DegenerateX("all x values identical; slope undefined")
-    rss = _sum(_pow2(y - (fit.slope * x + fit.intercept)))
+    rss = sum_left_to_right(_pow2(y - (fit.slope * x + fit.intercept)))
     return math.sqrt(rss / (n - 2) / sxx)

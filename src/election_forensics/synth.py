@@ -53,6 +53,7 @@ from .dataset import (
 from .dynamics import IntradayTable, parse_time
 from .errors import InvalidModel, MalformedRow
 from .histograms import QUANTITY_LEADER_SHARE, QUANTITY_TURNOUT
+from .scatter import sum_left_to_right
 
 BLOCK = 4096
 MAX_PRECINCTS = 10_000_000  # the generator holds several arrays of this length
@@ -90,13 +91,14 @@ class HonestModel:
             raise InvalidModel("baseline_shares must align with parties")
         if any(s < 0 for s in self.baseline_shares):
             raise InvalidModel("baseline shares must be non-negative")
-        if sum(self.baseline_shares) > 1 + 1e-12:
-            raise InvalidModel(f"baseline shares sum to {sum(self.baseline_shares)} > 1")
+        share_total = sum_left_to_right(np.asarray(self.baseline_shares, dtype=np.float64))
+        if share_total > 1 + 1e-12:
+            raise InvalidModel(f"baseline shares sum to {share_total} > 1")
         if self.leader not in self.parties:
             raise InvalidModel(f"leader {self.leader!r} not among parties")
         if not self.turnout_components:
             raise InvalidModel("need at least one turnout component")
-        wsum = sum(c.weight for c in self.turnout_components)
+        wsum = sum_left_to_right(np.array([c.weight for c in self.turnout_components], dtype=np.float64))
         if abs(wsum - 1.0) > 1e-9:
             raise InvalidModel(f"turnout component weights sum to {wsum}, need 1")
         if any(c.sd < 0 or not 0 <= c.mean <= 1 for c in self.turnout_components):
@@ -379,8 +381,8 @@ def generate_honest(model: HonestModel, seed: int) -> SyntheticElection:
     model.validate()
     n = model.precincts
     k = len(model.parties)
-    s_base = float(sum(model.baseline_shares))
     base = np.asarray(model.baseline_shares, dtype=np.float64)
+    s_base = sum_left_to_right(base)
     comp_means = np.array([c.mean for c in model.turnout_components])
     comp_sds = np.array([c.sd for c in model.turnout_components])
     comp_weights = np.array([c.weight for c in model.turnout_components])
@@ -612,10 +614,9 @@ def apply_fraud(
         votes[affected, leader_idx] += amounts
         return amounts
 
-    stuffed = np.zeros(n, dtype=np.int64)
-    transferred = np.zeros(n, dtype=np.int64)
-    rounding_delta = np.zeros(n, dtype=np.int64)
-    jump = np.zeros(n, dtype=np.int64)
+    stuffed, transferred, rounding_delta, jump = (  # each mechanism adds its counts to the incoming truth's
+        column.astype(np.int64) for column in (truth.stuffed, truth.transferred, truth.rounding_delta, truth.jump)
+    )
     skipped: list[str] = []
 
     spec = scenario.stuffing
@@ -625,7 +626,7 @@ def apply_fraud(
         # rank-match a sorted normal sample against propensity order.
         z = np.sort(shape[affected])[::-1]
         rel = np.clip(1.0 + spec.jitter * np.clip(z, -3.0, 3.0), 0.0, None)
-        stuffed[affected] = add_leader_ballots(affected, spec.intensity * rel)
+        stuffed[affected] += add_leader_ballots(affected, spec.intensity * rel)
 
     spec = scenario.transfer
     if spec.fraction > 0 and spec.amount > 0:
@@ -636,28 +637,25 @@ def apply_fraud(
         moved = take.sum(axis=1)
         votes[affected] -= take
         votes[affected, leader_idx] += moved
-        transferred[affected] = moved
+        transferred[affected] += moved
 
     spec = scenario.target_rounding
     if spec.fraction > 0 and spec.targets:
         affected = affected_set(spec.fraction)
-        rounding_delta[affected], rounded = _round_to_targets(spec, affected, registered, cast, votes, leader_idx)
+        delta, rounded = _round_to_targets(spec, affected, registered, cast, votes, leader_idx)
+        rounding_delta[affected] += delta
         skipped = pids[affected[~rounded]].tolist()
 
     spec = scenario.intraday_jump
     if spec.fraction > 0 and spec.size > 0:
         affected = affected_set(spec.fraction)
-        jump[affected] = add_leader_ballots(affected, spec.size)
+        jump[affected] += add_leader_ballots(affected, spec.size)
 
     columns = replace(arrays, ballots_cast=cast, votes=votes)
     check_invariants(columns)
     new_dataset = ElectionDataset(
         dataset.election_id, dataset.roster, columns, dataset.designated_leader
     )
-    stuffed += truth.stuffed
-    transferred += truth.transferred
-    rounding_delta += truth.rounding_delta
-    jump += truth.jump
     new_truth = replace(
         truth,
         stuffed=stuffed,

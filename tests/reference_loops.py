@@ -150,7 +150,7 @@ def generate_honest_whole_election(model: HonestModel, seed: int) -> SyntheticEl
     """``synth.generate_honest`` with the intraday curves computed for the whole election at once."""
     n = model.precincts
     k = len(model.parties)
-    s_base = float(sum(model.baseline_shares))
+    s_base = _sum_left_to_right(model.baseline_shares)
     base = np.asarray(model.baseline_shares, dtype=np.float64)
     comp_means = np.array([c.mean for c in model.turnout_components])
     comp_sds = np.array([c.sd for c in model.turnout_components])

@@ -22,7 +22,7 @@ from election_forensics.dynamics import serialize_intraday
 from election_forensics.peaks import MAX_REPLICATES, MIN_REPLICATES
 from election_forensics.report import CAVEAT
 
-from conftest import REPORT_SCHEMA, child_peak_mb, traced_peak
+from conftest import FIXTURES, REPORT_SCHEMA, child_peak_mb, traced_peak
 
 PRECINCTS = (
     "precinct_id,region,territory,registered,ballots_cast,invalid,machine_counted,votes_A,votes_B\n"
@@ -900,6 +900,63 @@ def test_protocol_diff_and_hyperactive_outputs_match_recorded_digests(tmp_path, 
     assert _report(tmp_path / "hyperactive")["results"]["flagged"]
     for (command, name), digest in FORENSICS_DIGESTS.items():
         assert hashlib.sha256((tmp_path / command / name).read_bytes()).hexdigest() == digest, (command, name)
+
+
+# Every other command's outputs on the shipped fixtures (and on ``ef synth``'s election from
+# SYNTH_MODEL, whose precincts differ in machine counting), recorded before the report renderer
+# handed its rows to ``format_rows``.
+REPORT_RUNS = {
+    "validate": ["validate", "--in", "precincts.csv", "--leader", "UNITY"],
+    "contrast": ["contrast", "--in", "fraud/precincts.csv", "--leader", "LEAD", "--by", "machine"],
+    "scatter": ["scatter", "--in", "precincts.csv", "--leader", "UNITY", "--no-plots"],
+    "scatter-registered": ["scatter", "--in", "precincts.csv", "--leader", "UNITY", "--no-plots",
+                           "--weighting", "by_registered", "--y-mode", "share_of_cast"],
+    "hist": ["hist", "--in", "precincts.csv", "--leader", "UNITY", "--no-plots"],
+    "bins": ["bins", "--in", "precincts.csv", "--leader", "UNITY"],
+    "peaks": ["peaks", "--in", "precincts.csv", "--leader", "UNITY", "--seed", "7", "--replicates", "200"],
+    "peaks-turnout-ballots": ["peaks", "--in", "precincts.csv", "--leader", "UNITY", "--seed", "7",
+                              "--replicates", "200", "--quantity", "turnout", "--weight-mode", "ballots",
+                              "--no-plots"],
+    "stuffing": ["stuffing", "--in", "precincts.csv", "--leader", "UNITY", "--window", "0.3:0.5"],
+    "clusters": ["clusters", "--in", "precincts.csv", "--leader", "UNITY", "--seed", "3", "--restarts", "4"],
+    "delta": ["delta", "--in", "nn_districts_2007_2011.csv"],
+    "paired-scan": ["paired-scan", "--in-a", "fraud/precincts.csv", "--in-b", "honest/precincts.csv",
+                    "--leader", "LEAD", "--threshold", "40"],
+    "prob": ["prob", "coincidence", "100", "10", "10", "--exact"],
+}
+REPORT_DIGESTS = {
+    ("validate", "report.json"): "82e52511bbf594c2bbfa519cb3596a074e4173ef673470b5bcb4d46ccf8b7bc9",
+    ("contrast", "report.json"): "e86366f4d27f1de6fa71f3d400ed0b0df1e09b6021ef5ddffa260b2c58eea28c",
+    ("scatter", "report.json"): "f43ff65334bd77a2842bb4e630152043d7346cb765cbcfc57d439da7174df672",
+    ("scatter-registered", "report.json"): "558d119e7361ea5eec1936e8811980bc730f5f7cfa1d278463675123e0c7bd80",
+    ("hist", "report.json"): "cac295a0f14e87a998056c20da482c26af910a1f98c74a90d05dd601f4de892d",
+    ("bins", "report.json"): "af09e43a05203536a169c786bbbf503fd05122653b50ae3b29f14ef52d0e0db0",
+    ("peaks", "report.json"): "8fbd2ce163eadf8c3483b9daa0301dbc83bc2407be5c73fa983e5413a4865de2",
+    ("peaks", "peaks.svg"): "87149b33442015b168923832cdb4479de17703278d33a9163074577f5234f343",
+    ("peaks-turnout-ballots", "report.json"): "b1fc82cbc3f48d40b8428da38a7166128b70137cbdc4cb827539aeefc7221f20",
+    ("stuffing", "report.json"): "be1053a9e08de0559f76e6de4cf69361d90398df4ea23c1a4b80460fea0291d5",
+    ("clusters", "report.json"): "d6dbfe40dd5d40aa0934e609ef3dec48558db0661d82d4061fb6e28d0818ab3c",
+    ("clusters", "clusters.svg"): "0bf6ccc161ad70caed3bb48bbc0ba4503f44c8cbf3915f811e7979b1bab8e18d",
+    ("delta", "report.json"): "ebf0e825857d114b0c1ecca5f47fb184e07f764e876a3f397d11445b50457b4a",
+    ("paired-scan", "report.json"): "e2860bd88895d2e741390091973e8f7df124b366dc7082d65bd904d6975765c1",
+    ("prob", "report.json"): "3ac17403f1472f5a26c2b9f4678dc28ba7c2871e933ee2649281d2454bf422e7",
+}
+
+
+def test_every_other_commands_outputs_match_recorded_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths keep report.json free of the temporary directory
+    (tmp_path / "precincts.csv").write_bytes((FIXTURES / "round_targets_precincts.csv").read_bytes())
+    (tmp_path / "nn_districts_2007_2011.csv").write_bytes((FIXTURES / "nn_districts_2007_2011.csv").read_bytes())
+    (tmp_path / "model.json").write_text(json.dumps(SYNTH_MODEL))
+    (tmp_path / "scenario.json").write_text(json.dumps(SYNTH_SCENARIO))
+    assert main(["synth", "--model", "model.json", "--seed", "11", "--out", "honest"]) == 0
+    assert main(["synth", "--model", "model.json", "--scenario", "scenario.json", "--seed", "11",
+                 "--out", "fraud"]) == 0
+    for run, argv in REPORT_RUNS.items():
+        assert main([*argv, "--out", run]) == 0, run
+    assert _report(tmp_path / "paired-scan")["results"]["counts"]["a_over_b"]
+    for (run, name), digest in REPORT_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest() == digest, (run, name)
 
 
 def _digest(path: Path) -> str:

@@ -1,9 +1,10 @@
+import math
 import random
 from decimal import Decimal
 
 import pytest
 
-from election_forensics import synth
+from election_forensics import compare, synth
 from election_forensics.compare import (
     cross_election_delta,
     ks_statistic,
@@ -15,6 +16,7 @@ from election_forensics.compare import (
 from election_forensics.dataset import partition
 from election_forensics.errors import PairMismatch, RosterMismatch, UnitMismatch
 from conftest import quick_dataset, record
+from reference_loops import _sum_left_to_right
 
 
 def brute_force_ks(xs, ys):
@@ -200,7 +202,7 @@ def _reference_displacements(observer, official):
         ]
         rows.append((src.precinct_id, *points, (points[1][0] - points[0][0], points[1][1] - points[0][1])))
     n = len(rows)
-    return rows, sum(r[3][0] for r in rows) / n, sum(r[3][1] for r in rows) / n
+    return rows, _sum_left_to_right([r[3][0] for r in rows]) / n, _sum_left_to_right([r[3][1] for r in rows]) / n
 
 
 def test_protocol_displacements_all_positive_under_stuffing():
@@ -217,6 +219,20 @@ def test_protocol_displacements_all_positive_under_stuffing():
     rows, mean_d_turnout, mean_d_share = _reference_displacements(gen.dataset, official)
     columns = (diff.observer, diff.official, diff.displacement)
     assert list(zip(diff.precinct_ids.tolist(), *(map(tuple, c.tolist()) for c in columns))) == rows
+    assert (diff.mean_d_turnout, diff.mean_d_leader_share) == (mean_d_turnout, mean_d_share)
+
+
+def test_protocol_means_add_left_to_right_whatever_the_builtin_sum(monkeypatch):
+    # math.fsum rounds once, as Python 3.12's compensated builtin sum nearly does
+    model = synth.HonestModel(precincts=300, parties=("LEAD", "OPP"), baseline_shares=(0.5, 0.45), leader="LEAD")
+    gen = synth.generate_honest(model, seed=8)
+    scenario = synth.FraudScenario(stuffing=synth.StuffingSpec(fraction=0.5, intensity=0.15), seed=2)
+    official, _ = synth.apply_fraud(gen.dataset, scenario)
+    _, mean_d_turnout, mean_d_share = _reference_displacements(gen.dataset, official)
+    columns = protocol_displacements(gen.dataset, official).displacement.T.tolist()
+    assert [math.fsum(c) / len(c) for c in columns] != [mean_d_turnout, mean_d_share]  # the rules differ here
+    monkeypatch.setattr(compare, "sum", math.fsum, raising=False)
+    diff = protocol_displacements(gen.dataset, official)
     assert (diff.mean_d_turnout, diff.mean_d_leader_share) == (mean_d_turnout, mean_d_share)
 
 
