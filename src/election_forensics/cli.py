@@ -58,6 +58,13 @@ def _parse_party_list(raw: str) -> list[str]:
     return [p for p in (s.strip() for s in raw.split(",")) if p]
 
 
+def _seed(raw: str) -> int:
+    """A ``--seed`` value: a non-negative integer in decimal digits, as numpy's generators take."""
+    if not raw.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
 def _parse_window(raw: str) -> tuple[float, float]:
     lo, _, hi = raw.partition(":")
     return float(lo), float(hi)
@@ -112,7 +119,7 @@ def cmd_scatter(args) -> dict:
     for party, points, _ in series:  # one CSV text at a time
         columns = [csv_cells(points.precinct_ids), points.x, points.y, points.weight]
         rows = format_rows("%s,%.9f,%.9f,%d\n", columns)
-        atomic_write_text(out / f"scatter_{party}.csv", "precinct_id,x,y,weight\n" + rows)
+        atomic_write_text(out / f"scatter_{party}.csv", "".join(["precinct_id,x,y,weight\n", *rows]))
     if svg is not None:
         atomic_write_text(out / "scatter.svg", svg)
     results = {
@@ -130,7 +137,7 @@ def cmd_hist(args) -> dict:
     svg = None if args.no_plots else svg_histogram(hist.bins, title=f"{args.quantity} ({args.weight_mode})")
     n = len(hist.bins)
     rows = format_rows("%s,%d,%d\n", [csv_cells([hist.quantity] * n), range(n), hist.bins])
-    atomic_write_text(out / "hist.csv", "quantity,bin,weight\n" + rows)
+    atomic_write_text(out / "hist.csv", "".join(["quantity,bin,weight\n", *rows]))
     if svg is not None:
         atomic_write_text(out / "hist.svg", svg)
     return {
@@ -153,7 +160,7 @@ def cmd_bins(args) -> dict:
     columns = [lo, hi, list(csv_cells(table.parties)) * table.n_bins, np.ravel(table.votes),
                np.repeat(table.precinct_counts, k)]
     rows = format_rows("%.4f,%.4f,%s,%d,%d\n", columns)
-    atomic_write_text(out / "bins.csv", "bin_lo,bin_hi,party,votes,precincts\n" + rows)
+    atomic_write_text(out / "bins.csv", "".join(["bin_lo,bin_hi,party,votes,precincts\n", *rows]))
     return {
         "results": {
             "bin_width": table.bin_width,
@@ -167,7 +174,10 @@ def cmd_bins(args) -> dict:
 
 def cmd_peaks(args) -> dict:
     dataset, digest = _load_dataset(args)
-    targets = tuple(int(t) for t in _parse_party_list(args.targets)) if args.targets else peaks.DEFAULT_TARGETS
+    try:
+        targets = tuple(int(t) for t in _parse_party_list(args.targets)) if args.targets else peaks.DEFAULT_TARGETS
+    except ValueError:
+        raise ValueError(f"--targets must be comma-separated integer percents, got {args.targets!r}") from None
     report = peaks.detect_round_peaks(
         dataset,
         quantity=args.quantity,
@@ -432,7 +442,7 @@ def build_parser() -> _Parser:
     s.add_argument("--weight-mode", default="precincts", choices=hist_mod.WEIGHT_MODES)
     s.add_argument("--targets", default="", help="comma-separated integer percents")
     s.add_argument("--replicates", type=int, default=1000)
-    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--seed", type=_seed, required=True)
     s.add_argument("--alpha", type=float, default=0.01)
     _add_common_out(s)
     s.set_defaults(func=cmd_peaks)
@@ -446,7 +456,7 @@ def build_parser() -> _Parser:
 
     s = subs.add_parser("clusters", help="one-vs-two cluster split of (turnout, leader share)")
     _add_in_leader(s)
-    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--seed", type=_seed, required=True)
     s.add_argument("--restarts", type=int, default=20)
     _add_common_out(s)
     s.set_defaults(func=cmd_clusters)
@@ -488,7 +498,7 @@ def build_parser() -> _Parser:
     s = subs.add_parser("synth", help="generate a synthetic election (optional fraud scenario)")
     s.add_argument("--model", required=True, help="honest model JSON")
     s.add_argument("--scenario", default=None, help="fraud scenario JSON")
-    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--seed", type=_seed, required=True)
     _add_common_out(s, plots=False)
     s.set_defaults(func=cmd_synth)
 

@@ -287,14 +287,15 @@ def csv_cells(cells: Sequence[str]) -> Sequence[str]:
     return written
 
 
-def format_rows(row: str, columns: Sequence[Sequence | np.ndarray]) -> str:
-    """``row % cells`` for each row of the equal-length ``columns``, joined.
+def format_rows(row: str, columns: Sequence[Sequence | np.ndarray]) -> list[str]:
+    """``row % cells`` for each row of the equal-length ``columns``, as blocks of text.
 
     A column is a list, tuple or 1-d ndarray.  The rows are written
     ROW_BLOCK (4,096) at a time: one ``%`` call per block over its cells
     interleaved row by row, an ndarray column's slice turned into Python
-    scalars by ``tolist`` block by block.  The blocks are joined once, so
-    the peak memory is about two copies of the output plus one block.
+    scalars by ``tolist`` block by block.  The blocks are returned, not
+    joined: each caller joins them once, with its header, so the peak
+    memory is about two copies of the output plus one block.
     """
     n = len(columns[0]) if columns else 0
     width = len(columns)
@@ -306,7 +307,7 @@ def format_rows(row: str, columns: Sequence[Sequence | np.ndarray]) -> str:
             part = column[start : start + rows]
             cells[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
         blocks.append((row * rows) % tuple(cells))
-    return "".join(blocks)
+    return blocks
 
 
 def parse_count(cell: str, line: int, column: str) -> int:
@@ -655,7 +656,7 @@ def serialize_dataset(dataset: ElectionDataset) -> str:
         header.append(TAGS_COLUMN)
         columns.append(csv_cells([";".join(tags) for tags in c.tags.tolist()]))
     row = ",".join(["%s"] * len(columns)) + "\n"
-    return ",".join(csv_cells(header)) + "\n" + format_rows(row, columns)
+    return "".join([",".join(csv_cells(header)) + "\n", *format_rows(row, columns)])
 
 
 def partition(

@@ -243,8 +243,8 @@ def serialize_intraday(series_map: Mapping[str, IntradaySeries]) -> str:
     """``intraday.csv`` text: precincts sorted by id, each one's reports in its order.
 
     The rows are formatted ROW_BLOCK precincts at a time from slices of
-    the table's arrays, so no temporary spans the whole table; the block
-    strings are joined once.
+    the table's arrays, so no temporary spans the whole table; the blocks
+    are joined once.
     """
     table = IntradayTable.from_series(series_map)
     ids = table.precinct_ids
@@ -252,11 +252,12 @@ def serialize_intraday(series_map: Mapping[str, IntradaySeries]) -> str:
         order = sorted(range(len(ids)), key=ids.tolist().__getitem__)
         table = table.take(np.array(order, dtype=np.int64))
     blocks = [",".join(INTRADAY_HEADER) + "\n"]
-    blocks.extend(_intraday_rows(table, first) for first in range(0, len(table), ROW_BLOCK))
+    for first in range(0, len(table), ROW_BLOCK):
+        blocks.extend(_intraday_rows(table, first))
     return "".join(blocks)
 
 
-def _intraday_rows(table: IntradayTable, first: int) -> str:
+def _intraday_rows(table: IntradayTable, first: int) -> list[str]:
     """The rows of the ROW_BLOCK precincts from ``first``.
 
     The block's temporaries die on return, so none is alive while the

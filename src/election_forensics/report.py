@@ -80,157 +80,100 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 INDENT = "  "
-_MAX_DEPTH = 64  # deeper values, circular ones included, are left to ``json``
-_BOOL_TEXT = {True: "true", False: "false"}
-
-
-class _General(Exception):
-    """A value the templated renderer leaves to ``json``'s encoder."""
+_ROWS = "\x00rows"  # stands in the skeleton for a list of rows that format_rows writes
 
 
 def render_report(report: dict) -> str:
     """``json.dumps(report, indent=2, ensure_ascii=False, sort_keys=True)`` and a newline.
 
-    A list of two or more flat dicts with one key set, such as a report's
-    per-precinct rows, goes through ``dataset.format_rows`` with one row
-    template; everything else is rendered piece by piece the way ``json``
-    renders it.  Every piece goes into one list, joined once.  A report holding a
-    value this renderer does not know is rendered, or refused, by ``json``
-    itself.
+    ``json`` renders a skeleton of the report in which each list of rows,
+    such as a report's per-precinct rows, is the string ``_ROWS``.  The
+    text of each is then replaced by its rows, which
+    ``dataset.format_rows`` writes with one row template.  If that text
+    occurs more often than there are lists of rows, the report itself
+    holds it, and ``json`` renders the whole report.  A value too deep for
+    the walk, a circular one included, is ``json``'s to render or refuse.
     """
-    pieces: list[str] = []
+    rows: list[list[str]] = []
     try:
-        _render(report, 0, pieces)
-    except _General:
-        pieces = [json.dumps(report, indent=2, ensure_ascii=False, sort_keys=True)]
-    pieces.append("\n")
-    return "".join(pieces)
+        skeleton = _lift_rows(report, 0, rows)
+    except RecursionError:
+        skeleton, rows = report, []
+    pieces = json.dumps(skeleton, indent=2, ensure_ascii=False, sort_keys=True).split(json.dumps(_ROWS))
+    if len(pieces) != len(rows) + 1:
+        pieces, rows = [json.dumps(report, indent=2, ensure_ascii=False, sort_keys=True)], []
+    out = [pieces[0]]
+    for blocks, piece in zip(rows, pieces[1:]):
+        out.extend(blocks)
+        out.append(piece)
+    out.append("\n")
+    return "".join(out)
 
 
-def _float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
+def _lift_rows(value, level: int, rows: list[list[str]]):
+    """``value``, at depth ``level``, with each list of rows in it replaced by ``_ROWS``.
 
-
-def _scalar(value) -> str | None:
-    """``json``'s text of a str, None, bool, int or float; None for any other value."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float(value)
-    return None
-
-
-def _key(key) -> str:
-    """A dict key as ``json`` writes it: a str, or the text of a float, bool, None or int, quoted."""
-    text = key if isinstance(key, str) else _scalar(key)
-    if text is None:
-        raise _General
-    return encode_basestring(text)
-
-
-def _render(value, level: int, out: list[str]) -> None:
-    text = _scalar(value)
-    if text is not None:
-        out.append(text)
-    elif level > _MAX_DEPTH:
-        raise _General
-    elif type(value) is list or type(value) is tuple:
-        _render_list(value, level, out)
-    elif type(value) is dict:
-        _render_dict(value, level, out)
-    else:
-        raise _General
-
-
-def _render_dict(value: dict, level: int, out: list[str]) -> None:
-    if not value:
-        out.append("{}")
-        return
-    try:
-        items = sorted(value.items())
-    except TypeError:  # keys of types that do not compare
-        raise _General from None
-    inner = "\n" + INDENT * (level + 1)
-    out.append("{")
-    for i, (key, item) in enumerate(items):
-        out.append(("," + inner if i else inner) + _key(key) + ": ")
-        _render(item, level + 1, out)
-    out.append("\n" + INDENT * level + "}")
-
-
-def _render_list(items: list | tuple, level: int, out: list[str]) -> None:
-    if not items:
-        out.append("[]")
-        return
-    inner = "\n" + INDENT * (level + 1)
-    sep = "," + inner
-    out.append("[" + inner)
-    if not _render_rows(items, level + 1, sep, out):
-        for i, item in enumerate(items):
-            if i:
-                out.append(sep)
-            _render(item, level + 1, out)
-    out.append("\n" + INDENT * level + "]")
-
-
-def _render_rows(rows: list | tuple, level: int, sep: str, out: list[str]) -> bool:
-    """Render ``rows``, if two or more flat dicts with one key set, through ``format_rows`` with one row template.
-
-    Flat means str keys and scalar values.  The template has one
-    conversion per column: ``%r`` for a column of finite floats, ``%d``
-    for one of ints, and ``%s`` of each cell's text otherwise.  Returns
-    False, having written nothing, for any other list.
+    The rows' blocks go to ``rows`` in the order ``json`` writes them, a
+    dict's items sorted by key.  A dict whose keys do not sort is left as
+    it is, and so is every value but a dict, list or tuple.
     """
-    first = rows[0]
-    if len(rows) < 2 or type(first) is not dict or not first or set(map(type, first)) != {str}:
-        return False
-    width = len(first)
-    if set(map(type, rows)) != {dict} or set(map(len, rows)) != {width}:
-        return False
-    keys = sorted(first)  # a row of ``width`` keys that holds all of these has this key set
-    inner = "\n" + INDENT * (level + 1)
-    fields, columns = [], []
-    for key in keys:
+    if type(value) is dict:
         try:
-            converted = _column(list(map(itemgetter(key), rows)))
-        except KeyError:
-            return False
-        if converted is None:
-            return False
-        fields.append(inner + encode_basestring(key).replace("%", "%%") + ": " + converted[0])
-        columns.append(converted[1])
-    row = sep + "{" + ",".join(fields) + "\n" + INDENT * level + "}"
-    out.append(format_rows(row, columns)[len(sep) :])  # the first row loses its leading separator
-    return True
+            items = sorted(value.items())
+        except TypeError:  # keys of types that do not compare, which json refuses
+            return value
+        return {key: _lift_rows(item, level + 1, rows) for key, item in items}
+    if type(value) is not list and type(value) is not tuple:
+        return value
+    converted = _column(value, level + 1) if len(value) > 1 and type(value[0]) is dict else None
+    if converted is None:
+        return [_lift_rows(item, level + 1, rows) for item in value]
+    item = "\n" + INDENT * (level + 1)
+    blocks = format_rows("," + item + converted[0], converted[1])
+    blocks[0] = "[" + item + blocks[0][1 + len(item) :]  # the first row's separator opens the list
+    blocks.append("\n" + INDENT * level + "]")
+    rows.append(blocks)
+    return _ROWS
 
 
-def _column(column: list | tuple) -> tuple[str, list | tuple] | None:
-    """A column's ``%`` conversion and the cells it takes, or None if a cell is not a scalar."""
+def _column(column: list | tuple, level: int) -> tuple[str, list[list]] | None:
+    """The ``%`` template of a column of values at depth ``level``, and the columns of cells it takes.
+
+    A column of finite floats takes ``%r``, of ints ``%d``, and of strs or
+    bools ``%s`` of each cell's text.  A column of dicts with one set of
+    str keys, or of lists of one length, takes a template with one column
+    per key or position.  Any other column is None.
+    """
     kinds = set(map(type, column))
     if kinds == {float} and math.isfinite(sum(column)):  # a finite sum has no non-finite term
-        return "%r", column
+        return "%r", [column]
     if kinds == {int}:
-        return "%d", column
+        return "%d", [column]
     if kinds == {str}:
-        return "%s", list(map(encode_basestring, column))
+        return "%s", [list(map(encode_basestring, column))]
     if kinds == {bool}:
-        return "%s", list(map(_BOOL_TEXT.__getitem__, column))
-    texts = list(map(_scalar, column))
-    return None if None in texts else ("%s", texts)
+        return "%s", [list(map(("false", "true").__getitem__, column))]
+    if kinds == {dict} and set(map(type, column[0])) == {str}:
+        keys, brackets = sorted(column[0]), "{}"
+    elif kinds == {list}:
+        keys, brackets = range(len(column[0])), "[]"
+    else:
+        return None
+    if not keys or set(map(len, column)) != {len(keys)}:
+        return None
+    inner = "\n" + INDENT * (level + 1)
+    templates, columns = [], []
+    for key in keys:  # a dict of len(keys) keys that holds all of these has this key set
+        try:
+            converted = _column(list(map(itemgetter(key), column)), level + 1)
+        except KeyError:
+            return None
+        if converted is None:
+            return None
+        label = encode_basestring(key).replace("%", "%%") + ": " if brackets == "{}" else ""
+        templates.append(inner + label + converted[0])
+        columns.extend(converted[1])
+    return brackets[0] + ",".join(templates) + "\n" + INDENT * level + brackets[1], columns
 
 
 def write_report(out_dir: str | Path, report: dict) -> Path:

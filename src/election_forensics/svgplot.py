@@ -131,7 +131,7 @@ def svg_scatter(
         px = _px(xy[:, 0], 0, 1, PLOT_W, MARGIN_L)
         py = _px(xy[:, 1], 0, 1, PLOT_H, MARGIN_T, flip=True)
         circle = '<circle cx="%.2f" cy="%.2f" r="1.6" fill="' + color + '" fill-opacity="0.45"/>\n'
-        doc.add(format_rows(circle, [px, py]))
+        doc.parts.extend(format_rows(circle, [px, py]))
         if trend is not None:
             slope, intercept = trend
             x1, x2 = 0.0, 1.0

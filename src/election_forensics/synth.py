@@ -340,7 +340,7 @@ class GroundTruth:
             self.rounding_delta,
             self.jump,
         ]
-        return header + format_rows("%s,%s,%.6f,%s,%s,%s,%s,%s,%s\n", columns)
+        return "".join([header, *format_rows("%s,%s,%.6f,%s,%s,%s,%s,%s,%s\n", columns)])
 
 
 def _pre_fraud_truth(

@@ -192,7 +192,7 @@ def test_block_wise_format_rows_equals_one_shot(n, specs, seed):
         column = _column(rng, n, dtype, conversion)
         columns.append(column.tolist() if as_list else column)
     row = "<" + ",".join(conversion for conversion, _, _ in specs) + ">\n"
-    assert format_rows(row, columns) == _one_shot_rows(row, columns)
+    assert "".join(format_rows(row, columns)) == _one_shot_rows(row, columns)
 
 
 def test_share_ordering_invariant():

@@ -12,13 +12,18 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import election_forensics
 from election_forensics.cli import main
 
 MAX_ROWS = 40
@@ -232,3 +237,42 @@ def test_every_run_keeps_the_error_contract(invocation):
         out = Path(tmp, "out")
         if code == 1:
             assert not out.exists() or not any(out.iterdir()), (argv, stderr.getvalue(), sorted(out.iterdir()))
+
+
+def _io_fault_argv(tmp: Path, case: str) -> list[str]:
+    """``ef validate`` of a valid file, with ``--out`` or ``--in`` naming a path the system cannot use so."""
+    precincts = tmp / "precincts.csv"
+    precincts.write_text(_csv([HEADER, ["p1", "R", "T1", 100, 50, 0, 0, 30, 20]]), encoding="utf-8")
+    regular = tmp / "regular"
+    regular.write_text("x", encoding="utf-8")
+    source, out = str(precincts), str(tmp / "out")
+    if case == "out-is-a-file":  # [Errno 17] File exists
+        out = str(regular)
+    elif case == "out-under-a-file":  # [Errno 20] Not a directory
+        out = str(regular / "out")
+    elif case == "in-is-a-directory":  # [Errno 21] Is a directory
+        source = str(tmp)
+    return ["validate", "--in", source, "--leader", "A", "--out", out]
+
+
+def _assert_one_io_error(code: int, stderr: str) -> None:
+    errors = [line for line in stderr.splitlines() if ERROR_LINE.match(line)]
+    assert code == 2, stderr
+    assert "Traceback" not in stderr
+    assert len(errors) == 1 and errors[0].startswith("ERROR IO: "), stderr
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "out-under-a-file", "in-is-a-directory"])
+def test_a_path_the_system_refuses_exits_two_with_one_io_error(tmp_path, case):
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(_io_fault_argv(tmp_path, case))
+    _assert_one_io_error(code, stderr.getvalue())
+
+
+def test_the_process_exits_two_with_one_io_error(tmp_path):
+    """The same through ``cli.run()``, the entry of ``python -m election_forensics.cli`` and the ``ef`` script."""
+    env = dict(os.environ, PYTHONPATH=str(Path(election_forensics.__file__).parents[1]))
+    ran = subprocess.run([sys.executable, "-m", "election_forensics.cli", *_io_fault_argv(tmp_path, "out-under-a-file")],
+                         env=env, capture_output=True, text=True, timeout=60)
+    _assert_one_io_error(ran.returncode, ran.stderr)

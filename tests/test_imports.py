@@ -1,4 +1,4 @@
-"""Every top-level import of a library module is used by that module."""
+"""Every top-level import and private name of a library module is used by that module."""
 
 import ast
 from pathlib import Path
@@ -32,3 +32,32 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_top_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(source: str) -> list[str]:
+    """The private names (``_x``) a module's top-level functions, classes and assignments bind that no other top-level statement reads."""
+    tree = ast.parse(source)
+    bound, reads = [], []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+        else:
+            names = []
+        bound.append([name for name in names if name.startswith("_") and not name.startswith("__")])
+        reads.append({name.id for name in ast.walk(node) if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)})
+    return [name for i, names in enumerate(bound) for name in names
+            if not any(name in read for j, read in enumerate(reads) if j != i)]
+
+
+def test_the_check_finds_an_unread_private_name():
+    source = ("_A = 1\n_B, c = 2, 3\n_C: int = _A\n__all__ = []\n"
+              "def _f():\n    return _f()\nclass _K:\n    pass\ndef g():\n    return _C\n")
+    assert unread_private_names(source) == ["_B", "_f", "_K"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_top_level_private_name_is_read(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []

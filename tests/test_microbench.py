@@ -16,7 +16,7 @@ pytest.importorskip("pytest_benchmark")
 
 from election_forensics import synth  # noqa: E402
 from election_forensics.anomaly import split_two_clusters  # noqa: E402
-from election_forensics.compare import parse_protocols  # noqa: E402
+from election_forensics.compare import parse_protocols, protocol_displacements  # noqa: E402
 from election_forensics.dataset import format_rows, parse_dataset, serialize_dataset  # noqa: E402
 from election_forensics.dynamics import flag_hyperactive, parse_intraday, serialize_intraday  # noqa: E402
 from election_forensics.peaks import simulate_null  # noqa: E402
@@ -264,7 +264,9 @@ def test_parse_protocols_16k_precincts(benchmark):
     columns = [c.precinct_ids.tolist(), c.registered.tolist(), c.ballots_cast.tolist(), c.invalid.tolist(),
                *c.votes.T.tolist()]
     text = "precinct_id,source,registered,ballots_cast,invalid,votes_A,votes_B,votes_C,votes_D\n" + "".join(
-        format_rows(f"%s,{source},%s,%s,%s,%s,%s,%s,%s\n", columns) for source in ("official", "observer")
+        block
+        for source in ("official", "observer")
+        for block in format_rows(f"%s,{source},%s,%s,%s,%s,%s,%s,%s\n", columns)
     )
     observer, official = benchmark.pedantic(parse_protocols, args=(text, "A"), rounds=3)
     for parsed in (observer, official):
@@ -302,6 +304,16 @@ def test_render_report_hyperactive_16k_rows(benchmark):
     report = build_report("hyperactive", {"threshold": flags.threshold}, [], flags.as_dict())
     text = benchmark.pedantic(render_report, args=(report,), rounds=3)
     assert len(report["results"]["rows"]) == 16_000
+    assert text == json.dumps(report, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def test_render_report_protocol_diff_16k_rows(benchmark):
+    """The ``report.json`` of ``ef protocol-diff`` on 16k precincts: rows of ``[x, y]`` list cells."""
+    ds = _national_16k().dataset
+    diff = protocol_displacements(ds, ds)
+    report = build_report("protocol-diff", {}, [], diff.as_dict())
+    text = benchmark.pedantic(render_report, args=(report,), rounds=3)
+    assert len(report["results"]["displacements"]) == 16_000
     assert text == json.dumps(report, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
 
 

@@ -166,10 +166,16 @@ def test_render_report_templated_rows_across_blocks_match_json_dumps():
             "count": i if i < ROW_BLOCK else float(i),
             "flag": i % 3 == 0,
             "note": None if i % 5 else "é%s",
+            "xy": [i / 3, -i / 9 if i != 2 * ROW_BLOCK + 1 else -float("inf")],
         }
         for i in range(n)
     ]
     report = {"rows": rows, "one": rows[:1], "infinite": [{"v": float("inf")}, {"v": -float("inf")}]}
+    assert render_report(report) == _json(report)
+    # every column of these rows takes a template: [x, y], nested list and dict cells included
+    cells = [{"id": f"p{i}", "xy": [i / 3, -i / 9], "pair": [[i, "é%s"], [i % 2 == 0]], "at": {"n%": i, "m": [i]}}
+             for i in range(n)]
+    report = {"cells": cells, "nested": {"cells": cells[:5]}}
     assert render_report(report) == _json(report)
 
 
@@ -186,3 +192,21 @@ def test_render_report_leaves_other_values_to_json():
         render_report({"rows": [{"a": 1}, {"a": np.int64(2)}]})
     with pytest.raises(TypeError):
         render_report({"keys": {1: 1, "a": 2}})
+
+
+_MARKER_TEXT = json.dumps("\x00rows")  # the text a list of rows stands as in the renderer's skeleton
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        {"value": "\x00rows", "rows": [{"a": 1}, {"a": 2}]},
+        {"\x00rows": [{"a": 1}, {"a": 2}]},
+        {"value": 'end"\x00rows', "rows": [{"a": 1.5}, {"a": 2.5}]},
+        {"value": _MARKER_TEXT, "rows": [{"a": "x"}, {"a": "y"}]},
+        {"value": "\x00rows"},
+    ],
+    ids=["string", "key", "quote-then-marker", "marker-text", "no-rows"],
+)
+def test_render_report_of_a_report_holding_the_row_marker_is_json_dumps(report):
+    assert render_report(report) == _json(report)
