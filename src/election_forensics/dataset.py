@@ -448,7 +448,9 @@ def read_blocks(
     width = len(header)
     # (column, rule) in the order a row's cells are checked
     checks = [(index, rule) for key, rule in rules.items() for index in (key if isinstance(key, tuple) else (key,))]
-    seen: set = set()  # the repeat keys of the blocks before
+    # Each earlier block's repeat keys sorted by hash, with the hashes: 16 bytes a key, where a set took
+    # over 60.  A key is a str for one key column and a tuple for more.
+    seen: list[tuple[np.ndarray, np.ndarray]] = []
 
     def block(records: list[list[str]], first: int, error: str | None) -> list[np.ndarray]:
         """The values of the records read from line ``first`` on, up to ``error``; raises their first fault."""
@@ -470,11 +472,21 @@ def read_blocks(
             flagged |= open_cells
         if repeat is not None:
             key_columns, message = repeat
-            keys = list(zip(*(map(str.strip, cells[j]) for j in key_columns)))
-            repeated = first_repeats(keys)
-            if not seen.isdisjoint(keys):
-                repeated |= np.fromiter(map(seen.__contains__, keys), dtype=bool, count=len(keys))
-            seen.update(keys)
+            stripped = [map(str.strip, cells[j]) for j in key_columns]
+            keys = list(stripped[0] if len(stripped) == 1 else zip(*stripped))
+            hashes = np.fromiter(map(hash, keys), dtype=np.int64, count=len(keys))
+            order = np.argsort(hashes, kind="stable")
+            hashes = hashes[order]
+            # equal keys hash alike, so sorted hashes that all differ rule out a repeat within the block
+            repeated = first_repeats(keys) if (hashes[1:] == hashes[:-1]).any() else np.zeros(len(keys), dtype=bool)
+            for earlier_hashes, earlier_keys in seen:
+                # and only keys whose hash an earlier block has can repeat one of its keys
+                lo = np.searchsorted(earlier_hashes, hashes)
+                hi = np.searchsorted(earlier_hashes, hashes, side="right")
+                for j in np.flatnonzero(hi > lo).tolist():
+                    i = int(order[j])
+                    repeated[i] |= keys[i] in earlier_keys[lo[j] : hi[j]].tolist()
+            seen.append((hashes, np.fromiter(keys, dtype=object, count=len(keys))[order]))
             flagged |= repeated
         end = len(rows)
         if flagged.any():
@@ -489,7 +501,8 @@ def read_blocks(
                 end, fault = i, exc
                 break
             if repeat is not None and repeated[i]:
-                end, fault = i + 1, MalformedRow(line, message.format(*keys[i]))
+                key = keys[i] if isinstance(keys[i], tuple) else (keys[i],)
+                end, fault = i + 1, MalformedRow(line, message.format(*key))
                 break
         in_order = iter([column_values for column_values, _ in read])
         values = [
@@ -630,7 +643,7 @@ def parse_dataset(csv_text: str, leader: str, election_id: str = "dataset") -> E
             tags=tags[0] if has_tags else no_tags(end),
         )
 
-    values = read_columns(table, rules, columns=columns)
+    values = read_columns(table, rules, repeat=((0,), "duplicate precinct_id {!r}"), columns=columns)
     return ElectionDataset(election_id, roster, columns(values, len(values[0])), leader)
 
 

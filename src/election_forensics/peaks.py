@@ -36,24 +36,36 @@ last block is always drawn in full and trimmed, so a replicate's draws
 depend only on the seed and its own index: the null for R replicates is
 the first R rows of the null for any larger R.
 
-A replicate only needs the bin each precinct's count lands in, so the null
-is drawn in bin space.  Once per call, each precinct's exact probability
-q_ib of landing in each requested bin b under Bin(n_i, p_i) is tabulated:
-the pmf comes from the ratio recurrence (n - k) / (k + 1) * p / (1 - p)
-(over failures where p > 1/2) across a count window n p -/+ t, normalised
-over it, with t from Bernstein's inequality so that the window leaves out
-less than ``TAIL_MASS`` = 1e-18, and is summed between the bin edges
-ceil(n (2b - 1) / 200) that percent_bins' half-up rounding implies.  The
-requested bins of positive mass and "none of them" form an alias table
-(Walker's method) per precinct.  Block k then draws one (m, BLOCK) matrix
-of uniforms, one per draw, precinct by precinct, for the m precincts whose
-window reaches a requested bin, and inverts each to its bin in constant
-time; every draw of the other precincts lands in no requested bin.  Two
-cases still draw binomial counts from the same block stream, after the
-uniforms: turnout weighted by ballots, where the weight is the draw
-itself, and precincts whose count window is wider than ``WINDOW_CAP``
-counts (n around 1.8e5 at p = 1/2), which no workload comes near.
-Weighted counts sum exactly in int64.
+Every draw starts from q_ib, precinct i's exact probability of landing in
+requested bin b under Bin(n_i, p_i).  Once per call, each pmf comes from
+the ratio recurrence (n - k) / (k + 1) * p / (1 - p) (over failures where
+p > 1/2) across a count window n p -/+ t, normalised over it, with t from
+Bernstein's inequality so that the window leaves out less than
+``TAIL_MASS`` = 1e-18, and is summed between the bin edges
+ceil(n (2b - 1) / 200) that percent_bins' half-up rounding implies.  Then
+one of two methods draws the null, and the null and the report name it:
+
+* ``exact_marginal``, where every precinct weighs one, every count window
+  is at most ``WINDOW_CAP`` counts wide and some bin is not requested.
+  Bin b's count is then Poisson-binomial, a sum of independent
+  Bernoulli(q_ib), whose pmf the ``poisson_binomial`` module multiplies
+  out from the (1 - q_ib, q_ib) factors once per call.  Block k draws a
+  (BLOCK, bins) matrix of uniforms and inverts each through its bin's
+  cdf.  Each target's count has exactly the law that drawing every
+  precinct gives it; only the dependence between targets within one
+  replicate is not drawn, and every statistic of the null is per target.
+* ``per_precinct_draws`` otherwise: weighted modes, windows wider than
+  ``WINDOW_CAP`` (n around 1.8e5 at p = 1/2), and nulls over all 101
+  bins, whose replicates are whole histograms of every precinct drawn
+  (``ef peaks`` plots its envelope from one).  The requested bins of
+  positive mass and "none of them" form an alias table (Walker's method)
+  per precinct.  Block k draws one (m, BLOCK) matrix of uniforms, precinct
+  by precinct, for the m precincts whose window reaches a requested bin,
+  and inverts each to its bin in constant time; every draw of the other
+  precincts lands in no requested bin.  Two cases draw binomial counts
+  from the same block stream, after the uniforms: turnout weighted by
+  ballots, where the weight is the draw itself, and the precincts whose
+  window is too wide.  Weighted counts sum exactly in int64.
 """
 
 from __future__ import annotations
@@ -63,6 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import poisson_binomial
 from .dataset import ElectionDataset
 from .errors import EmptySelection
 from .histograms import (
@@ -74,17 +87,22 @@ from .histograms import (
     resolve_quantity,
     weights_for,
 )
+from .poisson_binomial import TAIL_MASS
 
 DEFAULT_TARGETS = tuple(range(50, 101, 5))
 MIN_REPLICATES = 100
 MAX_REPLICATES = 100_000  # the null holds replicates x targets int64 weights in memory
 BLOCK = 10  # replicates drawn from one random stream
-TAIL_MASS = 1e-18  # most probability a count window leaves out
 WINDOW_CAP = 4096  # widest count window tabulated; wider precincts draw binomials
 CHUNK = 1 << 14  # pmf entries per table-building step; at least WINDOW_CAP
 SLICE = 1024  # table rows drawn per pass
 BATCH = 512  # table rows built per pass
 _TAIL_LOG = math.log(2 / TAIL_MASS)
+
+# How a null drew its replicates: each target's count from its exact law,
+# or every precinct's bin in every replicate.
+EXACT_MARGINAL = "exact_marginal"
+PER_PRECINCT_DRAWS = "per_precinct_draws"
 
 DIAGNOSTIC_NOTE = (
     "Round-percent excess is a statistical diagnostic, not proof: it measures "
@@ -99,6 +117,7 @@ class NullDistribution(NamedTuple):
     targets: tuple[int, ...]
     weights: np.ndarray  # (replicates, len(targets)) bin weights under the null
     seed: int
+    null_method: str  # EXACT_MARGINAL or PER_PRECINCT_DRAWS
 
     @property
     def replicates(self) -> int:
@@ -118,6 +137,7 @@ class PeakReport(NamedTuple):
     replicates: int
     seed: int
     alpha: float
+    null_method: str
     note: str = DIAGNOSTIC_NOTE
 
     def as_dict(self) -> dict:
@@ -127,6 +147,7 @@ class PeakReport(NamedTuple):
             "replicates": self.replicates,
             "seed": self.seed,
             "alpha": self.alpha,
+            "null_method": self.null_method,
             "targets": [
                 {
                     "percent": t,
@@ -360,6 +381,83 @@ def _pair(prob, own, alias, small, split, end) -> None:
             small, split, large, end, left = (a[busy] for a in (small, split, large, end, left))
 
 
+def _reaching(n: np.ndarray, p: np.ndarray, bins: np.ndarray) -> tuple:
+    """The rows whose count window reaches a requested bin, and their masses BATCH rows at a time.
+
+    Returns (index, tabulated, reached, reach, batches).  ``index`` holds
+    those rows ascending and ``tabulated`` the same rows in tabulation
+    order: runs of SLICE rows, narrowest window first within a run, so that
+    a chunk pads its windows little and the slots one draw pass reads lie
+    together.  Row tabulated[i] reaches bins[reached[i]] ..
+    bins[reached[i] + reach[i] - 1].  ``batches`` yields (rows, masses):
+    a slice of ``tabulated`` and those rows' masses as _reached_masses
+    gives them.
+    """
+    edges = _distinct([*bins, *(bins + 1)])
+    lo, width, flip, start, odds = _recurrence(n, p)
+    lowest, highest = percent_bins(lo, n), percent_bins(lo + width - 1, n)
+    # Row i's bins have their edges among edges[cut[i]] .. edges[cut[i] + cuts[i] - 1].
+    reached = np.searchsorted(bins, lowest)
+    reach = np.searchsorted(bins, highest, side="right") - reached
+    cut = np.searchsorted(edges, lowest)
+    cuts = np.searchsorted(edges, highest + 1, side="right") - cut
+    del lowest, highest
+    index = np.flatnonzero(reach)
+    tabulated = index[np.lexsort((width[index], np.arange(index.size) // SLICE))]
+    n, lo, width, flip, start, odds, cut, cuts, reached, reach = (
+        a[tabulated] for a in (n, lo, width, flip, start, odds, cut, cuts, reached, reach)
+    )
+    at = np.searchsorted(edges, bins)
+
+    def batches():
+        work = np.empty(CHUNK + 1)
+        for b0 in range(0, tabulated.size, BATCH):
+            b = slice(b0, b0 + BATCH)
+            yield b, _reached_masses(
+                n[b], lo[b], width[b], flip[b], start[b], odds[b], edges, cut[b], cuts[b], at, reached[b], reach[b],
+                work,
+            )
+
+    return index, tabulated, reached, reach, batches()
+
+
+def _exact_marginal_draws(n: np.ndarray, p: np.ndarray, bins: np.ndarray, replicates: int, seed: int) -> np.ndarray:
+    """(replicates, bins) precinct counts, each column drawn from its bin's exact Poisson-binomial law.
+
+    Bin b's count is a sum of independent Bernoulli(q_ib), q_ib the mass
+    precinct i puts on it.  The masses come BATCH rows at a time; each
+    batch's factors are multiplied out bin by bin, and the batch products
+    pairwise as they come.  Block k draws a (BLOCK, bins) matrix of
+    uniforms from the stream (seed, k), and each is inverted through its
+    bin's cdf: row j is replicate k * BLOCK + j.
+    """
+    _, _, reached, reach, batches = _reaching(n, p, bins)
+    # parts[i] holds the products over 2**k batches, k falling with i, as binary counting does.
+    parts = []
+    for done, (rows, masses) in enumerate(batches, 1):
+        row, r = _ragged(reach[rows])
+        q = np.zeros((reach[rows].size, bins.size))
+        q[row, np.repeat(reached[rows], reach[rows]) + r] = masses
+        parts.append(poisson_binomial.multiply_out(poisson_binomial.leaves(q)))
+        for _ in range((done & -done).bit_length() - 1):
+            parts[-2:] = [poisson_binomial.multiply_out(poisson_binomial.concatenate(parts[-2:]))]
+    products = poisson_binomial.multiply_out(
+        poisson_binomial.concatenate(parts or [poisson_binomial.leaves(np.zeros((0, bins.size)))])
+    )
+
+    blocks = -(-replicates // BLOCK)
+    uniforms = np.empty((blocks * BLOCK, bins.size))
+    for k in range(blocks):
+        _block_rng(seed, k).random(out=uniforms[k * BLOCK : (k + 1) * BLOCK])
+    counts = np.zeros((replicates, bins.size), dtype=np.int64)
+    for pmf, lo, length, column in zip(products.coef, products.lo, products.length, products.label):
+        cdf = np.cumsum(pmf[:length])
+        cdf /= cdf[-1]
+        counts[:, column] = np.searchsorted(cdf, uniforms[:replicates, column], side="right")
+        counts[:, column] += lo
+    return counts
+
+
 class _AliasTable:
     """Per-precinct alias tables (Walker's method), in CSR layout.
 
@@ -375,39 +473,15 @@ class _AliasTable:
 
     def __init__(self, n: np.ndarray, p: np.ndarray, bins: np.ndarray) -> None:
         none = bins.size
-        edges = _distinct([*bins, *(bins + 1)])
-        lo, width, flip, start, odds = _recurrence(n, p)
-        lowest, highest = percent_bins(lo, n), percent_bins(lo + width - 1, n)
-        # Row i reaches bins[reached[i]] .. bins[reached[i] + reach[i] - 1],
-        # whose edges are among edges[cut[i]] .. edges[cut[i] + cuts[i] - 1].
-        reached = np.searchsorted(bins, lowest)
-        reach = np.searchsorted(bins, highest, side="right") - reached
-        cut = np.searchsorted(edges, lowest)
-        cuts = np.searchsorted(edges, highest + 1, side="right") - cut
-        del lowest, highest
-        self.index = np.flatnonzero(reach)
+        self.index, tabulated, reached, reach, batches = _reaching(n, p, bins)
         self.rows = self.index.size
-        # Rows are tabulated in runs of SLICE rows, and within a run
-        # narrowest window first, so that a chunk pads its windows little
-        # and the slots one draw pass reads lie together.
-        tabulated = self.index[np.lexsort((width[self.index], np.arange(self.rows) // SLICE))]
-        n, lo, width, flip, start, odds, cut, cuts, reached, reach = (
-            a[tabulated] for a in (n, lo, width, flip, start, odds, cut, cuts, reached, reach)
-        )
-        at = np.searchsorted(edges, bins)
-        work = np.empty(CHUNK + 1)
         count = np.empty(tabulated.size, dtype=np.int64)
         smalls = np.empty(tabulated.size, dtype=np.int64)
         # A row has at most reach + 1 outcomes; the slots fill from the front.
         prob = np.empty(int(reach.sum()) + tabulated.size + 1)
         own = np.empty(prob.size, dtype=np.uint8)
         filled = 0
-        for b0 in range(0, tabulated.size, BATCH):
-            b = slice(b0, b0 + BATCH)
-            masses = _reached_masses(
-                n[b], lo[b], width[b], flip[b], start[b], odds[b], edges, cut[b], cuts[b], at, reached[b], reach[b],
-                work,
-            )
+        for b, masses in batches:
             # Each row's outcomes: its bins of positive mass, and none where
             # that has positive mass; scaled to mean one, each below one first.
             owner, r = _ragged(reach[b])
@@ -480,12 +554,14 @@ def simulate_null(
     """Per-target bin weights under the size-and-proportion-preserving null.
 
     Block k holds replicates k * BLOCK .. k * BLOCK + BLOCK - 1, drawn
-    from the stream (seed, k): first an (m, BLOCK) matrix of uniforms for
-    the m precincts in the alias tables, inverted to bins, then an
-    (m', BLOCK) matrix of binomial counts for the m' precincts drawn as
-    binomials.  The precincts in neither never land in a requested bin.
-    Column j of either is replicate k * BLOCK + j.  Weighted modes sum
-    exactly in int64.
+    from the stream (seed, k).  The exact-marginal null (see the module
+    docstring) inverts a (BLOCK, bins) matrix of uniforms through each
+    bin's cdf, row j being replicate k * BLOCK + j.  The per-precinct null
+    draws first an (m, BLOCK) matrix of uniforms for the m precincts in the
+    alias tables, inverted to bins, then an (m', BLOCK) matrix of binomial
+    counts for the m' precincts drawn as binomials.  The precincts in
+    neither never land in a requested bin.  Column j of either is
+    replicate k * BLOCK + j.  Weighted modes sum exactly in int64.
 
     Raises EmptySelection when the quantity includes no precinct, and
     ValueError unless replicates is in MIN_REPLICATES..MAX_REPLICATES and
@@ -507,6 +583,11 @@ def simulate_null(
     # ballots, so it draws them all; so do precincts whose window is too wide.
     own_ballots = quantity == QUANTITY_TURNOUT and weight_mode == "ballots"
     tabled = np.zeros(denom.size, dtype=bool) if own_ballots else count_windows(denom, p_hat)[1] <= WINDOW_CAP
+    # A null over every bin is one of whole histograms, each row summing to
+    # the precincts drawn, which independent draws per bin would not keep.
+    if weight_mode == "precincts" and tabled.all() and bins.size < N_PERCENT_BINS:
+        weights = _exact_marginal_draws(denom, p_hat, bins, replicates, seed)[:, column]
+        return NullDistribution(quantity, weight_mode, tuple(targets), weights, seed, EXACT_MARGINAL)
     table = _AliasTable(denom[tabled], p_hat[tabled], bins)
     wide_n, wide_p = denom[~tabled][:, None], p_hat[~tabled][:, None]
     fixed = None if weight_mode == "precincts" or own_ballots else base_weights
@@ -527,7 +608,7 @@ def simulate_null(
         at += shift
         total += bincount_percent(at.ravel(), sim.ravel() if own_ballots else wide_weights, total.size)
     weights = counts.reshape(blocks * BLOCK, width)[:replicates, column]
-    return NullDistribution(quantity, weight_mode, tuple(targets), weights, seed)
+    return NullDistribution(quantity, weight_mode, tuple(targets), weights, seed, PER_PRECINCT_DRAWS)
 
 
 def mc_p_value(null_weights: np.ndarray, observed: np.ndarray | int) -> np.ndarray:
@@ -574,4 +655,5 @@ def detect_round_peaks(
         replicates=replicates,
         seed=seed,
         alpha=alpha,
+        null_method=null.null_method,
     )

@@ -70,8 +70,9 @@ def read_csv(csv_text: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]
 def _columns_by_row(csv_text: str, party_cols: list[str], has_tags: bool) -> DatasetArrays:
     """The columns read a row at a time: the grammar's one definition.
 
-    Raises the first MalformedRow in file order, after InvariantViolation
-    for any row before it that breaks a count invariant.
+    Raises the first MalformedRow in file order, a repeated precinct_id
+    included, after InvariantViolation for any row up to it that breaks a
+    count invariant.
     """
     header, rows = read_csv(csv_text)
     expected = len(header)
@@ -83,6 +84,7 @@ def _columns_by_row(csv_text: str, party_cols: list[str], has_tags: bool) -> Dat
     counts: list[list[int]] = []
     machine: list[bool] = []
     tags: list[tuple[str, ...]] = []
+    seen: set[str] = set()
 
     def columns() -> DatasetArrays:
         return row_columns(ids, regions, territories, counts, machine, tags, len(party_cols))
@@ -100,6 +102,9 @@ def _columns_by_row(csv_text: str, party_cols: list[str], has_tags: bool) -> Dat
             territories.append(row[2].strip())
             machine.append(mc_raw == "1")
             tags.append(_tags(row[-1]) if has_tags else ())
+            if ids[-1] in seen:
+                raise MalformedRow(line_no, f"duplicate precinct_id {ids[-1]!r}")
+            seen.add(ids[-1])
     except MalformedRow:
         check_invariants(columns())  # an invariant broken on an earlier line is reported first
         raise

@@ -53,7 +53,7 @@ NOT_AT_STARTUP = ("logging", "concurrent.futures", "numpy.ma")
     [
         [],
         ["validate", "--leader", "A", "--in", "{precincts}"],
-        # a precinct-weighted null, which inverts uniforms through the bin tables
+        # a precinct-weighted null, drawn from each target's exact law
         ["peaks", "--leader", "UNITY", "--seed", "7", "--no-plots", "--in", "{fixtures}/round_targets_precincts.csv"],
         # turnout weighted by ballots, whose null draws every precinct as a binomial
         ["peaks", "--leader", "UNITY", "--seed", "7", "--quantity", "turnout", "--weight-mode", "ballots",
@@ -950,9 +950,9 @@ REPORT_DIGESTS = {
     ("scatter-registered", "report.json"): "558d119e7361ea5eec1936e8811980bc730f5f7cfa1d278463675123e0c7bd80",
     ("hist", "report.json"): "cac295a0f14e87a998056c20da482c26af910a1f98c74a90d05dd601f4de892d",
     ("bins", "report.json"): "af09e43a05203536a169c786bbbf503fd05122653b50ae3b29f14ef52d0e0db0",
-    ("peaks", "report.json"): "8fbd2ce163eadf8c3483b9daa0301dbc83bc2407be5c73fa983e5413a4865de2",
+    ("peaks", "report.json"): "68d32dd22dcde4aa47c762a7d01f03777f7ead749edeea6743ba9e0f6879ea03",
     ("peaks", "peaks.svg"): "87149b33442015b168923832cdb4479de17703278d33a9163074577f5234f343",
-    ("peaks-turnout-ballots", "report.json"): "b1fc82cbc3f48d40b8428da38a7166128b70137cbdc4cb827539aeefc7221f20",
+    ("peaks-turnout-ballots", "report.json"): "b00fa1b12ee6bc7c55365b8f47cd756e488e4a437995664d042ee24475b0a83c",
     ("stuffing", "report.json"): "be1053a9e08de0559f76e6de4cf69361d90398df4ea23c1a4b80460fea0291d5",
     ("clusters", "report.json"): "d6dbfe40dd5d40aa0934e609ef3dec48558db0661d82d4061fb6e28d0818ab3c",
     ("clusters", "clusters.svg"): "0bf6ccc161ad70caed3bb48bbc0ba4503f44c8cbf3915f811e7979b1bab8e18d",
@@ -1034,6 +1034,17 @@ def test_synth_child_peaks_within_45_mb_of_its_imports_at_100k_precincts(tmp_pat
     # it to about 43 MB; whole-election curve and fraud temporaries, copied zero columns and writing
     # the ground truth after the dataset to about 47.5 MB
     assert peak - baseline < 42, (baseline, peak)
+
+
+def test_plotted_peaks_child_peaks_within_23_mb_of_its_imports(tmp_path):
+    model = synth.model_from_json(json.dumps(dict(SYNTH_MODEL, precincts=16_000)))
+    generated = synth.synthesize(model, synth.scenario_from_json(json.dumps(SYNTH_SCENARIO)), 41)
+    (tmp_path / "precincts.csv").write_text(serialize_dataset(generated.dataset))
+    baseline, peak = child_peak_mb(["peaks", "--in", str(tmp_path / "precincts.csv"), "--leader", "LEAD", "--seed", "41",
+                                    "--out", str(tmp_path / "o")])
+    # the plot's 101-bin alias-table null sets the peak: 23.3 MB above the baseline when the
+    # targets' null drew from alias tables too, 21.9-22.6 MB with the targets' null exact
+    assert peak - baseline < 23.4, (baseline, peak)
 
 
 def test_hyperactive_child_peaks_within_25_mb_of_its_imports(tmp_path):

@@ -80,7 +80,13 @@ def test_parse_rejects_malformed_counts_and_short_rows():
 
 def test_parse_rejects_duplicate_precinct_ids():
     rows = HEADER + "\np1,R,T,1000,500,0,0,300,200\np1,R,T,1000,500,0,0,300,200\n"
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(MalformedRow, match="line 3: duplicate precinct_id 'p1'"):
+        parse_dataset(rows, leader="A")
+
+
+def test_a_repeated_precinct_id_is_reported_before_a_later_bad_cell():
+    rows = f"{HEADER}\np1,R,T,{ROW}\np2,R,T,{ROW}\np1,R,T,{ROW}\np3,R,T,1000,x,0,0,300,200\n"
+    with pytest.raises(MalformedRow, match="line 4: duplicate precinct_id 'p1'"):
         parse_dataset(rows, leader="A")
 
 
@@ -426,7 +432,7 @@ ROW = "1000,500,0,0,300,200"
             f"p1,R,T,1000,5x0,0,0,300,200\np2,R,T,1000,1500,0,0,300,200\n",
             (MalformedRow, 2, "line 2: column 'ballots_cast': '5x0' is not a non-negative integer"),
         ),
-        (f"p1,R,T,{ROW}\np1,R,T,{ROW}\n", (InvariantViolation, None, "precinct 'p1': duplicate precinct_id")),
+        (f"p1,R,T,{ROW}\np1,R,T,{ROW}\n", (MalformedRow, 3, "line 3: duplicate precinct_id 'p1'")),
         (
             f'p1,"R\nX",T,{ROW}\np2,R,T,1000,,0,0,300,200\n',
             (MalformedRow, 4, "line 4: column 'ballots_cast': '' is not a non-negative integer"),

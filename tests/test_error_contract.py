@@ -252,6 +252,10 @@ def _io_fault_argv(tmp: Path, case: str) -> list[str]:
         out = str(regular / "out")
     elif case == "in-is-a-directory":  # [Errno 21] Is a directory
         source = str(tmp)
+    elif case == "in-is-a-symlink-loop":  # [Errno 40] Too many levels of symbolic links
+        (tmp / "a").symlink_to(tmp / "b")
+        (tmp / "b").symlink_to(tmp / "a")
+        source = str(tmp / "a")
     return ["validate", "--in", source, "--leader", "A", "--out", out]
 
 
@@ -262,7 +266,7 @@ def _assert_one_io_error(code: int, stderr: str) -> None:
     assert len(errors) == 1 and errors[0].startswith("ERROR IO: "), stderr
 
 
-@pytest.mark.parametrize("case", ["out-is-a-file", "out-under-a-file", "in-is-a-directory"])
+@pytest.mark.parametrize("case", ["out-is-a-file", "out-under-a-file", "in-is-a-directory", "in-is-a-symlink-loop"])
 def test_a_path_the_system_refuses_exits_two_with_one_io_error(tmp_path, case):
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from election_forensics import peaks, synth
+from election_forensics import peaks, poisson_binomial, synth
 from election_forensics.peaks import (
     DEFAULT_TARGETS,
     detect_round_peaks,
@@ -411,3 +411,69 @@ def test_null_memory_stays_small():
     simulate_null(ds, "turnout", 100, 2)
     _, peak = traced_peak(lambda: simulate_null(ds, "turnout", 1000, 1))
     assert peak < 1_500_000
+
+
+def test_precinct_weighted_null_inverts_each_bins_exact_cdf():
+    # column j of block k's uniforms goes through the cdf of bin j's exact law
+    ds = _null_dataset()
+    numer, denom, _ = peaks._selected(ds, "leader_share")
+    q = peaks.bin_masses(denom, peaks.shrunken_proportions(numer, denom), np.arange(101))
+    null = simulate_null(ds, "leader_share", 105, seed=4, targets=tuple(range(100)))
+    assert null.null_method == "exact_marginal"
+    uniforms = np.vstack([peaks._block_rng(4, k).random((peaks.BLOCK, 100)) for k in range(11)])[:105]
+    for b in range(100):
+        lo, pmf = poisson_binomial.pmf(q[:, b])
+        cdf = np.cumsum(pmf) / pmf.sum()
+        assert np.array_equal(null.weights[:, b], lo + np.searchsorted(cdf, uniforms[:, b], side="right")), b
+
+
+@pytest.mark.parametrize(
+    "weight_mode,dataset,method",
+    [("precincts", _null_dataset, "exact_marginal"), ("registered", _null_dataset, "per_precinct_draws"),
+     ("ballots", _null_dataset, "per_precinct_draws"), ("precincts", _mixed_dataset, "per_precinct_draws")],
+    ids=["precincts", "registered", "ballots", "wide-window"],
+)
+def test_null_and_report_name_the_method_that_drew_them(weight_mode, dataset, method):
+    ds = dataset()
+    assert simulate_null(ds, "turnout", 100, 1, weight_mode=weight_mode).null_method == method
+    report = detect_round_peaks(ds, "turnout", replicates=100, seed=1, weight_mode=weight_mode)
+    assert report.null_method == method and report.as_dict()["null_method"] == method
+
+
+def test_exact_null_where_no_precinct_reaches_a_target_is_all_zero():
+    ds = quick_dataset([record(pid=f"p{i}", cast=0, votes=(0, 0)) for i in range(30)])
+    null = simulate_null(ds, "turnout", 100, 1)
+    assert null.null_method == "exact_marginal"
+    assert null.weights.shape == (100, len(DEFAULT_TARGETS)) and not null.weights.any()
+
+
+# sha256 of the exact-marginal null's weights over bins 0..99: each bin's count inverted through its exact cdf.
+EXACT_NULL_DIGESTS = {
+    "turnout": "4351b1f1df73328cca79fc1e3d20c8b37883e9fb31a91c8a12a1811e25141b62",
+    "leader_share": "17b2368749126e88cfab1ce54e9592ab441aec44341cfa55b282f0896085cdd7",
+}
+
+
+@pytest.mark.parametrize("quantity", sorted(EXACT_NULL_DIGESTS))
+def test_exact_marginal_null_matches_recorded_digest(quantity):
+    null = simulate_null(_null_dataset(), quantity, replicates=101, seed=42, targets=tuple(range(100)))
+    assert null.null_method == "exact_marginal"
+    assert null.weights.dtype == np.int64 and null.weights.shape == (101, 100)
+    assert hashlib.sha256(null.weights.tobytes()).hexdigest() == EXACT_NULL_DIGESTS[quantity]
+
+
+@pytest.mark.parametrize("quantity", ["leader_share", "turnout"])
+def test_exact_marginal_null_matches_exact_bin_moments(quantity):
+    ds = _null_dataset()
+    null = simulate_null(ds, quantity, 2000, seed=17, targets=tuple(range(100)))
+    assert null.null_method == "exact_marginal"
+    mean, var, var_of_var = _exact_moments(ds, quantity, "precincts")
+    _assert_moments(null.weights.astype(float), mean[:100], var[:100], var_of_var[:100], 1.0)
+
+
+def test_a_null_over_every_bin_draws_whole_histograms():
+    # each replicate row is a histogram of every included precinct, which per-bin draws would not keep
+    ds = _null_dataset()
+    null = simulate_null(ds, "leader_share", 120, seed=2, targets=tuple(range(101)))
+    assert null.null_method == "per_precinct_draws"
+    assert (null.weights.sum(axis=1) == len(ds)).all()
