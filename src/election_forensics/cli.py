@@ -67,7 +67,10 @@ def _seed(raw: str) -> int:
 
 def _parse_window(raw: str) -> tuple[float, float]:
     lo, _, hi = raw.partition(":")
-    return float(lo), float(hi)
+    try:
+        return float(lo), float(hi)
+    except ValueError:
+        raise ValueError(f"--window must be lo:hi, got {raw!r}") from None
 
 
 def cmd_validate(args) -> dict:

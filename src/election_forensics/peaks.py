@@ -48,12 +48,13 @@ one of two methods draws the null, and the null and the report name it:
 * ``exact_marginal``, where every precinct weighs one, every count window
   is at most ``WINDOW_CAP`` counts wide and some bin is not requested.
   Bin b's count is then Poisson-binomial, a sum of independent
-  Bernoulli(q_ib), whose pmf the ``poisson_binomial`` module multiplies
-  out from the (1 - q_ib, q_ib) factors once per call.  Block k draws a
-  (BLOCK, bins) matrix of uniforms and inverts each through its bin's
-  cdf.  Each target's count has exactly the law that drawing every
-  precinct gives it; only the dependence between targets within one
-  replicate is not drawn, and every statistic of the null is per target.
+  Bernoulli(q_ib), whose pmf ``poisson_binomial.pmf`` inverts from its
+  characteristic function prod_i (1 - q_ib + q_ib e^{-iw}) once per call.
+  Block k draws a (BLOCK, bins) matrix of uniforms and inverts each
+  through its bin's cdf.  Each target's count has exactly the law that
+  drawing every precinct gives it; only the dependence between targets
+  within one replicate is not drawn, and every statistic of the null is
+  per target.
 * ``per_precinct_draws`` otherwise: weighted modes, windows wider than
   ``WINDOW_CAP`` (n around 1.8e5 at p = 1/2), and nulls over all 101
   bins, whose replicates are whole histograms of every precinct drawn
@@ -220,19 +221,6 @@ def count_windows(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return lo, hi - lo + 1
 
 
-def _recurrence(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-row terms of the pmf recurrence: count window, direction, first count and odds.
-
-    Where p > 1/2 the recurrence runs over failures, from the top of the
-    window down, so that its odds never exceed one.
-    """
-    lo, width = count_windows(n, p)
-    flip = p > 0.5
-    start = np.where(flip, n - (lo + width - 1), lo).astype(float)
-    q = np.minimum(p, 1 - p)
-    return lo, width, flip, start, q / (1 - q)
-
-
 def _distinct(values) -> np.ndarray:
     """The distinct integers among a few values, ascending.
 
@@ -249,20 +237,28 @@ def _ragged(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.arange(lengths.size), lengths), index
 
 
-def _reached_masses(n, lo, width, flip, start, odds, edges, cut, cuts, at, reached, reach, work) -> np.ndarray:
-    """The masses of the bins each row reaches, row after row.
+def _reached_masses(n, p, lo, width, edges, cut, cuts, at, reached, reach, work) -> tuple:
+    """(row, label, masses): the masses of the bins each row reaches, row after row.
 
-    The first six arguments are _recurrence's terms; rows of similar
-    width should be neighbours, since a chunk pads its windows to its
-    widest.  Row i's masses are those of bins[reached[i] + r] for r below
-    reach[i], where at[j] is the index of bins[j] among the ascending
-    ``edges``; edges[cut[i]] .. edges[cut[i] + cuts[i] - 1] must hold both
-    edges of each of them.  Count k lands in bin b iff L(b) <= k < L(b + 1),
-    L(b) = ceil(n (2b - 1) / 200), so each window is cut at L of its
-    edges and summed between cuts.  The pmf comes from the ratio
-    recurrence over the window and is normalised over it.  ``work`` is a
-    float array of CHUNK + 1 entries; no window may be wider than CHUNK.
+    Entry e is the mass row[e] puts on bins[label[e]].  Row i is
+    Bin(n[i], p[i]) over its count window (count_windows) from lo[i],
+    width[i] counts wide; rows of similar width should be neighbours,
+    since a chunk pads its windows to its widest.  Row i reaches
+    bins[reached[i] + r] for r below reach[i], where at[j] is the index of
+    bins[j] among the ascending ``edges``; edges[cut[i]] ..
+    edges[cut[i] + cuts[i] - 1] must hold both edges of each of them.
+    Count k lands in bin b iff L(b) <= k < L(b + 1), L(b) =
+    ceil(n (2b - 1) / 200), so each window is cut at L of its edges and
+    summed between cuts.  The pmf comes from the ratio recurrence over the
+    window and is normalised over it; where p > 1/2 it runs over failures,
+    from the top of the window down, so that its odds never exceed one.
+    ``work`` is a float array of CHUNK + 1 entries; no window may be wider
+    than CHUNK.
     """
+    flip = p > 0.5
+    start = np.where(flip, n - (lo + width - 1), lo).astype(float)
+    odds = np.minimum(p, 1 - p)
+    odds /= 1 - odds
     # Row i's cuts in pmf order: 0, its edges' L - lo and its width.  Over
     # failures count k sits at hi - k: edge L cuts at hi + 1 - L, last edge first.
     length = cuts + 2
@@ -317,12 +313,13 @@ def _reached_masses(n, lo, width, flip, start, odds, edges, cut, cuts, at, reach
     total = np.add.reduceat(pieces, begins)
 
     # Bin b's piece starts at the cut of L(b), or of L(b + 1) over failures.
-    _, r = _ragged(reach)
-    edge = at[np.repeat(reached, reach) + r] - np.repeat(cut, reach)
+    row, r = _ragged(reach)
+    label = np.repeat(reached, reach) + r
+    edge = at[label] - np.repeat(cut, reach)
     edge = np.where(np.repeat(flip, reach), np.repeat(cuts - 1, reach) - edge, edge + 1)
     masses = pieces[np.repeat(begins, reach) + edge]
     masses /= np.repeat(total, reach)
-    return masses
+    return row, label, masses
 
 
 def bin_masses(n: np.ndarray, p: np.ndarray, bins) -> np.ndarray:
@@ -330,25 +327,19 @@ def bin_masses(n: np.ndarray, p: np.ndarray, bins) -> np.ndarray:
 
     Bins follow percent_bins' half-up rounding.  Each row's pmf comes from
     the ratio recurrence (n - k) / (k + 1) * p / (1 - p) over its count
-    window (count_windows) and is normalised over it.  Every window must be
-    at most WINDOW_CAP counts wide.
+    window (count_windows) and is normalised over it; a bin the window
+    does not reach gets zero.  Every window must be at most WINDOW_CAP
+    counts wide.
     """
-    n = np.asarray(n, dtype=np.int64)
-    terms = _recurrence(n, np.asarray(p, dtype=float))
-    if terms[1].max(initial=1) > WINDOW_CAP:
+    n, p = np.asarray(n, dtype=np.int64), np.asarray(p, dtype=float)
+    if count_windows(n, p)[1].max(initial=1) > WINDOW_CAP:
         raise ValueError(f"a count window is wider than {WINDOW_CAP}")
     cols = _distinct(bins)
-    column = np.searchsorted(cols, bins)
-    edges = _distinct([*cols, *(cols + 1)])
-    # Every row is cut at every edge and reaches every bin.
-    by_width = np.argsort(terms[1], kind="stable")
-    zero = np.zeros(n.size, dtype=np.int64)
-    masses = np.empty((n.size, cols.size))
-    masses[by_width] = _reached_masses(
-        n[by_width], *(t[by_width] for t in terms), edges, zero, zero + edges.size,
-        np.searchsorted(edges, cols), zero, zero + cols.size, np.empty(CHUNK + 1),
-    ).reshape(n.size, cols.size)
-    return masses[:, column]
+    _, tabulated, _, _, batches = _reaching(n, p, cols)
+    masses = np.zeros((n.size, cols.size))
+    for b, row, label, batch in batches:
+        masses[tabulated[b][row], label] = batch
+    return masses[:, np.searchsorted(cols, bins)]
 
 
 def _pair(prob, own, alias, small, split, end) -> None:
@@ -389,12 +380,12 @@ def _reaching(n: np.ndarray, p: np.ndarray, bins: np.ndarray) -> tuple:
     order: runs of SLICE rows, narrowest window first within a run, so that
     a chunk pads its windows little and the slots one draw pass reads lie
     together.  Row tabulated[i] reaches bins[reached[i]] ..
-    bins[reached[i] + reach[i] - 1].  ``batches`` yields (rows, masses):
-    a slice of ``tabulated`` and those rows' masses as _reached_masses
-    gives them.
+    bins[reached[i] + reach[i] - 1].  ``batches`` yields (rows, row, label,
+    masses): a slice of ``tabulated``, then _reached_masses' three arrays
+    for those rows, ``row`` counting from the slice's start.
     """
     edges = _distinct([*bins, *(bins + 1)])
-    lo, width, flip, start, odds = _recurrence(n, p)
+    lo, width = count_windows(n, p)
     lowest, highest = percent_bins(lo, n), percent_bins(lo + width - 1, n)
     # Row i's bins have their edges among edges[cut[i]] .. edges[cut[i] + cuts[i] - 1].
     reached = np.searchsorted(bins, lowest)
@@ -404,19 +395,14 @@ def _reaching(n: np.ndarray, p: np.ndarray, bins: np.ndarray) -> tuple:
     del lowest, highest
     index = np.flatnonzero(reach)
     tabulated = index[np.lexsort((width[index], np.arange(index.size) // SLICE))]
-    n, lo, width, flip, start, odds, cut, cuts, reached, reach = (
-        a[tabulated] for a in (n, lo, width, flip, start, odds, cut, cuts, reached, reach)
-    )
+    n, p, lo, width, cut, cuts, reached, reach = (a[tabulated] for a in (n, p, lo, width, cut, cuts, reached, reach))
     at = np.searchsorted(edges, bins)
 
     def batches():
         work = np.empty(CHUNK + 1)
         for b0 in range(0, tabulated.size, BATCH):
             b = slice(b0, b0 + BATCH)
-            yield b, _reached_masses(
-                n[b], lo[b], width[b], flip[b], start[b], odds[b], edges, cut[b], cuts[b], at, reached[b], reach[b],
-                work,
-            )
+            yield b, *_reached_masses(n[b], p[b], lo[b], width[b], edges, cut[b], cuts[b], at, reached[b], reach[b], work)
 
     return index, tabulated, reached, reach, batches()
 
@@ -425,33 +411,34 @@ def _exact_marginal_draws(n: np.ndarray, p: np.ndarray, bins: np.ndarray, replic
     """(replicates, bins) precinct counts, each column drawn from its bin's exact Poisson-binomial law.
 
     Bin b's count is a sum of independent Bernoulli(q_ib), q_ib the mass
-    precinct i puts on it.  The masses come BATCH rows at a time; each
-    batch's factors are multiplied out bin by bin, and the batch products
-    pairwise as they come.  Block k draws a (BLOCK, bins) matrix of
+    precinct i puts on it.  The masses come BATCH rows at a time, each
+    batch's grouped by bin into one array, and each bin's law comes from
+    poisson_binomial.pmf.  Block k draws a (BLOCK, bins) matrix of
     uniforms from the stream (seed, k), and each is inverted through its
     bin's cdf: row j is replicate k * BLOCK + j.
     """
     _, _, reached, reach, batches = _reaching(n, p, bins)
-    # parts[i] holds the products over 2**k batches, k falling with i, as binary counting does.
-    parts = []
-    for done, (rows, masses) in enumerate(batches, 1):
-        row, r = _ragged(reach[rows])
-        q = np.zeros((reach[rows].size, bins.size))
-        q[row, np.repeat(reached[rows], reach[rows]) + r] = masses
-        parts.append(poisson_binomial.multiply_out(poisson_binomial.leaves(q)))
-        for _ in range((done & -done).bit_length() - 1):
-            parts[-2:] = [poisson_binomial.multiply_out(poisson_binomial.concatenate(parts[-2:]))]
-    products = poisson_binomial.multiply_out(
-        poisson_binomial.concatenate(parts or [poisson_binomial.leaves(np.zeros((0, bins.size)))])
-    )
+    # A row reaches bins reached .. reached + reach - 1.  Bin b's masses fill
+    # masses[bounds[b] : bounds[b + 1]], in tabulation order.
+    starts = np.bincount(reached, minlength=bins.size + 1) - np.bincount(reached + reach, minlength=bins.size + 1)
+    bounds = np.append(0, np.cumsum(np.cumsum(starts)[:-1]))
+    masses, filled = np.empty(int(bounds[-1])), bounds[:-1].copy()
+    for _, _, label, batch in batches:
+        order = np.argsort(label, kind="stable")
+        label = label[order]
+        count = np.bincount(label, minlength=bins.size)
+        # an entry goes after its bin's earlier entries, those of earlier batches first
+        masses[(filled - np.cumsum(count) + count)[label] + np.arange(label.size)] = batch[order]
+        filled += count
 
     blocks = -(-replicates // BLOCK)
     uniforms = np.empty((blocks * BLOCK, bins.size))
     for k in range(blocks):
         _block_rng(seed, k).random(out=uniforms[k * BLOCK : (k + 1) * BLOCK])
     counts = np.zeros((replicates, bins.size), dtype=np.int64)
-    for pmf, lo, length, column in zip(products.coef, products.lo, products.length, products.label):
-        cdf = np.cumsum(pmf[:length])
+    for column in range(bins.size):
+        lo, law = poisson_binomial.pmf(masses[bounds[column] : bounds[column + 1]])
+        cdf = np.cumsum(law)
         cdf /= cdf[-1]
         counts[:, column] = np.searchsorted(cdf, uniforms[:replicates, column], side="right")
         counts[:, column] += lo
@@ -473,7 +460,7 @@ class _AliasTable:
 
     def __init__(self, n: np.ndarray, p: np.ndarray, bins: np.ndarray) -> None:
         none = bins.size
-        self.index, tabulated, reached, reach, batches = _reaching(n, p, bins)
+        self.index, tabulated, _, reach, batches = _reaching(n, p, bins)
         self.rows = self.index.size
         count = np.empty(tabulated.size, dtype=np.int64)
         smalls = np.empty(tabulated.size, dtype=np.int64)
@@ -481,16 +468,14 @@ class _AliasTable:
         prob = np.empty(int(reach.sum()) + tabulated.size + 1)
         own = np.empty(prob.size, dtype=np.uint8)
         filled = 0
-        for b, masses in batches:
+        for b, owner, label, masses in batches:
             # Each row's outcomes: its bins of positive mass, and none where
             # that has positive mass; scaled to mean one, each below one first.
-            owner, r = _ragged(reach[b])
-            label = (np.repeat(reached[b], reach[b]) + r).astype(np.uint8)
             rest = np.maximum(1 - np.add.reduceat(masses, np.cumsum(reach[b]) - reach[b]), 0.0)
             kept, left = masses > 0, rest > 0
             owner = np.concatenate([owner[kept], np.flatnonzero(left)])
             value = np.concatenate([masses[kept], rest[left]])
-            label = np.concatenate([label[kept], np.full(np.count_nonzero(left), none, dtype=np.uint8)])
+            label = np.concatenate([label[kept], np.full(np.count_nonzero(left), none)])
             count[b] = np.bincount(owner, minlength=reach[b].size)
             value *= count[b][owner]
             large = value >= 1

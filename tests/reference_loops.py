@@ -1,4 +1,4 @@
-"""Earlier forms of four array computations, kept as a test reference.
+"""Earlier or plainer forms of five array computations, kept as a test reference.
 
 ``em_batch_by_restart`` fits a split's EM restarts one after another, each
 on its own (2, n) rows, where the library fits a batch of them together
@@ -11,7 +11,10 @@ curves inside its draw loop.  ``fit_trend_by_point`` and
 ``slope_standard_error_by_point`` sum over the points as Python floats,
 where the library sums arrays.  The tests in ``test_anomaly.py``,
 ``test_synth.py`` and ``test_scatter.py`` require both forms to give the
-same bits.
+same bits.  ``poisson_binomial_by_factor`` multiplies a Poisson-binomial
+law out one Bernoulli factor at a time, over every count, where the
+library inverts its characteristic function on a window; the tests in
+``test_poisson_binomial.py`` and ``test_peaks.py`` compare the two.
 """
 
 from __future__ import annotations
@@ -283,3 +286,13 @@ def slope_standard_error_by_point(points: PointCloud | Sequence[ScatterPoint], f
     sxx = _sum_left_to_right([(x - mx) ** 2 for x in xs])
     rss = _sum_left_to_right([(y - (fit.slope * x + fit.intercept)) ** 2 for x, y in zip(xs, ys)])
     return math.sqrt(rss / (n - 2) / sxx)
+
+
+def poisson_binomial_by_factor(q: Sequence[float]) -> np.ndarray:
+    """The pmf of a sum of Bernoulli(q[i]) over counts 0 .. len(q), by the O(m^2) recurrence, one factor at a time."""
+    law = np.zeros(len(q) + 1)
+    law[0] = 1.0
+    for i, qi in enumerate(q):
+        law[1 : i + 2] = law[1 : i + 2] * (1 - qi) + law[: i + 1] * qi
+        law[0] *= 1 - qi
+    return law

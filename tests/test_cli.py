@@ -616,15 +616,17 @@ def test_peaks_targets_outside_integer_percents_exit_one(fixtures_dir, tmp_path,
 
 @pytest.mark.parametrize(
     "command,option,value",
-    [("peaks", "--seed", "-1"), ("clusters", "--seed", "-1"), ("synth", "--seed", "-1"), ("peaks", "--targets", "50.5")],
-    ids=["peaks-seed", "clusters-seed", "synth-seed", "peaks-targets"],
+    [("peaks", "--seed", "-1"), ("clusters", "--seed", "-1"), ("synth", "--seed", "-1"), ("peaks", "--targets", "50.5"),
+     ("stuffing", "--window", "0.2"), ("stuffing", "--window", "x:y")],
+    ids=["peaks-seed", "clusters-seed", "synth-seed", "peaks-targets", "stuffing-window-one-number",
+         "stuffing-window-not-numbers"],
 )
 def test_a_bad_option_value_is_named_in_the_one_error_line(fixtures_dir, tmp_path, capsys, command, option, value):
     if command == "synth":
         source = ["--model", str(fixtures_dir / "round_targets_model.json")]
     else:
         source = ["--in", str(fixtures_dir / "round_targets_precincts.csv"), "--leader", "UNITY"]
-    seed = [] if option == "--seed" else ["--seed", "1"]
+    seed = [] if option == "--seed" or command == "stuffing" else ["--seed", "1"]  # stuffing draws nothing
     rc = main([command, *source, *seed, option, value, "--out", str(tmp_path / "o")])
     assert rc == 1
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("ERROR ")]

@@ -1,13 +1,17 @@
 import hashlib
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from election_forensics import peaks, poisson_binomial, synth
+import election_forensics
+from election_forensics import peaks, synth
 from election_forensics.peaks import (
     DEFAULT_TARGETS,
     detect_round_peaks,
@@ -17,6 +21,7 @@ from election_forensics.peaks import (
 from election_forensics.errors import EmptySelection
 from election_forensics.histograms import percent_bins, weights_for
 from conftest import quick_dataset, record, traced_peak
+from reference_loops import poisson_binomial_by_factor
 
 
 def test_two_ballot_precincts_null_mass_only_at_0_50_100():
@@ -422,9 +427,28 @@ def test_precinct_weighted_null_inverts_each_bins_exact_cdf():
     assert null.null_method == "exact_marginal"
     uniforms = np.vstack([peaks._block_rng(4, k).random((peaks.BLOCK, 100)) for k in range(11)])[:105]
     for b in range(100):
-        lo, pmf = poisson_binomial.pmf(q[:, b])
-        cdf = np.cumsum(pmf) / pmf.sum()
-        assert np.array_equal(null.weights[:, b], lo + np.searchsorted(cdf, uniforms[:, b], side="right")), b
+        # a factor of zero changes no law
+        law = poisson_binomial_by_factor(q[q[:, b] > 0, b])
+        cdf = np.cumsum(law) / law.sum()
+        assert np.array_equal(null.weights[:, b], np.searchsorted(cdf, uniforms[:, b], side="right")), b
+
+
+def test_exact_null_leaves_numpy_fft_unimported():
+    # numpy.fft costs a process about 0.8 MB of resident memory on import and first use; the
+    # exact law needs none of it, and only a fresh child shows whether it was loaded
+    script = (
+        "import sys\n"
+        "from election_forensics import peaks, synth\n"
+        "model = synth.HonestModel(precincts=1500, parties=('LEAD', 'OPA', 'OPB'), baseline_shares=(0.6, 0.25, 0.1),\n"
+        "                          leader='LEAD', registered_median=800, registered_min=50)\n"
+        "null = peaks.simulate_null(synth.generate_honest(model, 3).dataset, 'leader_share', 100, 4)\n"
+        "assert null.null_method == peaks.EXACT_MARGINAL\n"
+        "print('numpy.fft' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(election_forensics.__file__).parents[1]))
+    ran = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
+                         check=True)
+    assert ran.stdout == "False\n"
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,8 @@
 import numpy as np
 import pytest
 
-from election_forensics import poisson_binomial
 from election_forensics.poisson_binomial import pmf
-
-
-def _direct(q):
-    """The pmf of a sum of Bernoulli(q[i]) by the O(m^2) recurrence, one factor at a time."""
-    law = np.zeros(len(q) + 1)
-    law[0] = 1.0
-    for i, qi in enumerate(q):
-        law[1 : i + 2] = law[1 : i + 2] * (1 - qi) + law[: i + 1] * qi
-        law[0] *= 1 - qi
-    return law
+from reference_loops import poisson_binomial_by_factor
 
 
 def _random_q(m, seed):
@@ -24,14 +14,21 @@ def _random_q(m, seed):
     return q
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 17, 1000])
-@pytest.mark.parametrize("seed", range(4))
-def test_pmf_matches_the_direct_recurrence(m, seed):
-    q = _random_q(m, seed)
+@pytest.mark.parametrize(
+    "q",
+    [
+        *(pytest.param(_random_q(m, seed), id=f"{seed}-{m}") for m in (1, 2, 3, 17, 1000, 5000) for seed in range(4)),
+        pytest.param(np.full(2000, 0.5), id="halves-2000"),  # the widest window for its count of factors
+        pytest.param(np.ones(50), id="ones-50"),
+        pytest.param(np.full(400, 1 - 1e-12), id="near-ones-400"),
+        pytest.param(np.full(3, 1e-9), id="tiny-3"),
+    ],
+)
+def test_pmf_matches_the_direct_recurrence(q):
     lo, law = pmf(q)
-    full = np.zeros(m + 1)
+    full = np.zeros(q.size + 1)
     full[lo : lo + law.size] = law
-    assert np.abs(full - _direct(q)).max() <= 1e-12
+    assert np.abs(full - poisson_binomial_by_factor(q)).max() <= 1e-12
     assert abs(law.sum() - 1) <= 1e-12
 
 
@@ -39,19 +36,3 @@ def test_pmf_of_no_factors_is_a_point_mass_at_zero():
     for q in ([], [0.0, 0.0]):
         lo, law = pmf(np.array(q))
         assert lo == 0 and list(law) == [1.0]
-
-
-def test_columns_multiplied_out_together_and_in_parts_match_each_alone():
-    # three columns of different lengths' worth of factors, split into two row ranges multiplied out apart
-    q = np.zeros((1000, 3))
-    for column, m in enumerate((1000, 17, 300)):
-        q[:m, column] = _random_q(m, column)
-    parts = [poisson_binomial.multiply_out(poisson_binomial.leaves(q[rows])) for rows in (slice(0, 333), slice(333, None))]
-    together = poisson_binomial.multiply_out(poisson_binomial.concatenate(parts))
-    assert together.label.tolist() == [0, 1, 2]
-    for column in range(3):
-        lo, law = pmf(q[:, column])
-        got = together.coef[column, : together.length[column]]
-        assert together.lo[column] == lo
-        assert np.abs(got / got.sum() - law).max() <= 1e-12
-
