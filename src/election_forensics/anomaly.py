@@ -249,16 +249,16 @@ class _EMFit(NamedTuple):
 _EM_BATCH_ELEMENTS = 2**14
 
 
-def _em_batch(xy: np.ndarray, coords: np.ndarray, seed: int, restarts: range, tol: float) -> list[_EMFit]:
+def _em_batch(xy: np.ndarray, coords: np.ndarray, seed: int, restarts: range) -> list[_EMFit]:
     """EM fits of a two-component spherical Gaussian mixture, one per restart, in restart order.
 
     Restart r starts from k-means++ on stream (seed, r).  The restarts run
     together as (r, 2, n) arrays, one row per fit and component; a fit
     leaves the batch once the total log-likelihood changes by less than
-    ``tol``, or after ``_MAX_EM_ITER`` iterations.  The M step takes each
-    component's weighted sums of the coordinate rows ``coords`` (x and y)
-    and of its squared distances as dot products with its responsibility
-    row.  The sums use ``einsum``, whose order of addition does not depend
+    ``DEFAULT_EM_TOL``, or after ``_MAX_EM_ITER`` iterations.  The M step
+    takes each component's weighted sums of the coordinate rows ``coords``
+    (x and y) and of its squared distances as dot products with its
+    responsibility row.  The sums use ``einsum``, whose order of addition does not depend
     on the core count or on the batch, where BLAS splits a long dot product
     over its threads, so each fit is the one it would be alone.  Each
     component's squared distances are computed once per iteration and
@@ -286,7 +286,7 @@ def _em_batch(xy: np.ndarray, coords: np.ndarray, seed: int, restarts: range, to
         var = np.maximum(np.einsum("rkn,rkn->rk", resp, d2) / (2 * nk), _VAR_FLOOR)
         delta_ll = np.abs(ll - prev_ll)
         prev_ll = ll
-        done = (delta_ll < tol) | (iterations == _MAX_EM_ITER)
+        done = (delta_ll < DEFAULT_EM_TOL) | (iterations == _MAX_EM_ITER)
         if not done.any():
             continue
         going = ~done
@@ -306,7 +306,6 @@ def split_two_clusters(
     points: PointCloud | Sequence[ScatterPoint],
     seed: int = 0,
     restarts: int = 20,
-    tol: float = DEFAULT_EM_TOL,
 ) -> ClusterSplit:
     """Two-component spherical Gaussian mixture versus one, decided by BIC.
 
@@ -314,8 +313,8 @@ def split_two_clusters(
     seeded restart stream per index; the winner is the restart with the
     lowest BIC (ties by restart index).  "two" requires a BIC improvement
     of at least BIC_DECISION_MARGIN over the single-Gaussian model.  Each EM
-    run stops once its log-likelihood changes by less than ``tol``; the
-    default 1e-3 is far below BIC_DECISION_MARGIN / 2, the margin in
+    run stops once its log-likelihood changes by less than DEFAULT_EM_TOL
+    (1e-3), far below BIC_DECISION_MARGIN / 2, the margin in
     log-likelihood units.  The result records each restart's EM iteration
     count, the stopping rule, the winner's last change in log-likelihood
     and whether it met the rule before the iteration cap.  The restarts
@@ -342,7 +341,7 @@ def split_two_clusters(
     best = None
     iterations = []
     for first in range(0, restarts, per_batch):
-        for fit in _em_batch(xy, coords, seed, range(first, min(first + per_batch, restarts)), tol):
+        for fit in _em_batch(xy, coords, seed, range(first, min(first + per_batch, restarts))):
             iterations.append(fit.iterations)
             bic_two = -2 * fit.ll + 7 * math.log(n)
             if best is None or bic_two < best[0]:
@@ -361,7 +360,7 @@ def split_two_clusters(
         bic_two=float(bic_two),
         decision=decision,
         em_iterations=tuple(iterations),
-        stop_rule=f"|delta loglik| < {tol:g}",
+        stop_rule=f"|delta loglik| < {DEFAULT_EM_TOL:g}",
         last_delta_ll=fit.delta_ll,
-        converged=fit.delta_ll < tol,
+        converged=fit.delta_ll < DEFAULT_EM_TOL,
     )

@@ -30,9 +30,9 @@ from .dataset import (
     ElectionDataset,
     Rule,
     Rules,
+    no_tags,
     read_columns,
     read_table,
-    row_columns,
     two_valued,
     vote_roster,
 )
@@ -292,7 +292,8 @@ def parse_protocols(csv_text: str, leader: str) -> tuple[ElectionDataset, Electi
     with source in {observer, official}; each precinct must appear once per
     source.  The two datasets share one roster and leader and hold the same
     precincts, sorted by id.  The error reported is the first one in file
-    order, as ``read_blocks`` finds it; a repeated row is a MalformedRow.
+    order, as ``read_blocks`` finds it; a repeated row is a MalformedRow,
+    and a precinct with one source's row only a PairMismatch.
     """
     table = read_table(csv_text)
     roster = vote_roster(table.header, PROTOCOL_COLUMNS, leader, UnknownParty)
@@ -300,19 +301,24 @@ def parse_protocols(csv_text: str, leader: str) -> tuple[ElectionDataset, Electi
 
     def columns(values: list, end: int) -> DatasetArrays:
         ids, _, counts = (v[:end] for v in values)
-        return row_columns(ids, [""] * end, [""] * end, counts, [False] * end, [()] * end, len(roster))
+        blank = np.full(end, "", dtype=object)
+        return DatasetArrays(ids, blank, blank, *counts.T[:3], np.zeros(end, dtype=bool), counts[:, 3:], no_tags(end))
 
     values = read_columns(table, rules, repeat=((1, 0), "duplicate {} row for {!r}"), columns=columns)
     data = columns(values, len(values[0]))
     official = values[1]
 
     pids = data.precinct_ids
-    observer_ids, official_ids = set(pids[~official].tolist()), set(pids[official].tolist())
-    if observer_ids != official_ids:
-        missing = sorted(observer_ids ^ official_ids)
-        raise PairMismatch(f"precincts missing a counterpart: {missing}")
     # Python's sort of the ids; a numpy argsort of an object array compares far more slowly
     by_id = np.array(sorted(range(len(pids)), key=pids.tolist().__getitem__), dtype=np.int64)
+    # a (source, id) never repeats, so a precinct's two rows are neighbours once sorted
+    sorted_ids = pids[by_id]
+    same = sorted_ids[1:] == sorted_ids[:-1]
+    paired = np.zeros(len(pids), dtype=bool)
+    paired[1:] = same
+    paired[:-1] |= same
+    if not paired.all():
+        raise PairMismatch(f"precincts missing a counterpart: {sorted_ids[~paired].tolist()}")
     official_rows = official[by_id]
     return (
         ElectionDataset("observer", roster, data.take(by_id[~official_rows]), leader),

@@ -137,7 +137,13 @@ class DatasetArrays:
 
 @dataclass(frozen=True)
 class ElectionDataset:
-    """Precinct columns plus roster and designated leader."""
+    """Precinct columns plus roster and designated leader.
+
+    The ids are unique, checked where they enter: by ``read_blocks`` for
+    both parsers and by ``make_dataset``.  No other constructor can repeat
+    one (``synth`` numbers them, ``partition`` masks, ``apply_fraud`` keeps
+    the column, ``parse_protocols`` permutes), so this one does not check.
+    """
 
     election_id: str
     roster: PartyRoster
@@ -154,9 +160,6 @@ class ElectionDataset:
                 raise InvariantViolation("<columns>", f"column {f.name} does not have {n} rows")
         if c.votes.shape != (n, len(self.roster)):
             raise InvariantViolation("<columns>", "votes vector does not match roster")
-        repeats = np.flatnonzero(first_repeats(c.precinct_ids.tolist()))
-        if repeats.size:
-            raise InvariantViolation(c.precinct_ids[repeats[0]], "duplicate precinct_id")
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -403,20 +406,6 @@ TEXT: Rule = any_cell(str.strip)
 TAGS: Rule = any_cell(_tags)
 
 
-def first_repeats(keys: Sequence) -> np.ndarray:
-    """A mask of the keys equal to an earlier key."""
-    repeated = np.zeros(len(keys), dtype=bool)
-    # equal keys hash alike, so sorted hashes that all differ rule out a repeat in 8 bytes a key
-    hashes = np.fromiter(map(hash, keys), dtype=np.int64, count=len(keys))
-    hashes.sort()
-    if (hashes[1:] == hashes[:-1]).any():
-        seen = set()
-        for i, key in enumerate(keys):
-            repeated[i] = key in seen
-            seen.add(key)
-    return repeated
-
-
 # Rules keyed by a column index, or by a tuple of them whose values form the
 # columns of one 2-d array.
 Rules = dict[int | tuple[int, ...], Rule]
@@ -477,8 +466,13 @@ def read_blocks(
             hashes = np.fromiter(map(hash, keys), dtype=np.int64, count=len(keys))
             order = np.argsort(hashes, kind="stable")
             hashes = hashes[order]
+            repeated = np.zeros(len(keys), dtype=bool)
             # equal keys hash alike, so sorted hashes that all differ rule out a repeat within the block
-            repeated = first_repeats(keys) if (hashes[1:] == hashes[:-1]).any() else np.zeros(len(keys), dtype=bool)
+            if (hashes[1:] == hashes[:-1]).any():
+                in_block = set()
+                for i, key in enumerate(keys):
+                    repeated[i] = key in in_block
+                    in_block.add(key)
             for earlier_hashes, earlier_keys in seen:
                 # and only keys whose hash an earlier block has can repeat one of its keys
                 lo = np.searchsorted(earlier_hashes, hashes)
@@ -597,7 +591,7 @@ def make_dataset(
     records: Iterable[PrecinctRecord],
     leader: str,
 ) -> ElectionDataset:
-    """Check every row's invariants and assemble a dataset from the rows."""
+    """Check every row's invariants, then that no ``precinct_id`` repeats, and assemble a dataset."""
     rows = tuple(records)
     columns = row_columns(
         [r.precinct_id for r in rows],
@@ -609,7 +603,13 @@ def make_dataset(
         len(roster),
     )
     check_invariants(columns)
-    return ElectionDataset(election_id, roster, columns, leader)
+    dataset = ElectionDataset(election_id, roster, columns, leader)
+    seen = set()
+    for r in rows:
+        if r.precinct_id in seen:
+            raise InvariantViolation(r.precinct_id, "duplicate precinct_id")
+        seen.add(r.precinct_id)
+    return dataset
 
 
 def no_tags(n: int) -> np.ndarray:

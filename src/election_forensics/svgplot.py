@@ -41,37 +41,31 @@ def _px(x: float | np.ndarray, lo: float, hi: float, size: int, offset: int, fli
     return offset + frac * size
 
 
-class _Doc:
-    def __init__(self, title: str):
-        self.parts: list[str] = [
-            '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{WIDTH}" height="{HEIGHT}" '
-            f'viewBox="0 0 {WIDTH} {HEIGHT}">\n',
-            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n',
-            f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="14">{_esc(title)}</text>\n',
-        ]
-
-    def add(self, fragment: str) -> None:
-        self.parts.append(fragment)
-
-    def render(self) -> str:
-        return "".join([*self.parts, "</svg>\n"])
+def _header(title: str) -> list[str]:
+    """The document's parts up to its title; a plot appends its own and closes with ``</svg>``."""
+    return [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">\n',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n',
+        f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="14">{_esc(title)}</text>\n',
+    ]
 
 
 def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _frame(doc: _Doc) -> None:
-    doc.add(
+def _frame(parts: list[str]) -> None:
+    parts.append(
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{PLOT_W}" height="{PLOT_H}" '
         'fill="none" stroke="#333" stroke-width="1"/>\n'
     )
 
 
-def _axis_labels(doc: _Doc, x_label: str, y_label: str) -> None:
-    doc.add(
+def _axis_labels(parts: list[str], x_label: str, y_label: str) -> None:
+    parts.append(
         f'<text x="{MARGIN_L + PLOT_W // 2}" y="{HEIGHT - 8}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">{_esc(x_label)}</text>\n'
         f'<text x="14" y="{MARGIN_T + PLOT_H // 2}" text-anchor="middle" font-family="sans-serif" '
@@ -79,12 +73,12 @@ def _axis_labels(doc: _Doc, x_label: str, y_label: str) -> None:
     )
 
 
-def _axes(doc: _Doc, x_lo: float, x_hi: float, y_lo: float, y_hi: float, x_label: str, y_label: str) -> None:
-    _frame(doc)
+def _axes(parts: list[str], x_lo: float, x_hi: float, y_lo: float, y_hi: float, x_label: str, y_label: str) -> None:
+    _frame(parts)
     for i in range(11):
         fx = x_lo + (x_hi - x_lo) * i / 10
         px = _px(fx, x_lo, x_hi, PLOT_W, MARGIN_L)
-        doc.add(
+        parts.append(
             f'<line x1="{_fmt(px)}" y1="{HEIGHT - MARGIN_B}" x2="{_fmt(px)}" '
             f'y2="{HEIGHT - MARGIN_B + 4}" stroke="#333"/>\n'
             f'<text x="{_fmt(px)}" y="{HEIGHT - MARGIN_B + 16}" text-anchor="middle" '
@@ -92,12 +86,12 @@ def _axes(doc: _Doc, x_lo: float, x_hi: float, y_lo: float, y_hi: float, x_label
         )
         fy = y_lo + (y_hi - y_lo) * i / 10
         py = _px(fy, y_lo, y_hi, PLOT_H, MARGIN_T, flip=True)
-        doc.add(
+        parts.append(
             f'<line x1="{MARGIN_L - 4}" y1="{_fmt(py)}" x2="{MARGIN_L}" y2="{_fmt(py)}" stroke="#333"/>\n'
             f'<text x="{MARGIN_L - 6}" y="{_fmt(py + 3)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="10">{_fmt(fy * 100)}%</text>\n'
         )
-    _axis_labels(doc, x_label, y_label)
+    _axis_labels(parts, x_label, y_label)
 
 
 def svg_scatter(
@@ -124,31 +118,31 @@ def svg_scatter(
         if bad.any():
             x, y = pts[int(np.argmax(bad))]
             raise EmptyPlot(f"non-finite coordinate ({x}, {y})")
-    doc = _Doc(title)
-    _axes(doc, 0.0, 1.0, 0.0, 1.0, x_label, y_label)
+    parts = _header(title)
+    _axes(parts, 0.0, 1.0, 0.0, 1.0, x_label, y_label)
     for idx, (label, _, xy, trend) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
         px = _px(xy[:, 0], 0, 1, PLOT_W, MARGIN_L)
         py = _px(xy[:, 1], 0, 1, PLOT_H, MARGIN_T, flip=True)
         circle = '<circle cx="%.2f" cy="%.2f" r="1.6" fill="' + color + '" fill-opacity="0.45"/>\n'
-        doc.parts.extend(format_rows(circle, [px, py]))
+        parts.extend(format_rows(circle, [px, py]))
         if trend is not None:
             slope, intercept = trend
             x1, x2 = 0.0, 1.0
             y1, y2 = intercept, slope + intercept
-            doc.add(
+            parts.append(
                 f'<line x1="{_fmt(_px(x1, 0, 1, PLOT_W, MARGIN_L))}" '
                 f'y1="{_fmt(_px(y1, 0, 1, PLOT_H, MARGIN_T, True))}" '
                 f'x2="{_fmt(_px(x2, 0, 1, PLOT_W, MARGIN_L))}" '
                 f'y2="{_fmt(_px(y2, 0, 1, PLOT_H, MARGIN_T, True))}" '
                 f'stroke="{color}" stroke-width="1.5"/>\n'
             )
-        doc.add(
+        parts.append(
             f'<rect x="{MARGIN_L + 8}" y="{MARGIN_T + 8 + 16 * idx}" width="10" height="10" fill="{color}"/>\n'
             f'<text x="{MARGIN_L + 22}" y="{MARGIN_T + 17 + 16 * idx}" font-family="sans-serif" '
             f'font-size="11">{_esc(label)}</text>\n'
         )
-    return doc.render()
+    return "".join([*parts, "</svg>\n"])
 
 
 def svg_histogram(
@@ -174,12 +168,12 @@ def svg_histogram(
     if envelope is not None:
         top = max(top, max(envelope[1], default=0))
     top = top * 1.05 or 1.0
-    doc = _Doc(title)
+    parts = _header(title)
     bar_w = PLOT_W / n
-    _frame(doc)
+    _frame(parts)
     for i in range(0, n, max(1, n // 10)):
         px = MARGIN_L + (i + 0.5) * bar_w
-        doc.add(
+        parts.append(
             f'<text x="{_fmt(px)}" y="{HEIGHT - MARGIN_B + 16}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="10">{i}%</text>\n'
         )
@@ -188,7 +182,7 @@ def svg_histogram(
         for i in range(n):
             y_hi = _px(hi_band[i], 0, top, PLOT_H, MARGIN_T, flip=True)
             y_lo = _px(lo_band[i], 0, top, PLOT_H, MARGIN_T, flip=True)
-            doc.add(
+            parts.append(
                 f'<rect x="{_fmt(MARGIN_L + i * bar_w)}" y="{_fmt(y_hi)}" '
                 f'width="{_fmt(bar_w)}" height="{_fmt(max(y_lo - y_hi, 0.0))}" fill="#bbb" fill-opacity="0.6"/>\n'
             )
@@ -197,9 +191,9 @@ def svg_histogram(
             continue
         py = _px(v, 0, top, PLOT_H, MARGIN_T, flip=True)
         color = "#d62728" if i in set(highlights) else "#1f77b4"
-        doc.add(
+        parts.append(
             f'<rect x="{_fmt(MARGIN_L + i * bar_w + 0.5)}" y="{_fmt(py)}" '
             f'width="{_fmt(max(bar_w - 1.0, 0.5))}" height="{_fmt(HEIGHT - MARGIN_B - py)}" fill="{color}"/>\n'
         )
-    _axis_labels(doc, x_label, y_label)
-    return doc.render()
+    _axis_labels(parts, x_label, y_label)
+    return "".join([*parts, "</svg>\n"])

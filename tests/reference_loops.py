@@ -35,7 +35,7 @@ from election_forensics.scatter import PointCloud, ScatterPoint, TrendFit
 from election_forensics.synth import BLOCK, GroundTruth, HonestModel, RoundingSpec, SyntheticElection, _block_rng
 
 
-def em_two_spherical(xy: np.ndarray, rng: np.random.Generator, tol: float) -> anomaly._EMFit:
+def em_two_spherical(xy: np.ndarray, rng: np.random.Generator) -> anomaly._EMFit:
     """EM for a two-component spherical Gaussian mixture from a k-means++ start, on (2, n) rows."""
     n = xy.shape[0]
     coords = np.ascontiguousarray(xy.T)
@@ -57,17 +57,17 @@ def em_two_spherical(xy: np.ndarray, rng: np.random.Generator, tol: float) -> an
         var = np.maximum(np.einsum("kn,kn->k", resp, d2) / (2 * nk), anomaly._VAR_FLOOR)
         delta_ll = abs(ll - prev_ll)
         prev_ll = ll
-        if delta_ll < tol:
+        if delta_ll < anomaly.DEFAULT_EM_TOL:
             break
     return anomaly._EMFit(ll, mu, resp, iterations, delta_ll)
 
 
 def em_batch_by_restart(
-    xy: np.ndarray, coords: np.ndarray, seed: int, restarts: range, tol: float
+    xy: np.ndarray, coords: np.ndarray, seed: int, restarts: range
 ) -> list[anomaly._EMFit]:
     """``anomaly._em_batch`` with each restart fitted alone."""
     return [
-        em_two_spherical(xy, np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r]))), tol)
+        em_two_spherical(xy, np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r]))))
         for r in restarts
     ]
 

@@ -186,18 +186,6 @@ def test_split_reports_em_iterations_and_convergence():
     assert d["converged"] is True
 
 
-def test_stop_rule_follows_tol():
-    rng = np.random.default_rng(14)
-    pts = _blob_points(rng, (0.45, 0.30), 0.03, 200) + _blob_points(rng, (0.75, 0.65), 0.03, 200, 200)
-    loose = split_two_clusters(pts, seed=3, restarts=3, tol=0.5)
-    tight = split_two_clusters(pts, seed=3, restarts=3, tol=1e-8)
-    assert loose.stop_rule == "|delta loglik| < 0.5"
-    assert tight.stop_rule == "|delta loglik| < 1e-08"
-    assert loose.converged and loose.last_delta_ll < 0.5
-    assert tight.converged and tight.last_delta_ll < 1e-8
-    assert sum(loose.em_iterations) < sum(tight.em_iterations)
-
-
 def test_split_capped_below_convergence_reports_not_converged(monkeypatch):
     monkeypatch.setattr(anomaly, "_MAX_EM_ITER", 2)
     rng = np.random.default_rng(14)
@@ -338,9 +326,9 @@ def _split_with(monkeypatch, em_batch, points, seed, restarts):
     """The split, the sizes of the batches its restarts ran in, and every restart's fit, when ``em_batch`` fits them."""
     sizes, fits = [], []
 
-    def recorded(xy, coords, seed, batch, tol):
+    def recorded(xy, coords, seed, batch):
         sizes.append(len(batch))
-        fits.extend(em_batch(xy, coords, seed, batch, tol))
+        fits.extend(em_batch(xy, coords, seed, batch))
         return fits[-len(batch):]
 
     monkeypatch.setattr(anomaly, "_em_batch", recorded)

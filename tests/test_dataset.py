@@ -381,6 +381,18 @@ def test_dataset_rejects_columns_that_do_not_match_roster():
         ElectionDataset("e", roster, short, "A")
 
 
+def test_make_dataset_rejects_a_repeated_precinct_id_after_the_count_invariants():
+    roster = PartyRoster(("A", "B"))
+    with pytest.raises(InvariantViolation, match="'p1': duplicate precinct_id"):
+        make_dataset("e", roster, [record(pid="p1"), record(pid="p2"), record(pid="p1")], "A")
+    with pytest.raises(InvariantViolation, match="'p2': registered must be positive"):
+        make_dataset("e", roster, [record(pid="p1"), record(pid="p1"), record(pid="p2", registered=0)], "A")
+    with pytest.raises(InvariantViolation, match="'p1': ballots_cast 500 exceeds registered 400"):
+        make_dataset("e", roster, [record(pid="p1"), record(pid="p1", registered=400)], "A")
+    with pytest.raises(UnknownLeader):
+        make_dataset("e", roster, [record(pid="p1"), record(pid="p1")], "C")
+
+
 # ---- the column readers against the row-at-a-time reference readers
 
 
@@ -759,20 +771,26 @@ BLOCK_FORMATS = {
                  lambda row: row.__setitem__(2, "0" if row[1] == "15:00" else "999")),
     "delta": (DELTA_HEADER, lambda i: [f"U{i}", "50", "40", "60", "55"], 1, 0, None),
 }
-BLOCK_FAULTS = ("none", "bad-count", "wrong-field-count", "oversize-cell", "repeated-key", "broken-invariant")
+BLOCK_FAULTS = (
+    "none", "bad-count", "wrong-field-count", "oversize-cell", "repeated-key", "far-repeated-key", "broken-invariant"
+)
 
 
 @st.composite
 def _block_edge_files(draw, kind, block):
     """A file of three blocks of ``block`` rows with a fault in the row before, at or after a block's start.
 
-    Before the fault there may also be a quoted cell spanning lines, a
-    broken invariant and blank lines, each within a few rows of it.
+    A far repeated key copies a row of the first block into the third
+    one's first two rows or its last; a protocols file may instead lose a
+    row, whose precinct is then left with one source.  Before the fault
+    there may also be a quoted cell spanning lines, a broken invariant and
+    blank lines, each within a few rows of it.
     """
     header, make_row, count_cell, text_cell, break_invariant = BLOCK_FORMATS[kind]
     rows = [make_row(i) for i in range(3 * block)]
     at = draw(st.sampled_from((block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1)))
-    fault = draw(st.sampled_from(BLOCK_FAULTS if break_invariant else BLOCK_FAULTS[:-1]))
+    faults = BLOCK_FAULTS if break_invariant else BLOCK_FAULTS[:-1]
+    fault = draw(st.sampled_from(faults + ("unpaired",) if kind == "protocols" else faults))
     if fault == "bad-count":
         rows[at][count_cell] = "5x0"
     elif fault == "wrong-field-count":
@@ -781,6 +799,11 @@ def _block_edge_files(draw, kind, block):
         rows[at][text_cell] = "x" * (csv.field_size_limit() + 1)
     elif fault == "repeated-key":
         rows[at] = list(rows[at - 2])
+    elif fault == "far-repeated-key":
+        at = 2 * block + at % block
+        rows[at] = list(rows[draw(st.integers(0, block - 1))])
+    elif fault == "unpaired":
+        del rows[at]
     elif fault == "broken-invariant":
         break_invariant(rows[at])
     before = st.integers(max(0, at - 3), at - 1)
@@ -817,6 +840,17 @@ def test_faults_at_a_block_edge_read_as_the_reference_reads_them(kind, data):
 def test_faults_at_the_edge_of_a_full_block_read_as_the_reference_reads_them(kind, data):
     text = data.draw(_block_edge_files(kind, ROW_BLOCK))
     _read_alike_in_blocks_of(kind, ROW_BLOCK, text)
+
+
+@pytest.mark.parametrize("kind", ["precincts", "protocols", "delta"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_faults_at_a_block_edge_read_as_the_reference_reads_them_when_every_key_hashes_alike(kind, data):
+    """Every key of a reader that checks repeats collides, within a block and with every earlier block's."""
+    block = data.draw(st.sampled_from((3, 4, 5, 8)))
+    text = data.draw(_block_edge_files(kind, block))
+    with mock.patch("election_forensics.dataset.hash", lambda key: 0, create=True):
+        _read_alike_in_blocks_of(kind, block, text)
 
 
 def _national_texts(precincts: int) -> tuple[str, str]:
